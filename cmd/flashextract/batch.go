@@ -54,16 +54,16 @@ to a fault-free run. Flags:
 
 // batchConfig holds the batch subcommand's flags.
 type batchConfig struct {
-	docType   string
-	loadProg  string
-	out       string
-	workers   int
-	timeout   time.Duration
-	ordered   bool
-	admin     string
-	traceRing int
-	logLevel  string
-	logJSON   bool
+	docType    string
+	loadProg   string
+	out        string
+	workers    int
+	timeout    time.Duration
+	ordered    bool
+	admin      string
+	traceRing  int
+	logLevel   string
+	logJSON    bool
 	chaos      string
 	selfCheck  bool
 	prefilter  bool

@@ -1,22 +1,21 @@
 package bench_test
 
 import (
+	"runtime"
 	"testing"
 
 	"flashextract/internal/bench"
-	"flashextract/internal/bench/corpus"
 	"flashextract/internal/engine"
 	"flashextract/internal/region"
 )
 
 // fieldPrograms synthesizes every field of a task ⊥-relative from two
-// golden examples with the given validation worker count and returns the
-// learned program text per color.
-func fieldPrograms(t *testing.T, task *bench.Task, workers int) map[string]string {
+// golden examples at the given GOMAXPROCS, which sizes both the validation
+// pool and the union fan-out, and returns the learned program text per
+// color.
+func fieldPrograms(t *testing.T, task *bench.Task, procs int) map[string]string {
 	t.Helper()
-	prev := engine.ValidationWorkers
-	engine.ValidationWorkers = workers
-	defer func() { engine.ValidationWorkers = prev }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 
 	out := map[string]string{}
 	for _, fi := range task.Schema.Fields() {
@@ -32,7 +31,7 @@ func fieldPrograms(t *testing.T, task *bench.Task, workers int) map[string]strin
 			task.Doc, task.Schema, engine.Highlighting{}, fi,
 			append([]region.Region(nil), pos...), nil, map[string]bool{})
 		if err != nil {
-			t.Fatalf("workers=%d field %s: %v", workers, fi.Color(), err)
+			t.Fatalf("GOMAXPROCS=%d field %s: %v", procs, fi.Color(), err)
 		}
 		out[fi.Color()] = fieldProgramString(fp)
 	}
@@ -47,31 +46,16 @@ func fieldProgramString(fp *engine.FieldProgram) string {
 }
 
 // TestDifferentialParallelValidation is the differential harness for the
-// parallel candidate-validation scan: for every corpus document (plus the
-// hadoop-xl stress document), synthesis with the parallel firstPassing
-// pool must return bit-identical programs to a forced-serial reference
-// run. Any divergence means parallel validation changed candidate ranking.
+// parallel candidate-validation scan and union fan-out: for every corpus
+// document (plus the hadoop-xl stress document), synthesis at GOMAXPROCS=4
+// must return bit-identical programs to the serial reference at
+// GOMAXPROCS=1. Any divergence means parallelism changed candidate
+// ranking.
 func TestDifferentialParallelValidation(t *testing.T) {
-	tasks := corpus.All()
-	if xl := corpus.ByName("hadoop-xl"); xl != nil {
-		tasks = append(tasks, xl)
-	} else {
-		t.Error("hadoop-xl stress document missing from corpus")
-	}
-	if testing.Short() {
-		// Keep a cross-domain slice plus the stress document in -short runs.
-		short := tasks[:0:0]
-		for i, task := range tasks {
-			if i%5 == 0 || task.Name == "hadoop-xl" {
-				short = append(short, task)
-			}
-		}
-		tasks = short
-	}
-	for _, task := range tasks {
+	for _, task := range corpusTasks(t) {
 		t.Run(task.Name, func(t *testing.T) {
 			serial := fieldPrograms(t, task, 1)
-			parallel := fieldPrograms(t, task, 0)
+			parallel := fieldPrograms(t, task, 4)
 			if len(serial) != len(parallel) {
 				t.Fatalf("serial learned %d fields, parallel %d", len(serial), len(parallel))
 			}

@@ -76,14 +76,11 @@ func TestDifferentialIncrementalForcedK(t *testing.T) {
 // an incremental Learn returned different highlighting than a cold one and
 // steered the refinement loop elsewhere.
 func TestDifferentialIncrementalTopDown(t *testing.T) {
-	prev := engine.DefaultIncremental
-	defer func() { engine.DefaultIncremental = prev }()
-
 	for _, task := range corpusTasks(t) {
 		t.Run(task.Name, func(t *testing.T) {
-			engine.DefaultIncremental = false
-			cold := bench.RunTopDown(task)
-			engine.DefaultIncremental = true
+			s := engine.NewSession(task.Doc, task.Schema)
+			s.SetIncremental(false)
+			cold := bench.RunTopDownIn(s, task)
 			inc := bench.RunTopDown(task)
 			if len(cold.Fields) != len(inc.Fields) {
 				t.Fatalf("cold ran %d fields, incremental %d", len(cold.Fields), len(inc.Fields))

@@ -16,8 +16,14 @@ import (
 // the hardest (⊥-relative) scenario measured by Run; comparing the two is
 // the ancestor-relative ablation in EXPERIMENTS.md.
 func RunTopDown(t *Task) TaskResult {
+	return RunTopDownIn(engine.NewSession(t.Doc, t.Schema), t)
+}
+
+// RunTopDownIn is RunTopDown driving a caller-supplied session over the
+// task's document and schema, so a caller can configure the session (for
+// example SetIncremental) before the workflow starts.
+func RunTopDownIn(s *engine.Session, t *Task) TaskResult {
 	tr := TaskResult{Task: t}
-	s := engine.NewSession(t.Doc, t.Schema)
 	failed := false
 	for _, fi := range t.Schema.Fields() {
 		fr := FieldResult{Color: fi.Color()}

@@ -11,23 +11,16 @@ import (
 
 	"flashextract/internal/bench"
 	"flashextract/internal/bench/corpus"
-	"flashextract/internal/engine"
 	"flashextract/internal/trace"
 )
 
-// traceHadoopXLSerial synthesizes hadoop-xl under the tracer with one
-// validation worker and GOMAXPROCS(1), which serializes every union and
-// validation scan — the configuration in which the span tree's structure
-// is fully deterministic.
+// traceHadoopXLSerial synthesizes hadoop-xl under the tracer at
+// GOMAXPROCS(1), which serializes every union and validation scan — the
+// configuration in which the span tree's structure is fully deterministic.
 func traceHadoopXLSerial(t *testing.T) *trace.Span {
 	t.Helper()
 	oldProcs := runtime.GOMAXPROCS(1)
-	oldWorkers := engine.ValidationWorkers
-	engine.ValidationWorkers = 1
-	t.Cleanup(func() {
-		runtime.GOMAXPROCS(oldProcs)
-		engine.ValidationWorkers = oldWorkers
-	})
+	t.Cleanup(func() { runtime.GOMAXPROCS(oldProcs) })
 	task := corpus.ByName("hadoop-xl")
 	if task == nil {
 		t.Fatal("hadoop-xl not in corpus")

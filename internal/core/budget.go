@@ -19,9 +19,6 @@ type SynthBudget struct {
 	// MaxCandidates bounds the number of candidate programs explored
 	// (generated and checked) across the call. 0 means unlimited.
 	MaxCandidates int64
-	// MaxCacheBytes bounds the growth of the document evaluation cache
-	// during the call (approximate accounting). 0 means unlimited.
-	MaxCacheBytes int64
 }
 
 // Exhaustion reasons reported by Budget.Reason.
@@ -41,7 +38,6 @@ const (
 type Budget struct {
 	deadline      time.Time
 	maxCandidates int64
-	maxCacheBytes int64
 	done          <-chan struct{}
 
 	explored  atomic.Int64
@@ -67,7 +63,6 @@ func WithBudget(ctx context.Context, b SynthBudget) (context.Context, *Budget) {
 	bud := &Budget{
 		deadline:      b.Deadline,
 		maxCandidates: b.MaxCandidates,
-		maxCacheBytes: b.MaxCacheBytes,
 		done:          ctx.Done(),
 	}
 	if d, ok := ctx.Deadline(); ok && (bud.deadline.IsZero() || d.Before(bud.deadline)) {
@@ -160,14 +155,6 @@ func (b *Budget) Remaining() (time.Duration, bool) {
 		return 0, false
 	}
 	return time.Until(b.deadline), true
-}
-
-// MaxCacheBytes returns the evaluation-cache growth bound (0 = unlimited).
-func (b *Budget) MaxCacheBytes() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.maxCacheBytes
 }
 
 // NoteTruncation records that the named synthesis phase stopped scanning

@@ -9,7 +9,7 @@ import (
 
 // CleanUpInputCap bounds how many candidate programs CleanUp will compare
 // pairwise; lower-ranked candidates beyond the cap are dropped first.
-var CleanUpInputCap = 512
+const CleanUpInputCap = 512
 
 // DisableCleanUp turns subsumption pruning off (used by the ablation
 // benchmarks); candidates are still checked for consistency and ranked.

@@ -39,8 +39,8 @@ type SeqLearner func(ctx context.Context, exs []SeqExample) []Program
 
 // DefaultCap bounds the length of learner result lists where a cross
 // product could otherwise explode. Learners keep the highest-ranked
-// programs. It can be raised for completeness experiments.
-var DefaultCap = 128
+// programs.
+const DefaultCap = 128
 
 func capList(ps []Program, limit int) []Program {
 	if limit <= 0 {
@@ -69,55 +69,20 @@ func capList(ps []Program, limit int) []Program {
 // contributed, leaving a rank-order hole that a serial run can never
 // produce.
 func UnionLearners(learners ...SeqLearner) SeqLearner {
-	return func(ctx context.Context, exs []SeqExample) (learned []Program) {
-		metrics.From(ctx).Count(metrics.LearnerFanout, int64(len(learners)))
-		ctx, sp := trace.Start(ctx, "union")
-		if sp != nil {
-			sp.SetInt("fanout", int64(len(learners)))
-			defer func() { endLearnerSpan(sp, len(exs), len(learned)) }()
-		}
-		bud := BudgetFrom(ctx)
-		if len(learners) < 2 || runtime.GOMAXPROCS(0) < 2 {
-			var out []Program
-			for _, l := range learners {
-				if bud.ExhaustedNow() {
-					break
-				}
-				out = append(out, l(ctx, exs)...)
-			}
-			return out
-		}
-		parts := make([][]Program, len(learners))
-		skipped := make([]bool, len(learners))
-		var wg sync.WaitGroup
-		for i, l := range learners {
-			wg.Add(1)
-			go func(i int, l SeqLearner) {
-				defer wg.Done()
-				if bud.ExhaustedNow() {
-					skipped[i] = true
-					return
-				}
-				parts[i] = l(ctx, exs)
-			}(i, l)
-		}
-		wg.Wait()
-		var out []Program
-		for i, p := range parts {
-			if skipped[i] {
-				break
-			}
-			out = append(out, p...)
-		}
-		return out
-	}
+	return unionOf("union", learners)
 }
 
 // UnionScalarLearners is UnionLearners for scalar non-terminals.
 func UnionScalarLearners(learners ...ScalarLearner) ScalarLearner {
-	return func(ctx context.Context, exs []Example) (learned []Program) {
+	return unionOf("union_scalar", learners)
+}
+
+// unionOf is the body of UnionLearners and UnionScalarLearners, generic
+// over the example type; span names the combinator's trace span.
+func unionOf[E any, L ~func(context.Context, []E) []Program](span string, learners []L) L {
+	return func(ctx context.Context, exs []E) (learned []Program) {
 		metrics.From(ctx).Count(metrics.LearnerFanout, int64(len(learners)))
-		ctx, sp := trace.Start(ctx, "union_scalar")
+		ctx, sp := trace.Start(ctx, span)
 		if sp != nil {
 			sp.SetInt("fanout", int64(len(learners)))
 			defer func() { endLearnerSpan(sp, len(exs), len(learned)) }()
@@ -138,7 +103,7 @@ func UnionScalarLearners(learners ...ScalarLearner) ScalarLearner {
 		var wg sync.WaitGroup
 		for i, l := range learners {
 			wg.Add(1)
-			go func(i int, l ScalarLearner) {
+			go func(i int, l L) {
 				defer wg.Done()
 				if bud.ExhaustedNow() {
 					skipped[i] = true

@@ -3,67 +3,10 @@ package core
 // This file is the state seam for incremental interactive synthesis (the
 // maintenance of candidate sets across refinement iterations described in
 // "Interactive Program Synthesis", Le et al.): a retained candidate set is
-// only reusable while the environment it was learned in — the committed
-// highlighting, the materialized-field set, the ancestor it was learned
-// against — is unchanged, and while the example spec has only grown.
-// RetainKey fingerprints that environment so staleness is one integer
-// comparison, and ExtendsSpec is the grows-only test over example slices.
-
-// RetainKey fingerprints the environment of a synthesis subproblem. Two
-// equal keys mean the retained candidate set was learned under the same
-// environment and may be intersected with an extended example spec; any
-// difference (a committed ancestor, a cleared field, a different input
-// partition) must force a cold re-learn.
-type RetainKey uint64
-
-// FNV-1a 64-bit parameters; the hash is stable across processes, so keys
-// could be persisted alongside saved sessions.
-const (
-	fnvOffset64 = 0xcbf29ce484222325
-	fnvPrime64  = 0x100000001b3
-)
-
-// KeyHasher accumulates a RetainKey from the strings and integers that
-// describe a subproblem. The zero value is not ready; use NewKeyHasher.
-type KeyHasher struct {
-	sum uint64
-}
-
-// NewKeyHasher returns a hasher seeded with the FNV-1a offset basis.
-func NewKeyHasher() *KeyHasher {
-	return &KeyHasher{sum: fnvOffset64}
-}
-
-// Str folds a string into the key. Each record is preceded by its length,
-// so concatenation ambiguities ("ab"+"c" vs "a"+"bc") hash differently.
-func (h *KeyHasher) Str(s string) *KeyHasher {
-	h.Int(int64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h.sum = (h.sum ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
-
-// Int folds an integer into the key.
-func (h *KeyHasher) Int(v int64) *KeyHasher {
-	u := uint64(v)
-	for i := 0; i < 8; i++ {
-		h.sum = (h.sum ^ (u & 0xff)) * fnvPrime64
-		u >>= 8
-	}
-	return h
-}
-
-// Bool folds a boolean into the key.
-func (h *KeyHasher) Bool(v bool) *KeyHasher {
-	if v {
-		return h.Int(1)
-	}
-	return h.Int(0)
-}
-
-// Sum returns the accumulated key.
-func (h *KeyHasher) Sum() RetainKey { return RetainKey(h.sum) }
+// only reusable while the environment it was learned in is unchanged — the
+// engine session tracks that as a commit epoch — and while the example
+// spec has only grown. ExtendsSpec is the grows-only test over example
+// slices.
 
 // ExtendsSpec reports whether the example spec grew monotonically from
 // (oldN items identified by key index) to the new spec: every old item is

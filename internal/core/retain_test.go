@@ -2,26 +2,6 @@ package core
 
 import "testing"
 
-func TestKeyHasherDeterministic(t *testing.T) {
-	k1 := NewKeyHasher().Str("row").Int(3).Bool(true).Sum()
-	k2 := NewKeyHasher().Str("row").Int(3).Bool(true).Sum()
-	if k1 != k2 {
-		t.Fatalf("same inputs hashed to %x and %x", k1, k2)
-	}
-}
-
-func TestKeyHasherSeparatesRecords(t *testing.T) {
-	// Length prefixes must keep shifted concatenations distinct.
-	a := NewKeyHasher().Str("ab").Str("c").Sum()
-	b := NewKeyHasher().Str("a").Str("bc").Sum()
-	if a == b {
-		t.Fatal("record boundaries not separated by the hasher")
-	}
-	if NewKeyHasher().Bool(true).Sum() == NewKeyHasher().Bool(false).Sum() {
-		t.Fatal("booleans indistinguishable")
-	}
-}
-
 func TestExtendsSpec(t *testing.T) {
 	eq := func(a, b int) bool { return a == b }
 	if !ExtendsSpec([]int{1, 2}, []int{1, 2, 3}, eq) {

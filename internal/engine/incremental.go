@@ -17,24 +17,23 @@ import (
 // on the k-th example. Following the incremental maintenance of synthesis
 // state in "Interactive Program Synthesis" (Le et al.), the session now
 // retains, per field, the full ranked candidate list of the last complete
-// synthesis call together with the spec slice it was learned from and a
-// fingerprint of the environment (committed highlighting + materialized
-// set + ancestor). When the user adds examples and re-learns, the retained
-// candidates are intersected with the extended spec — a consistency filter
-// plus the usual schema-validation scan, fused into one rank-ordered
-// firstPassing pass — instead of invoking the DSL learner again. Sound
-// reuse rests on two monotonicity facts about a grown spec under an
-// unchanged environment: a candidate inconsistent with the old spec stays
-// inconsistent with the extended one, and a candidate that failed the
-// schema-validation check keeps failing (more negatives only add failure
-// modes; the committed highlighting is pinned by the environment key). So
-// every retained candidate ranked before the previously selected winner
-// provably fails again, and the scan only has to re-check the prefix
-// ending at the winner: when the winner itself survives, it is returned
-// unchanged. In every other case — committed ancestor highlighting
-// changed, examples were removed or cleared, the retained state came from
-// a budget-truncated call, or the winner no longer survives — the session
-// falls back to a cold re-learn.
+// synthesis call together with the spec slice it was learned from and the
+// session's commit epoch, which names the environment (committed
+// highlighting + materialized set) the list was validated in. When the
+// user adds examples and re-learns, the retained candidates are
+// intersected with the extended spec — a consistency filter plus the usual
+// schema-validation scan, fused into one rank-ordered firstPassing pass —
+// instead of invoking the DSL learner again. Sound reuse rests on two
+// monotonicity facts about a grown spec under an unchanged environment: a
+// candidate inconsistent with the old spec stays inconsistent with the
+// extended one, and a candidate that failed the schema-validation check
+// keeps failing (more negatives only add failure modes; the committed
+// highlighting is pinned by the commit epoch). So every retained candidate
+// ranked before the previously selected winner provably fails again, and
+// the scan only has to re-check the prefix ending at the winner: when the
+// winner itself survives, it is returned unchanged. In every other case — a field was committed since, examples
+// were removed or cleared, or the winner no longer survives — the session
+// falls back to a cold re-learn. A budget-truncated call retains nothing.
 //
 // The reuse contract is program stability, the interactive-synthesis
 // property of Le et al.: a hit happens exactly when every new example
@@ -56,24 +55,13 @@ import (
 // (every hit must keep the previous highlighting; every fallback must
 // equal cold).
 
-// DefaultIncremental is the initial incremental-reuse setting of new
-// sessions. It exists for the differential harness, which compares an
-// incremental session against a forced-cold reference; the production
-// default is true. Session.SetIncremental overrides it per session.
-var DefaultIncremental = true
-
-// incState is the retained per-field learner state: the surviving
-// candidate set of the last complete synthesis call, the rank of the
-// candidate that call selected, and the environment key plus spec slice
-// the set was learned from.
+// incState is the retained per-field learner state: the candidates of the
+// last complete synthesis call, plus the spec slice and the commit epoch
+// they were learned in.
 type incState struct {
-	anc       *schema.FieldInfo
-	isSeq     bool
-	fps       []*FieldProgram
-	winnerIdx int
-	pos, neg  []region.Region
-	key       core.RetainKey
-	complete  bool
+	learnedCandidates
+	pos, neg []region.Region
+	epoch    int
 }
 
 // SetIncremental turns incremental candidate reuse on or off for
@@ -90,24 +78,6 @@ func (s *Session) SetIncremental(on bool) {
 // Incremental reports whether the session reuses retained candidate state
 // across Learn calls.
 func (s *Session) Incremental() bool { return s.incremental }
-
-// incKey fingerprints the environment a candidate set is valid in: the
-// ancestor it was learned against plus, for every schema field, whether it
-// is materialized and the exact committed regions of its color. Any change
-// — an ancestor commit, a clear, a different input partition — changes the
-// key and forces a cold re-learn.
-func (s *Session) incKey(anc *schema.FieldInfo) core.RetainKey {
-	h := core.NewKeyHasher()
-	h.Str(ancName(anc))
-	for _, fi := range s.sch.Fields() {
-		c := fi.Color()
-		h.Str(c).Bool(s.materialized[c]).Int(int64(len(s.cr[c])))
-		for _, r := range s.cr[c] {
-			h.Str(r.String())
-		}
-	}
-	return h.Sum()
-}
 
 // regionEq is the equality predicate of example specs.
 func regionEq(a, b region.Region) bool { return a == b }
@@ -167,9 +137,9 @@ func regionSubseq(sub, seq []region.Region) bool {
 // candidate state of the color. The context must already carry the
 // session's metric sink and the call's budget. ok is false when the state
 // is missing or not reusable — the caller then runs the cold path, which
-// captures fresh state. A reusable-but-failed attempt (stale key, removed
-// examples, truncated state, no surviving candidate) counts one
-// incremental fallback; a call with no retained state counts neither.
+// captures fresh state. A reusable-but-failed attempt (stale epoch, removed
+// examples, no surviving candidate) counts one incremental fallback; a call
+// with no retained state counts neither.
 func (s *Session) tryIncremental(ctx context.Context, fi *schema.FieldInfo, pos, neg []region.Region) (*FieldProgram, *PartialResult, bool) {
 	if !s.incremental {
 		return nil, nil, false
@@ -186,9 +156,6 @@ func (s *Session) tryIncremental(ctx context.Context, fi *schema.FieldInfo, pos,
 		logx.From(ctx).Debug("incremental fallback", "field", fi.Color(), "why", why)
 		return nil, nil, false
 	}
-	if !st.complete {
-		return fallback("partial_state")
-	}
 	if bud.ExhaustedNow() {
 		// The call's budget is already dead: the cold path owns the
 		// graceful-degradation semantics, and partial state produced under
@@ -203,7 +170,7 @@ func (s *Session) tryIncremental(ctx context.Context, fi *schema.FieldInfo, pos,
 		// trip behavior identical to a session that never reused anything.
 		return fallback("candidate_budget")
 	}
-	if st.key != s.incKey(st.anc) {
+	if st.epoch != s.epoch {
 		return fallback("highlighting_changed")
 	}
 	if len(pos) == 0 {
@@ -315,24 +282,19 @@ func (s *Session) tryIncremental(ctx context.Context, fi *schema.FieldInfo, pos,
 
 // captureIncremental folds the outcome of a cold synthesis call into the
 // retained state of the color: a successful, complete call (budget never
-// tripped) replaces the state with the fresh candidate list keyed to the
-// current environment and spec; anything else — an error, a truncated
-// call, reuse disabled — drops the state so partial results can never seed
-// a later intersection.
-func (s *Session) captureIncremental(color string, capture *learnedCandidates, pr *PartialResult, err error, pos, neg []region.Region) {
-	if !s.incremental || err != nil || capture == nil || capture.fps == nil ||
-		!capture.complete || capture.winnerIdx < 0 || (pr != nil && pr.Exhausted) {
+// tripped) replaces the state with the fresh candidate list stamped with
+// the current epoch and spec; anything else — an error, a truncated call,
+// reuse disabled — drops the state so partial results can never seed a
+// later intersection.
+func (s *Session) captureIncremental(color string, capture learnedCandidates, pr *PartialResult, err error, pos, neg []region.Region) {
+	if !s.incremental || err != nil || pr.Exhausted {
 		delete(s.inc, color)
 		return
 	}
 	s.inc[color] = &incState{
-		anc:       capture.anc,
-		isSeq:     capture.isSeq,
-		fps:       capture.fps,
-		winnerIdx: capture.winnerIdx,
-		pos:       append([]region.Region(nil), pos...),
-		neg:       append([]region.Region(nil), neg...),
-		key:       s.incKey(capture.anc),
-		complete:  true,
+		learnedCandidates: capture,
+		pos:               append([]region.Region(nil), pos...),
+		neg:               append([]region.Region(nil), neg...),
+		epoch:             s.epoch,
 	}
 }

@@ -137,9 +137,10 @@ func TestIncrementalFallbackOnContradictingExample(t *testing.T) {
 }
 
 func TestIncrementalInvalidatedByCommitOfOtherField(t *testing.T) {
-	// Committing any field changes the environment fingerprint (committed
-	// highlighting + materialized set), so retained state of every other
-	// field must stop being reused even if its own examples only grew.
+	// A field's first commit bumps the session's commit epoch (the
+	// committed highlighting + materialized set changed), so retained state
+	// of every other field must stop being reused even if its own examples
+	// only grew.
 	doc, cl := newCountingDomain(fakeText)
 	m := schema.MustParse(rowSchema)
 	s := NewSession(doc, m)
@@ -181,6 +182,40 @@ func TestIncrementalInvalidatedByCommitOfOtherField(t *testing.T) {
 	}
 	if s.Stats().IncrementalFallbacks == 0 {
 		t.Fatal("no fallback recorded for the stale-key re-learn")
+	}
+}
+
+func TestRecommitKeepsRetainedState(t *testing.T) {
+	// Re-committing a materialized field reruns its program over the same
+	// ancestor regions, so the environment is unchanged and retained state
+	// of other fields must stay reusable.
+	doc, cl := newCountingDomain(fakeText)
+	m := schema.MustParse(rowSchema)
+	s := NewSession(doc, m)
+	lines := lineSpans(fakeText)
+
+	s.AddPositive("row", lines[0])
+	s.AddPositive("row", lines[1])
+	mustLearn(t, s, "row")
+	if err := s.Commit("row"); err != nil {
+		t.Fatal(err)
+	}
+	w0, _ := wordOfLine(lines[0])
+	s.AddPositive("a", w0)
+	mustLearn(t, s, "a")
+	regCalls := cl.regCalls
+	if err := s.Commit("row"); err != nil {
+		t.Fatal(err)
+	}
+
+	w1, _ := wordOfLine(lines[1])
+	s.AddPositive("a", w1)
+	mustLearn(t, s, "a")
+	if cl.regCalls != regCalls {
+		t.Fatalf("re-commit of row invalidated a's retained state (learner calls %d, want %d)", cl.regCalls, regCalls)
+	}
+	if st := s.Stats(); st.IncrementalHits != 1 || st.IncrementalFallbacks != 0 {
+		t.Fatalf("hits=%d fallbacks=%d, want 1/0", st.IncrementalHits, st.IncrementalFallbacks)
 	}
 }
 
@@ -405,7 +440,7 @@ func TestSetIncrementalDropsState(t *testing.T) {
 	lines := lineSpans(fakeText)
 
 	if !s.Incremental() {
-		t.Fatal("sessions should default to incremental (DefaultIncremental)")
+		t.Fatal("new sessions should be incremental")
 	}
 	s.AddPositive("row", lines[0])
 	mustLearn(t, s, "row")

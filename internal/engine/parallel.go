@@ -10,12 +10,6 @@ import (
 	"flashextract/internal/trace"
 )
 
-// ValidationWorkers overrides the size of the candidate-validation worker
-// pool (0 means GOMAXPROCS). It exists for the differential test harness,
-// which compares the parallel scan against a forced-serial reference; the
-// production default is 0.
-var ValidationWorkers = 0
-
 // firstPassing returns the lowest index i in [0, n) for which try(i) is
 // true, or -1 when no index passes — the same answer as the serial loop
 //
@@ -23,6 +17,8 @@ var ValidationWorkers = 0
 //
 // but with independent try calls fanned across a GOMAXPROCS-bounded worker
 // pool. try must be safe for concurrent calls and deterministic per index.
+// At GOMAXPROCS=1 it is that serial loop, the reference the differential
+// tests compare the pool against.
 //
 // Ranking stays bit-identical to serial execution: candidates are claimed
 // in index order off a shared counter, a worker abandons its claim once
@@ -44,13 +40,7 @@ func firstPassing(ctx context.Context, n int, try func(int) bool) (idx int, comp
 		return -1, true
 	}
 	bud := core.BudgetFrom(ctx)
-	workers := ValidationWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil || bud.ExhaustedNow() {

@@ -36,6 +36,7 @@ type Session struct {
 	stats       SessionStats
 	inc         map[string]*incState // retained candidate state per color
 	incremental bool                 // reuse retained state across Learn calls
+	epoch       int                  // count of first commits; see Commit
 }
 
 // SessionStats aggregates the engine metrics of a session: per-call
@@ -88,7 +89,7 @@ func NewSession(doc Document, sch *schema.Schema) *Session {
 		reg:          metrics.NewRegistry(),
 		partial:      map[string]*PartialResult{},
 		inc:          map[string]*incState{},
-		incremental:  DefaultIncremental,
+		incremental:  true,
 	}
 }
 
@@ -243,7 +244,7 @@ func (s *Session) LearnContext(ctx context.Context, color string) (*FieldProgram
 	}
 	var capture learnedCandidates
 	fp, pr, err := synthesizeFieldProgramCapture(ctx, s.doc, s.sch, s.cr, fi, pos, neg, s.materialized, &capture)
-	s.captureIncremental(color, &capture, pr, err, pos, neg)
+	s.captureIncremental(color, capture, pr, err, pos, neg)
 	s.record(color, pr)
 	if err != nil {
 		return nil, nil, pr, err
@@ -295,11 +296,17 @@ func (s *Session) Commit(color string) error {
 	if err := crNew.ConsistentWith(s.sch); err != nil {
 		return fmt.Errorf("engine: committing %s: %w", color, err)
 	}
+	if !s.materialized[color] {
+		// A first commit changes the environment that every retained
+		// candidate set was validated in, so it stales them all. A
+		// re-commit reruns the same program over the same ancestor
+		// regions and leaves the environment as it was.
+		s.epoch++
+	}
 	s.cr = crNew
 	s.materialized[fi.Color()] = true
 	// The field can no longer be re-learned, so its retained candidate
-	// state is dead weight. (Other fields' state self-invalidates: their
-	// environment fingerprint covers the highlighting just committed.)
+	// state is dead weight.
 	delete(s.inc, color)
 	return nil
 }

@@ -82,16 +82,15 @@ func SynthesizeFieldProgramCtx(
 
 // learnedCandidates captures the full ranked candidate list of one
 // synthesis call for the session's incremental reuse: the ancestor the
-// candidates were learned against, every candidate (not just the selected
-// one), and whether the producing call ran to completion. A call that
-// tripped its budget may have truncated the list, so only complete captures
-// are safe to intersect against a future, larger example spec.
+// candidates were learned against and every candidate, not just the
+// selected one. A call that tripped its budget may have truncated the list
+// (PartialResult.Exhausted), so only captures of complete calls are safe to
+// intersect against a future, larger example spec.
 type learnedCandidates struct {
 	anc       *schema.FieldInfo
 	isSeq     bool
 	fps       []*FieldProgram
 	winnerIdx int // rank of the selected program within fps
-	complete  bool
 }
 
 // synthesizeFieldProgramCapture is SynthesizeFieldProgramCtx with an
@@ -116,7 +115,6 @@ func synthesizeFieldProgramCapture(
 	}
 	sink := metrics.From(ctx)
 	sink.Count(metrics.LearnCalls, 1)
-	applyCacheBudget(doc, bud)
 	// Chaos site: exhaust the budget before the learner starts, forcing the
 	// graceful-degradation path for this field as if a deadline had tripped.
 	if faults.From(ctx).Hit(faults.SiteBudget, "learn:"+f.Color()) {
@@ -215,7 +213,6 @@ func synthesizeFieldProgramCapture(
 					break
 				}
 			}
-			capture.complete = bud.Reason() == ""
 		}
 		return finish(fp, bestEffort, nil)
 	}
@@ -226,16 +223,6 @@ func synthesizeFieldProgramCapture(
 		lastErr = fmt.Errorf("engine: field %s: synthesis budget exhausted (%s) before a program was found: %w", f.Color(), reason, lastErr)
 	}
 	return finish(nil, false, lastErr)
-}
-
-// applyCacheBudget propagates the budget's evaluation-cache byte cap to
-// the document's cache, when the document exposes one.
-func applyCacheBudget(doc Document, bud *core.Budget) {
-	if limit := bud.MaxCacheBytes(); limit > 0 {
-		if lim, ok := doc.(interface{ LimitCacheBytes(int64) }); ok {
-			lim.LimitCacheBytes(limit)
-		}
-	}
 }
 
 // seqExamplesFor splits field examples into per-ancestor-region sequence

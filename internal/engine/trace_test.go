@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -13,9 +14,7 @@ import (
 // caller's context — the cross-goroutine parent/child guarantee of the
 // tracer — and that the scan's answer is unaffected by tracing.
 func TestFirstPassingWorkerSpans(t *testing.T) {
-	old := ValidationWorkers
-	ValidationWorkers = 4
-	defer func() { ValidationWorkers = old }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
 	tr := trace.NewTracer()
 	ctx, root := tr.StartRoot(context.Background(), "validate")
@@ -60,11 +59,10 @@ func TestFirstPassingWorkerSpans(t *testing.T) {
 // TestFirstPassingNoTracer asserts the serial and parallel paths work
 // unchanged with no tracer on the context (the production default).
 func TestFirstPassingNoTracer(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 4} {
-		old := ValidationWorkers
-		ValidationWorkers = workers
+		runtime.GOMAXPROCS(workers)
 		idx, complete := firstPassing(context.Background(), 10, func(i int) bool { return i >= 7 })
-		ValidationWorkers = old
 		if idx != 7 || !complete {
 			t.Fatalf("workers=%d: firstPassing = (%d, %v), want (7, true)", workers, idx, complete)
 		}

@@ -49,7 +49,7 @@ func (d *Document) CacheStats() engine.CacheStats {
 }
 
 // LimitCacheBytes caps the evaluation cache's approximate resident bytes;
-// the synthesis driver calls it when the budget sets MaxCacheBytes.
+// the batch runtime's cache-eviction chaos site calls it.
 func (d *Document) LimitCacheBytes(n int64) { d.cache.SetMaxBytes(n) }
 
 // WholeRegion returns the region covering the entire file.

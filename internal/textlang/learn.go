@@ -84,7 +84,7 @@ func newLearnCtx(doc *Document, boundary []Region) *learnCtx {
 // index returns the memoized boundary index of Text[lo:hi] for the
 // context's token pool.
 func (c *learnCtx) index(lo, hi int) *tokens.Index {
-	if c.doc == nil || c.doc.cache == nil {
+	if c.doc == nil {
 		return nil
 	}
 	return c.doc.cache.IndexFor(lo, hi, c.toks, c.poolID)

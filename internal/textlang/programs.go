@@ -73,30 +73,20 @@ func (splitLinesProg) String() string { return "split(R0, '\\n')" }
 func (splitLinesProg) Cost() int { return 0 }
 
 // evalPos evaluates a position attribute over Text[lo:hi] through the
-// document's evaluation cache, falling back to a direct evaluation for
-// documents without one.
+// document's evaluation cache.
 func evalPos(d *Document, lo, hi int, a tokens.Attr) (int, error) {
-	if d.cache == nil {
-		return a.Eval(d.Text[lo:hi])
-	}
 	return d.cache.EvalAttr(lo, hi, a)
 }
 
 // positionsIn returns the position sequence of rr within Text[lo:hi]
 // through the document's evaluation cache.
 func positionsIn(d *Document, lo, hi int, rr tokens.RegexPair) []int {
-	if d.cache == nil {
-		return rr.Positions(d.Text[lo:hi])
-	}
 	return d.cache.Positions(lo, hi, rr)
 }
 
 // countIn memoizes CountMatches over a document range via the evaluation
 // cache; the isolated-substring semantics match CountMatches on the slice.
 func countIn(d *Document, lo, hi int, r tokens.Regex) int {
-	if d.cache == nil {
-		return tokens.CountMatches(r, d.Text[lo:hi])
-	}
 	return d.cache.CountIn(lo, hi, r)
 }
 

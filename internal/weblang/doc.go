@@ -52,7 +52,7 @@ func (d *Document) CacheStats() engine.CacheStats {
 }
 
 // LimitCacheBytes caps the evaluation cache's approximate resident bytes;
-// the synthesis driver calls it when the budget sets MaxCacheBytes.
+// the batch runtime's cache-eviction chaos site calls it.
 func (d *Document) LimitCacheBytes(n int64) { d.cache.SetMaxBytes(n) }
 
 // MustNewDocument is NewDocument for statically known pages.

@@ -55,7 +55,7 @@ func newWebCtx(doc *Document, boundary []region.Region) *webCtx {
 // index returns the memoized boundary index of Text[lo:hi] for the
 // context's token pool.
 func (c *webCtx) index(lo, hi int) *tokens.Index {
-	if c.doc == nil || c.doc.cache == nil {
+	if c.doc == nil {
 		return nil
 	}
 	return c.doc.cache.IndexFor(lo, hi, c.toks, c.poolID)

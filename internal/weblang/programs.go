@@ -33,21 +33,14 @@ func inputTextRange(st core.State) (doc *Document, lo, hi int, err error) {
 }
 
 // evalPos evaluates a position attribute over Text[lo:hi] through the
-// document's evaluation cache, falling back to a direct evaluation for
-// documents without one.
+// document's evaluation cache.
 func evalPos(d *Document, lo, hi int, a tokens.Attr) (int, error) {
-	if d.cache == nil {
-		return a.Eval(d.Text[lo:hi])
-	}
 	return d.cache.EvalAttr(lo, hi, a)
 }
 
 // positionsIn returns the position sequence of rr within Text[lo:hi]
 // through the document's evaluation cache.
 func positionsIn(d *Document, lo, hi int, rr tokens.RegexPair) []int {
-	if d.cache == nil {
-		return rr.Positions(d.Text[lo:hi])
-	}
 	return d.cache.Positions(lo, hi, rr)
 }
 
