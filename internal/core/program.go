@@ -42,8 +42,6 @@ type MapProgram struct {
 	S    Program
 }
 
-// Exec implements strict Map semantics: an error from F on any element
-// fails the whole Map.
 // execMemoized executes p in st, consulting the state's execution memo for
 // the sequence operators. Non-operator programs and memo-less states run
 // directly. The memoized Value is shared; consumers must not mutate the
@@ -71,6 +69,8 @@ func execMemoized(p Program, st State) (Value, error) {
 	return v, err
 }
 
+// Exec implements strict Map semantics: an error from F on any element
+// fails the whole Map.
 func (p *MapProgram) Exec(st State) (Value, error) {
 	sv, err := execMemoized(p.S, st)
 	if err != nil {

@@ -5,23 +5,7 @@ import (
 	"fmt"
 
 	"flashextract/internal/core"
-	"flashextract/internal/region"
 )
-
-// CapturedSeqExtractor is optionally implemented by SeqRegion programs
-// whose execution can record provenance: which core operator
-// subexpressions each emitted region passed through. All substrate
-// adapters (textlang, weblang, sheetlang) implement it; hand-written
-// programs that don't are simply run uncaptured.
-type CapturedSeqExtractor interface {
-	ExtractSeqCaptured(r region.Region, c *core.ExecCapture) ([]region.Region, error)
-}
-
-// CapturedRegionExtractor is the Region-program counterpart of
-// CapturedSeqExtractor.
-type CapturedRegionExtractor interface {
-	ExtractCaptured(r region.Region, c *core.ExecCapture) (region.Region, error)
-}
 
 // RunCapturedContext is RunContext with execution provenance: in addition
 // to the instance and highlighting it returns, per field color, the

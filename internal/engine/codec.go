@@ -4,18 +4,23 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"flashextract/internal/core"
 	"flashextract/internal/schema"
 )
 
 // ProgramCodec is implemented by languages whose programs can be
 // serialized to portable JSON artifacts and reloaded later — the paper's
 // §2 workflow of keeping "the data and its associated data extraction
-// program" to re-run on similar documents.
+// program" to re-run on similar documents. The core algebra encodes and
+// decodes every operator; a language only decodes its own leaves.
 type ProgramCodec interface {
-	MarshalSeqProgram(p SeqRegionProgram) ([]byte, error)
-	UnmarshalSeqProgram(data []byte) (SeqRegionProgram, error)
-	MarshalRegionProgram(p RegionProgram) ([]byte, error)
-	UnmarshalRegionProgram(data []byte) (RegionProgram, error)
+	DecodeLeaf(spec core.ProgramSpec) (core.Program, error)
+}
+
+// decodeContext reconstructs the programs of a language's CoreSeq and
+// CoreRegion adapters.
+func decodeContext(codec ProgramCodec) core.DecodeContext {
+	return core.DecodeContext{Leaf: codec.DecodeLeaf, Less: RegionLess}
 }
 
 // fieldProgramSpec is the serialized form of one field extraction program.
@@ -37,7 +42,9 @@ type schemaProgramSpec struct {
 const schemaProgramFormat = "flashextract-program/1"
 
 // SaveSchemaProgram serializes a complete schema extraction program. The
-// language of the document it was learned on must implement ProgramCodec.
+// language of the document it was learned on must implement ProgramCodec,
+// and every field program must be a CoreSeq or CoreRegion whose body that
+// language can decode back: a program of another language is refused.
 func SaveSchemaProgram(q *SchemaProgram, lang Language) ([]byte, error) {
 	codec, ok := lang.(ProgramCodec)
 	if !ok {
@@ -46,21 +53,24 @@ func SaveSchemaProgram(q *SchemaProgram, lang Language) ([]byte, error) {
 	if err := q.Complete(); err != nil {
 		return nil, err
 	}
+	dc := decodeContext(codec)
 	spec := schemaProgramSpec{Format: schemaProgramFormat, Schema: q.Schema.String()}
 	for _, fi := range q.Schema.Fields() {
 		fp := q.Fields[fi.Color()]
-		fs := fieldProgramSpec{Color: fi.Color()}
+		fs := fieldProgramSpec{Color: fi.Color(), Kind: "region"}
 		if fp.Ancestor != nil {
 			fs.Ancestor = fp.Ancestor.Color()
 		}
-		var body []byte
-		var err error
 		if fp.Seq != nil {
 			fs.Kind = "seq"
-			body, err = codec.MarshalSeqProgram(fp.Seq)
-		} else {
-			fs.Kind = "region"
-			body, err = codec.MarshalRegionProgram(fp.Reg)
+		}
+		p := fp.CoreProgram()
+		if p == nil {
+			return nil, fmt.Errorf("engine: serializing field %s: not a core-algebra program", fi.Color())
+		}
+		body, err := core.MarshalProgram(p)
+		if err == nil {
+			_, err = dc.UnmarshalProgram(body)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("engine: serializing field %s: %w", fi.Color(), err)
@@ -89,6 +99,7 @@ func LoadSchemaProgram(data []byte, lang Language) (*SchemaProgram, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: embedded schema: %w", err)
 	}
+	dc := decodeContext(codec)
 	q := &SchemaProgram{Schema: m, Fields: map[string]*FieldProgram{}}
 	for _, fs := range spec.Fields {
 		fi := m.FieldByColor(fs.Color)
@@ -102,16 +113,17 @@ func LoadSchemaProgram(data []byte, lang Language) (*SchemaProgram, error) {
 				return nil, fmt.Errorf("engine: program references unknown ancestor %q", fs.Ancestor)
 			}
 		}
-		switch fs.Kind {
-		case "seq":
-			fp.Seq, err = codec.UnmarshalSeqProgram(fs.Body)
-		case "region":
-			fp.Reg, err = codec.UnmarshalRegionProgram(fs.Body)
-		default:
+		if fs.Kind != "seq" && fs.Kind != "region" {
 			return nil, fmt.Errorf("engine: unknown field program kind %q", fs.Kind)
 		}
+		p, err := dc.UnmarshalProgram(fs.Body)
 		if err != nil {
 			return nil, fmt.Errorf("engine: loading field %s: %w", fs.Color, err)
+		}
+		if fs.Kind == "seq" {
+			fp.Seq = CoreSeq{p}
+		} else {
+			fp.Reg = CoreRegion{p}
 		}
 		q.Fields[fs.Color] = fp
 	}

@@ -8,6 +8,7 @@ import (
 	"flashextract/internal/region"
 	"flashextract/internal/schema"
 	"flashextract/internal/textlang"
+	"flashextract/internal/weblang"
 )
 
 // noCodecLang wraps a Language without implementing ProgramCodec.
@@ -77,6 +78,16 @@ func TestSaveSchemaProgramWithoutCodec(t *testing.T) {
 	}
 	if _, err := engine.LoadSchemaProgram([]byte("{}"), noCodecLang{doc.Language()}); err == nil {
 		t.Fatal("load without codec accepted")
+	}
+}
+
+func TestSaveSchemaProgramForeignLanguage(t *testing.T) {
+	// A text program saved under the web language would produce an
+	// artifact that language cannot load back, so Save must refuse it.
+	q, _ := learnSimpleProgram(t)
+	web := weblang.MustNewDocument("<html><body><p>k: 1</p></body></html>")
+	if _, err := engine.SaveSchemaProgram(q, web.Language()); err == nil {
+		t.Fatal("text program saved under the web language")
 	}
 }
 

@@ -32,13 +32,15 @@ type RegionExample struct {
 }
 
 // SeqRegionProgram extracts a sequence of regions from an ancestor region.
+// Languages return CoreSeq; tests plug in hand-written programs.
 type SeqRegionProgram interface {
 	ExtractSeq(r region.Region) ([]region.Region, error)
 	String() string
 }
 
 // RegionProgram extracts a single region from an ancestor region. A nil
-// region with a nil error denotes the null instance ⊥.
+// region with a nil error denotes the null instance ⊥. Languages return
+// CoreRegion; tests plug in hand-written programs.
 type RegionProgram interface {
 	Extract(r region.Region) (region.Region, error)
 	String() string

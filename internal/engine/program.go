@@ -47,9 +47,8 @@ func (fp *FieldProgram) run(doc Document, cr Highlighting) []region.Region {
 
 // runCtx is run under a context: cancellation (or a tripped budget) aborts
 // between ancestor regions with the context's error. A non-nil cap records
-// execution provenance for the emitted regions, when the substrate program
-// supports capture (see CapturedSeqExtractor); unsupported programs run
-// uncaptured.
+// execution provenance for the emitted regions of CoreSeq and CoreRegion
+// programs; other programs run uncaptured.
 func (fp *FieldProgram) runCtx(ctx context.Context, doc Document, cr Highlighting, cap *core.ExecCapture) ([]region.Region, error) {
 	var inputs []region.Region
 	if fp.Ancestor == nil {
@@ -66,8 +65,8 @@ func (fp *FieldProgram) runCtx(ctx context.Context, doc Document, cr Highlightin
 		if fp.Seq != nil {
 			var rs []region.Region
 			var err error
-			if cse, ok := fp.Seq.(CapturedSeqExtractor); ok && cap != nil {
-				rs, err = cse.ExtractSeqCaptured(in, cap)
+			if cs, ok := fp.Seq.(CoreSeq); ok {
+				rs, err = cs.extract(in, cap)
 			} else {
 				rs, err = fp.Seq.ExtractSeq(in)
 			}
@@ -77,8 +76,8 @@ func (fp *FieldProgram) runCtx(ctx context.Context, doc Document, cr Highlightin
 		} else {
 			var r region.Region
 			var err error
-			if cre, ok := fp.Reg.(CapturedRegionExtractor); ok && cap != nil {
-				r, err = cre.ExtractCaptured(in, cap)
+			if rp, ok := fp.Reg.(CoreRegion); ok {
+				r, err = rp.extract(in, cap)
 			} else {
 				r, err = fp.Reg.Extract(in)
 			}
@@ -89,6 +88,18 @@ func (fp *FieldProgram) runCtx(ctx context.Context, doc Document, cr Highlightin
 	}
 	region.Sort(out)
 	return out, nil
+}
+
+// CoreProgram returns the core-algebra program behind the field's CoreSeq
+// or CoreRegion adapter, or nil for any other program.
+func (fp *FieldProgram) CoreProgram() core.Program {
+	if cs, ok := fp.Seq.(CoreSeq); ok {
+		return cs.P
+	}
+	if rp, ok := fp.Reg.(CoreRegion); ok {
+		return rp.P
+	}
+	return nil
 }
 
 // runErr reports why an execution context no longer permits work: the

@@ -10,14 +10,6 @@ import (
 	"flashextract/internal/sheet"
 )
 
-// CoreProgrammer exposes the compiled core combinator tree of a language
-// seq/region program adapter. The language packages implement it on
-// their unexported wrappers so the analyzer can walk programs without
-// the languages importing each other (or this package importing them).
-type CoreProgrammer interface {
-	CoreProgram() core.Program
-}
-
 // Admissible is implemented by DSL leaf programs (region expressions,
 // position-pair map functions, predicates) that can state a necessary
 // byte-level condition on the raw document for the node to contribute a
@@ -104,14 +96,8 @@ func FromSchemaProgram(q *engine.SchemaProgram, docType string) (*Filter, error)
 			continue // rides on its ancestor's regions; see above
 		}
 		cond := True()
-		var inner any
-		if fp.Seq != nil {
-			inner = fp.Seq
-		} else {
-			inner = fp.Reg
-		}
-		if cp, ok := inner.(CoreProgrammer); ok {
-			cond = CondOf(cp.CoreProgram())
+		if p := fp.CoreProgram(); p != nil {
+			cond = CondOf(p)
 			cond.normalize()
 		}
 		f.fields = append(f.fields, fieldCond{color: fi.Color(), cond: cond})

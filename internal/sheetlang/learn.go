@@ -7,7 +7,6 @@ import (
 
 	"flashextract/internal/core"
 	"flashextract/internal/engine"
-	"flashextract/internal/region"
 )
 
 // attrCap bounds attribute candidate lists in cross products.
@@ -15,24 +14,6 @@ const attrCap = 12
 
 // lang implements engine.Language for spreadsheets.
 type lang struct{}
-
-func sheetLess(a, b core.Value) bool {
-	ar, ok1 := a.(region.Region)
-	br, ok2 := b.(region.Region)
-	if !ok1 || !ok2 {
-		return false
-	}
-	return ar.Less(br)
-}
-
-func conflictOverlap(out, neg core.Value) bool {
-	o, ok1 := out.(region.Region)
-	n, ok2 := neg.(region.Region)
-	if !ok1 || !ok2 {
-		return false
-	}
-	return o == n || o.Overlaps(n)
-}
 
 // SynthesizeSeqRegion learns N1 programs (Fig. 9): a Merge of cell
 // sequences (CS) or of cell-pair sequences (PS).
@@ -56,18 +37,13 @@ func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionEx
 	}
 	inner := core.PreferNonOverlapping(
 		core.UnionLearners(learnCS(), learnPSStart(), learnPSEnd()),
-		conflictOverlap,
+		engine.RegionConflict,
 	)
 	n1 := core.PreferNonOverlapping(
-		core.MergeOp{A: inner, Less: sheetLess}.Learn,
-		conflictOverlap,
+		core.MergeOp{A: inner, Less: engine.RegionLess}.Learn,
+		engine.RegionConflict,
 	)
-	progs := core.SynthesizeSeqRegionProg(ctx, n1, specs, conflictOverlap)
-	out := make([]engine.SeqRegionProgram, len(progs))
-	for i, p := range progs {
-		out[i] = seqProgram{p}
-	}
-	return out
+	return engine.CoreSeqs(core.SynthesizeSeqRegionProg(ctx, n1, specs, engine.RegionConflict))
 }
 
 // SynthesizeRegion learns N2 programs: Cell(R0, c) for single cells and
@@ -120,11 +96,7 @@ func (l *lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample)
 		}
 	}
 	progs := core.SynthesizeRegionProg(ctx, func(context.Context, []core.Example) []core.Program { return cands }, coreExs)
-	out := make([]engine.RegionProgram, len(progs))
-	for i, p := range progs {
-		out[i] = regProgram{p}
-	}
-	return out
+	return engine.CoreRegions(progs)
 }
 
 func capCellAttrs(as []cellAttr, n int) []cellAttr {
@@ -553,75 +525,3 @@ func learnPSEnd() core.SeqLearner {
 	}
 	return op.Learn
 }
-
-// ---- adapters to the engine interfaces ----
-
-type seqProgram struct{ p core.Program }
-
-func (sp seqProgram) ExtractSeq(r region.Region) ([]region.Region, error) {
-	return sp.extract(r, nil)
-}
-
-// ExtractSeqCaptured runs the program with an execution capture attached,
-// recording the operator path of every emitted region (provenance).
-func (sp seqProgram) ExtractSeqCaptured(r region.Region, c *core.ExecCapture) ([]region.Region, error) {
-	return sp.extract(r, c)
-}
-
-func (sp seqProgram) extract(r region.Region, c *core.ExecCapture) ([]region.Region, error) {
-	if _, _, _, _, _, ok := bounds(r); !ok {
-		return nil, fmt.Errorf("sheetlang: input is %T, want a sheet region", r)
-	}
-	st := core.NewState(r)
-	if c != nil {
-		st = st.WithCapture(c)
-	}
-	v, err := sp.p.Exec(st)
-	if err != nil {
-		return nil, err
-	}
-	seq, err := core.AsSeq(v)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]region.Region, len(seq))
-	for i, e := range seq {
-		er, ok := e.(region.Region)
-		if !ok {
-			return nil, fmt.Errorf("sheetlang: program produced %T, want region", e)
-		}
-		out[i] = er
-	}
-	return out, nil
-}
-
-func (sp seqProgram) String() string { return sp.p.String() }
-
-type regProgram struct{ p core.Program }
-
-func (rp regProgram) Extract(r region.Region) (region.Region, error) {
-	return rp.extract(r, nil)
-}
-
-// ExtractCaptured runs the program with an execution capture attached.
-func (rp regProgram) ExtractCaptured(r region.Region, c *core.ExecCapture) (region.Region, error) {
-	return rp.extract(r, c)
-}
-
-func (rp regProgram) extract(r region.Region, c *core.ExecCapture) (region.Region, error) {
-	st := core.NewState(r)
-	if c != nil {
-		st = st.WithCapture(c)
-	}
-	v, err := rp.p.Exec(st)
-	if err != nil {
-		return nil, nil // null instance
-	}
-	er, ok := v.(region.Region)
-	if !ok {
-		return nil, fmt.Errorf("sheetlang: program produced %T, want region", v)
-	}
-	return er, nil
-}
-
-func (rp regProgram) String() string { return rp.p.String() }

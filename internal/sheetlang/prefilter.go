@@ -1,20 +1,11 @@
 package sheetlang
 
-import (
-	"flashextract/internal/core"
-	"flashextract/internal/prefilter"
-)
+import "flashextract/internal/prefilter"
 
 // This file exposes Lsps programs to the batch prefilter. Grid cells are
 // loaded from CSV, where cell content bytes appear verbatim except that
 // '"' is written doubled — so literal cell tokens yield substring
 // requirements on the raw CSV and content-class tokens yield byte masks.
-
-// CoreProgram exposes the compiled combinator tree for static analysis.
-func (p seqProgram) CoreProgram() core.Program { return p.p }
-
-// CoreProgram exposes the compiled combinator tree for static analysis.
-func (p regProgram) CoreProgram() core.Program { return p.p }
 
 // numericMask holds the bytes a Numeric cell is guaranteed to contribute:
 // isNumeric requires at least one digit.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"flashextract/internal/core"
-	"flashextract/internal/engine"
 )
 
 // This file implements program serialization for Lsps (see core.Encode).
@@ -185,8 +184,9 @@ func (p cellPairProg) EncodeProgram() (core.ProgramSpec, error) {
 	return core.ProgramSpec{Op: "sheet.cellPair", Attrs: map[string]string{"c1": a1, "c2": a2}}, nil
 }
 
-// decodeLeaf reconstructs Lsps leaf programs.
-func decodeLeaf(spec core.ProgramSpec) (core.Program, error) {
+// DecodeLeaf implements engine.ProgramCodec: it reconstructs Lsps leaf
+// programs.
+func (*lang) DecodeLeaf(spec core.ProgramSpec) (core.Program, error) {
 	switch spec.Op {
 	case "sheet.splitcells":
 		return splitCells, nil
@@ -237,44 +237,4 @@ func decodeLeaf(spec core.ProgramSpec) (core.Program, error) {
 	default:
 		return nil, fmt.Errorf("sheetlang: unknown leaf operator %q", spec.Op)
 	}
-}
-
-func decodeContext() core.DecodeContext {
-	return core.DecodeContext{Leaf: decodeLeaf, Less: sheetLess}
-}
-
-// MarshalSeqProgram implements engine.ProgramCodec.
-func (l *lang) MarshalSeqProgram(p engine.SeqRegionProgram) ([]byte, error) {
-	sp, ok := p.(seqProgram)
-	if !ok {
-		return nil, fmt.Errorf("sheetlang: cannot serialize foreign program %T", p)
-	}
-	return core.MarshalProgram(sp.p)
-}
-
-// UnmarshalSeqProgram implements engine.ProgramCodec.
-func (l *lang) UnmarshalSeqProgram(data []byte) (engine.SeqRegionProgram, error) {
-	p, err := decodeContext().UnmarshalProgram(data)
-	if err != nil {
-		return nil, err
-	}
-	return seqProgram{p}, nil
-}
-
-// MarshalRegionProgram implements engine.ProgramCodec.
-func (l *lang) MarshalRegionProgram(p engine.RegionProgram) ([]byte, error) {
-	rp, ok := p.(regProgram)
-	if !ok {
-		return nil, fmt.Errorf("sheetlang: cannot serialize foreign program %T", p)
-	}
-	return core.MarshalProgram(rp.p)
-}
-
-// UnmarshalRegionProgram implements engine.ProgramCodec.
-func (l *lang) UnmarshalRegionProgram(data []byte) (engine.RegionProgram, error) {
-	p, err := decodeContext().UnmarshalProgram(data)
-	if err != nil {
-		return nil, err
-	}
-	return regProgram{p}, nil
 }

@@ -10,6 +10,21 @@ import (
 	"flashextract/internal/region"
 )
 
+// decodeLeaf is the language's leaf decoder (engine.ProgramCodec).
+var decodeLeaf = new(lang).DecodeLeaf
+
+// roundTrip serializes a learned program's core tree and decodes it back
+// through the language's leaf decoder, as engine.SaveSchemaProgram and
+// engine.LoadSchemaProgram do.
+func roundTrip(p core.Program) ([]byte, core.Program, error) {
+	data, err := core.MarshalProgram(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	back, err := core.DecodeContext{Leaf: decodeLeaf, Less: engine.RegionLess}.UnmarshalProgram(data)
+	return data, back, err
+}
+
 func TestSeqProgramSerializationRoundTrip(t *testing.T) {
 	d := fundedDoc()
 	l := d.Language().(*lang)
@@ -21,14 +36,11 @@ func TestSeqProgramSerializationRoundTrip(t *testing.T) {
 	if len(progs) == 0 {
 		t.Fatal("no programs")
 	}
-	data, err := l.MarshalSeqProgram(progs[0])
+	_, p, err := roundTrip(progs[0].(engine.CoreSeq).P)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := l.UnmarshalSeqProgram(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := engine.CoreSeq{P: p}
 	orig := regionValues(extractSeq(t, progs[0], d.WholeRegion()))
 	again := regionValues(extractSeq(t, back, d.WholeRegion()))
 	if strings.Join(orig, "|") != strings.Join(again, "|") {
@@ -47,14 +59,11 @@ func TestRecordProgramSerializationRoundTrip(t *testing.T) {
 	if len(progs) == 0 {
 		t.Fatal("no programs")
 	}
-	data, err := l.MarshalSeqProgram(progs[0])
+	_, p, err := roundTrip(progs[0].(engine.CoreSeq).P)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := l.UnmarshalSeqProgram(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := engine.CoreSeq{P: p}
 	if got, want := len(extractSeq(t, back, d.WholeRegion())), len(extractSeq(t, progs[0], d.WholeRegion())); got != want {
 		t.Fatalf("round trip changed record count: %d vs %d", got, want)
 	}
@@ -71,14 +80,11 @@ func TestRegionProgramSerializationRoundTrip(t *testing.T) {
 		if len(progs) == 0 {
 			t.Fatalf("%s: no programs", name)
 		}
-		data, err := l.MarshalRegionProgram(progs[0])
+		_, p, err := roundTrip(progs[0].(engine.CoreRegion).P)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		back, err := l.UnmarshalRegionProgram(data)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		back := engine.CoreRegion{P: p}
 		r1, _ := progs[0].Extract(ex.Input)
 		r2, _ := back.Extract(ex.Input)
 		if r1 == nil || r2 == nil || r1.Value() != r2.Value() {

@@ -119,8 +119,8 @@ func (r Region) Overlaps(other region.Region) bool {
 
 // Interval exposes the region as a half-open interval of its document
 // (core.Interval): region equality is exactly document+endpoint equality
-// and conflictOverlap is exactly strict intersection within one document,
-// so PreferNonOverlapping may use the O(n log n) sweep.
+// and engine.RegionConflict is exactly strict intersection within one
+// document, so PreferNonOverlapping may use the O(n log n) sweep.
 func (r Region) Interval() (space any, start, end int) {
 	return r.Doc, r.Start, r.End
 }

@@ -9,7 +9,6 @@ import (
 
 	"flashextract/internal/core"
 	"flashextract/internal/engine"
-	"flashextract/internal/region"
 	"flashextract/internal/tokens"
 	"flashextract/internal/trace"
 )
@@ -90,19 +89,6 @@ func (c *learnCtx) index(lo, hi int) *tokens.Index {
 	return c.doc.cache.IndexFor(lo, hi, c.toks, c.poolID)
 }
 
-func regionLess(a, b core.Value) bool { return a.(Region).Less(b.(Region)) }
-
-// conflictOverlap treats a negative instance as violated when an output
-// region overlaps (or equals) it.
-func conflictOverlap(out, neg core.Value) bool {
-	o, ok1 := out.(Region)
-	n, ok2 := neg.(Region)
-	if !ok1 || !ok2 {
-		return false
-	}
-	return o == n || o.Overlaps(n)
-}
-
 // SynthesizeSeqRegion learns N1 programs (Fig. 7): a Merge of pair
 // sequence expressions.
 func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionExample) []engine.SeqRegionProgram {
@@ -137,14 +123,9 @@ func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionEx
 		specs = append(specs, spec)
 	}
 	lc := newLearnCtx(doc, boundary)
-	ss := core.PreferNonOverlapping(lc.learnSS(), conflictOverlap)
-	n1 := core.PreferNonOverlapping(core.MergeOp{A: ss, Less: regionLess}.Learn, conflictOverlap)
-	progs := core.SynthesizeSeqRegionProg(ctx, n1, specs, conflictOverlap)
-	out := make([]engine.SeqRegionProgram, len(progs))
-	for i, p := range progs {
-		out[i] = seqProgram{p}
-	}
-	return out
+	ss := core.PreferNonOverlapping(lc.learnSS(), engine.RegionConflict)
+	n1 := core.PreferNonOverlapping(core.MergeOp{A: ss, Less: engine.RegionLess}.Learn, engine.RegionConflict)
+	return engine.CoreSeqs(core.SynthesizeSeqRegionProg(ctx, n1, specs, engine.RegionConflict))
 }
 
 // SynthesizeRegion learns N2 programs: Pair(Pos(R0, p1), Pos(R0, p2)).
@@ -194,12 +175,7 @@ func (l *lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample)
 		}
 		return out
 	}
-	progs := core.SynthesizeRegionProg(ctx, n2, coreExs)
-	out := make([]engine.RegionProgram, len(progs))
-	for i, p := range progs {
-		out[i] = regProgram{p}
-	}
-	return out
+	return engine.CoreRegions(core.SynthesizeRegionProg(ctx, n2, coreExs))
 }
 
 func capAttrs(as []tokens.Attr, n int) []tokens.Attr {
@@ -663,81 +639,3 @@ func candidatesForLine(text string, starts, ends, contains predKind, toks []toke
 	})
 	return out
 }
-
-// ---- adapters to the engine interfaces ----
-
-type seqProgram struct{ p core.Program }
-
-func (sp seqProgram) ExtractSeq(r region.Region) ([]region.Region, error) {
-	return sp.extract(r, nil)
-}
-
-// ExtractSeqCaptured runs the program with an execution capture attached,
-// recording the operator path of every emitted region (provenance).
-func (sp seqProgram) ExtractSeqCaptured(r region.Region, c *core.ExecCapture) ([]region.Region, error) {
-	return sp.extract(r, c)
-}
-
-func (sp seqProgram) extract(r region.Region, c *core.ExecCapture) ([]region.Region, error) {
-	in, ok := r.(Region)
-	if !ok {
-		return nil, fmt.Errorf("textlang: input is %T, want a text region", r)
-	}
-	st := core.NewState(in)
-	if c != nil {
-		st = st.WithCapture(c)
-	}
-	v, err := sp.p.Exec(st)
-	if err != nil {
-		return nil, err
-	}
-	seq, err := core.AsSeq(v)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]region.Region, len(seq))
-	for i, e := range seq {
-		er, ok := e.(Region)
-		if !ok {
-			return nil, fmt.Errorf("textlang: program produced %T, want region", e)
-		}
-		out[i] = er
-	}
-	return out, nil
-}
-
-func (sp seqProgram) String() string { return sp.p.String() }
-
-type regProgram struct{ p core.Program }
-
-func (rp regProgram) Extract(r region.Region) (region.Region, error) {
-	return rp.extract(r, nil)
-}
-
-// ExtractCaptured runs the program with an execution capture attached.
-func (rp regProgram) ExtractCaptured(r region.Region, c *core.ExecCapture) (region.Region, error) {
-	return rp.extract(r, c)
-}
-
-func (rp regProgram) extract(r region.Region, c *core.ExecCapture) (region.Region, error) {
-	in, ok := r.(Region)
-	if !ok {
-		return nil, fmt.Errorf("textlang: input is %T, want a text region", r)
-	}
-	st := core.NewState(in)
-	if c != nil {
-		st = st.WithCapture(c)
-	}
-	v, err := rp.p.Exec(st)
-	if err != nil {
-		// A non-matching region program denotes the null instance.
-		return nil, nil
-	}
-	er, ok := v.(Region)
-	if !ok {
-		return nil, fmt.Errorf("textlang: program produced %T, want region", v)
-	}
-	return er, nil
-}
-
-func (rp regProgram) String() string { return rp.p.String() }

@@ -1,19 +1,10 @@
 package textlang
 
-import (
-	"flashextract/internal/core"
-	"flashextract/internal/prefilter"
-)
+import "flashextract/internal/prefilter"
 
 // This file exposes Ltext programs to the batch prefilter. Text documents
 // are raw bytes and lines are byte subranges of them, so token evidence
 // translates to exact substring/byte-class requirements on the document.
-
-// CoreProgram exposes the compiled combinator tree for static analysis.
-func (p seqProgram) CoreProgram() core.Program { return p.p }
-
-// CoreProgram exposes the compiled combinator tree for static analysis.
-func (p regProgram) CoreProgram() core.Program { return p.p }
 
 // AdmissionCond: a PosSeq position requires its regex pair to match.
 func (p posSeqProg) AdmissionCond() prefilter.Cond {

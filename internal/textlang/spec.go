@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"flashextract/internal/core"
-	"flashextract/internal/engine"
 	"flashextract/internal/tokens"
 )
 
@@ -89,8 +88,9 @@ func (p linePred) EncodeProgram() (core.ProgramSpec, error) {
 	}}, nil
 }
 
-// decodeLeaf reconstructs Ltext leaf programs.
-func decodeLeaf(spec core.ProgramSpec) (core.Program, error) {
+// DecodeLeaf implements engine.ProgramCodec: it reconstructs Ltext leaf
+// programs.
+func (*lang) DecodeLeaf(spec core.ProgramSpec) (core.Program, error) {
 	switch spec.Op {
 	case "text.split":
 		return splitLines, nil
@@ -146,44 +146,4 @@ func decodeLeaf(spec core.ProgramSpec) (core.Program, error) {
 	default:
 		return nil, fmt.Errorf("textlang: unknown leaf operator %q", spec.Op)
 	}
-}
-
-func decodeContext() core.DecodeContext {
-	return core.DecodeContext{Leaf: decodeLeaf, Less: regionLess}
-}
-
-// MarshalSeqProgram implements engine.ProgramCodec.
-func (l *lang) MarshalSeqProgram(p engine.SeqRegionProgram) ([]byte, error) {
-	sp, ok := p.(seqProgram)
-	if !ok {
-		return nil, fmt.Errorf("textlang: cannot serialize foreign program %T", p)
-	}
-	return core.MarshalProgram(sp.p)
-}
-
-// UnmarshalSeqProgram implements engine.ProgramCodec.
-func (l *lang) UnmarshalSeqProgram(data []byte) (engine.SeqRegionProgram, error) {
-	p, err := decodeContext().UnmarshalProgram(data)
-	if err != nil {
-		return nil, err
-	}
-	return seqProgram{p}, nil
-}
-
-// MarshalRegionProgram implements engine.ProgramCodec.
-func (l *lang) MarshalRegionProgram(p engine.RegionProgram) ([]byte, error) {
-	rp, ok := p.(regProgram)
-	if !ok {
-		return nil, fmt.Errorf("textlang: cannot serialize foreign program %T", p)
-	}
-	return core.MarshalProgram(rp.p)
-}
-
-// UnmarshalRegionProgram implements engine.ProgramCodec.
-func (l *lang) UnmarshalRegionProgram(data []byte) (engine.RegionProgram, error) {
-	p, err := decodeContext().UnmarshalProgram(data)
-	if err != nil {
-		return nil, err
-	}
-	return regProgram{p}, nil
 }

@@ -11,6 +11,21 @@ import (
 	"flashextract/internal/tokens"
 )
 
+// decodeLeaf is the language's leaf decoder (engine.ProgramCodec).
+var decodeLeaf = new(lang).DecodeLeaf
+
+// roundTrip serializes a learned program's core tree and decodes it back
+// through the language's leaf decoder, as engine.SaveSchemaProgram and
+// engine.LoadSchemaProgram do.
+func roundTrip(p core.Program) ([]byte, core.Program, error) {
+	data, err := core.MarshalProgram(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	back, err := core.DecodeContext{Leaf: decodeLeaf, Less: engine.RegionLess}.UnmarshalProgram(data)
+	return data, back, err
+}
+
 func TestSeqProgramSerializationRoundTrip(t *testing.T) {
 	d := analyteDoc()
 	l := d.Language().(*lang)
@@ -23,14 +38,11 @@ func TestSeqProgramSerializationRoundTrip(t *testing.T) {
 	if len(progs) == 0 {
 		t.Fatal("no programs")
 	}
-	data, err := l.MarshalSeqProgram(progs[0])
+	data, p, err := roundTrip(progs[0].(engine.CoreSeq).P)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := l.UnmarshalSeqProgram(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := engine.CoreSeq{P: p}
 	orig := values(extractAll(t, progs[0], d.WholeRegion()))
 	again := values(extractAll(t, back, d.WholeRegion()))
 	if strings.Join(orig, "|") != strings.Join(again, "|") {
@@ -54,14 +66,11 @@ func TestRegionProgramSerializationRoundTrip(t *testing.T) {
 	if len(progs) == 0 {
 		t.Fatal("no programs")
 	}
-	data, err := l.MarshalRegionProgram(progs[0])
+	_, p, err := roundTrip(progs[0].(engine.CoreRegion).P)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := l.UnmarshalRegionProgram(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := engine.CoreRegion{P: p}
 	r1, _ := progs[0].Extract(l1)
 	r2, _ := back.Extract(l1)
 	if r1 == nil || r2 == nil || r1.Value() != r2.Value() {

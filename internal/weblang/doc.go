@@ -203,7 +203,7 @@ func (r SpanRegion) Overlaps(other region.Region) bool {
 
 // Interval exposes the span as a half-open interval of the document's
 // global text (core.Interval): span equality is document+endpoint equality
-// and conflictOverlap between spans is strict range intersection, so
+// and engine.RegionConflict between spans is strict range intersection, so
 // all-span sequences get the O(n log n) overlap sweep. NodeRegion must not
 // implement this — distinct nested nodes can share one text range yet
 // overlap — and mixed node/span outputs therefore keep the exact pairwise

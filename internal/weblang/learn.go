@@ -61,24 +61,6 @@ func (c *webCtx) index(lo, hi int) *tokens.Index {
 	return c.doc.cache.IndexFor(lo, hi, c.toks, c.poolID)
 }
 
-func webLess(a, b core.Value) bool {
-	ar, ok1 := a.(region.Region)
-	br, ok2 := b.(region.Region)
-	if !ok1 || !ok2 {
-		return false
-	}
-	return ar.Less(br)
-}
-
-func conflictOverlap(out, neg core.Value) bool {
-	o, ok1 := out.(region.Region)
-	n, ok2 := neg.(region.Region)
-	if !ok1 || !ok2 {
-		return false
-	}
-	return o == n || o.Overlaps(n)
-}
-
 // SynthesizeSeqRegion learns N1 programs (Fig. 8): a Merge of node
 // sequences (XPaths) or of position-pair sequences.
 func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionExample) []engine.SeqRegionProgram {
@@ -107,18 +89,13 @@ func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionEx
 	lc := newWebCtx(doc, boundary)
 	inner := core.PreferNonOverlapping(
 		core.UnionLearners(learnNS, lc.learnSS()),
-		conflictOverlap,
+		engine.RegionConflict,
 	)
 	n1 := core.PreferNonOverlapping(
-		core.MergeOp{A: inner, Less: webLess}.Learn,
-		conflictOverlap,
+		core.MergeOp{A: inner, Less: engine.RegionLess}.Learn,
+		engine.RegionConflict,
 	)
-	progs := core.SynthesizeSeqRegionProg(ctx, n1, specs, conflictOverlap)
-	out := make([]engine.SeqRegionProgram, len(progs))
-	for i, p := range progs {
-		out[i] = seqProgram{p}
-	}
-	return out
+	return engine.CoreSeqs(core.SynthesizeSeqRegionProg(ctx, n1, specs, engine.RegionConflict))
 }
 
 // SynthesizeRegion learns N2 programs: an XPath when the output is a node,
@@ -153,7 +130,7 @@ func synthesizeNodeRegion(ctx context.Context, exs []engine.RegionExample) []eng
 		cands = append(cands, xpathRegionProg{path: p})
 	}
 	progs := core.SynthesizeRegionProg(ctx, func(context.Context, []core.Example) []core.Program { return cands }, coreExs)
-	return wrapRegionPrograms(progs)
+	return engine.CoreRegions(progs)
 }
 
 func synthesizeSpanRegion(ctx context.Context, exs []engine.RegionExample) []engine.RegionProgram {
@@ -200,8 +177,7 @@ func synthesizeSpanRegion(ctx context.Context, exs []engine.RegionExample) []eng
 		}
 		return out
 	}
-	progs := core.SynthesizeRegionProg(ctx, n2, coreExs)
-	return wrapRegionPrograms(progs)
+	return engine.CoreRegions(core.SynthesizeRegionProg(ctx, n2, coreExs))
 }
 
 func capAttrs(as []tokens.Attr, n int) []tokens.Attr {
@@ -430,87 +406,6 @@ func (c *webCtx) learnEndPair(ctx context.Context, exs []core.Example) []core.Pr
 	out := make([]core.Program, len(attrs))
 	for i, p := range attrs {
 		out[i] = endPairProg{p: p}
-	}
-	return out
-}
-
-// ---- adapters to the engine interfaces ----
-
-type seqProgram struct{ p core.Program }
-
-func (sp seqProgram) ExtractSeq(r region.Region) ([]region.Region, error) {
-	return sp.extract(r, nil)
-}
-
-// ExtractSeqCaptured runs the program with an execution capture attached,
-// recording the operator path of every emitted region (provenance).
-func (sp seqProgram) ExtractSeqCaptured(r region.Region, c *core.ExecCapture) ([]region.Region, error) {
-	return sp.extract(r, c)
-}
-
-func (sp seqProgram) extract(r region.Region, c *core.ExecCapture) ([]region.Region, error) {
-	in, ok := r.(NodeRegion)
-	if !ok {
-		return nil, fmt.Errorf("weblang: input is %T, want a node region", r)
-	}
-	st := core.NewState(in)
-	if c != nil {
-		st = st.WithCapture(c)
-	}
-	v, err := sp.p.Exec(st)
-	if err != nil {
-		return nil, err
-	}
-	seq, err := core.AsSeq(v)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]region.Region, len(seq))
-	for i, e := range seq {
-		er, ok := e.(region.Region)
-		if !ok {
-			return nil, fmt.Errorf("weblang: program produced %T, want region", e)
-		}
-		out[i] = er
-	}
-	return out, nil
-}
-
-func (sp seqProgram) String() string { return sp.p.String() }
-
-type regProgram struct{ p core.Program }
-
-func (rp regProgram) Extract(r region.Region) (region.Region, error) {
-	return rp.extract(r, nil)
-}
-
-// ExtractCaptured runs the program with an execution capture attached.
-func (rp regProgram) ExtractCaptured(r region.Region, c *core.ExecCapture) (region.Region, error) {
-	return rp.extract(r, c)
-}
-
-func (rp regProgram) extract(r region.Region, c *core.ExecCapture) (region.Region, error) {
-	st := core.NewState(r)
-	if c != nil {
-		st = st.WithCapture(c)
-	}
-	v, err := rp.p.Exec(st)
-	if err != nil {
-		return nil, nil // null instance
-	}
-	er, ok := v.(region.Region)
-	if !ok {
-		return nil, fmt.Errorf("weblang: program produced %T, want region", v)
-	}
-	return er, nil
-}
-
-func (rp regProgram) String() string { return rp.p.String() }
-
-func wrapRegionPrograms(ps []core.Program) []engine.RegionProgram {
-	out := make([]engine.RegionProgram, len(ps))
-	for i, p := range ps {
-		out[i] = regProgram{p}
 	}
 	return out
 }

@@ -1,21 +1,12 @@
 package weblang
 
-import (
-	"flashextract/internal/core"
-	"flashextract/internal/prefilter"
-)
+import "flashextract/internal/prefilter"
 
 // This file exposes Lweb programs to the batch prefilter. Position
 // programs evaluate over entity-decoded text content concatenated across
 // text nodes, so only the weakened (per-byte, entity-widened) conditions
 // are sound there; XPath structure, by contrast, pins start tags and
 // attribute literals that must appear in the raw HTML source.
-
-// CoreProgram exposes the compiled combinator tree for static analysis.
-func (p seqProgram) CoreProgram() core.Program { return p.p }
-
-// CoreProgram exposes the compiled combinator tree for static analysis.
-func (p regProgram) CoreProgram() core.Program { return p.p }
 
 // AdmissionCond: every selected node embeds the path's tags/attributes.
 func (p xpathsProg) AdmissionCond() prefilter.Cond {

@@ -127,17 +127,20 @@ func (p nodeSpanPairProg) String() string {
 // Cost is the cost of the two position attributes.
 func (p nodeSpanPairProg) Cost() int { return p.p1.Cost() + p.p2.Cost() }
 
-// posSeqProg is PosSeq(R0, rr) over the input region's text content.
+// posSeqProg is PosSeq(R0, rr) over the input node's text content. Like
+// every other sequence leaf it reads R0 as a node, so a sequence program
+// fails on a span input.
 type posSeqProg struct {
 	rr tokens.RegexPair
 }
 
 func (p posSeqProg) Exec(st core.State) (core.Value, error) {
-	doc, lo, hi, err := inputTextRange(st)
+	r0, err := inputNode(st)
 	if err != nil {
 		return nil, err
 	}
-	ps := positionsIn(doc, lo, hi, p.rr)
+	lo := r0.Node.TextStart
+	ps := positionsIn(r0.Doc, lo, r0.Node.TextEnd, p.rr)
 	out := make([]core.Value, len(ps))
 	for i, k := range ps {
 		out[i] = lo + k

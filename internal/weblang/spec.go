@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flashextract/internal/core"
-	"flashextract/internal/engine"
 	"flashextract/internal/tokens"
 	"flashextract/internal/xpath"
 )
@@ -70,8 +69,9 @@ func webAttrPairSpec(op string, p1, p2 tokens.Attr) (core.ProgramSpec, error) {
 	return core.ProgramSpec{Op: op, Attrs: map[string]string{"p1": a1, "p2": a2}}, nil
 }
 
-// decodeLeaf reconstructs Lweb leaf programs.
-func decodeLeaf(spec core.ProgramSpec) (core.Program, error) {
+// DecodeLeaf implements engine.ProgramCodec: it reconstructs Lweb leaf
+// programs.
+func (*lang) DecodeLeaf(spec core.ProgramSpec) (core.Program, error) {
 	switch spec.Op {
 	case "web.xpaths", "web.xpath":
 		path, err := xpath.Parse(spec.Attrs["path"])
@@ -113,44 +113,4 @@ func decodeLeaf(spec core.ProgramSpec) (core.Program, error) {
 	default:
 		return nil, fmt.Errorf("weblang: unknown leaf operator %q", spec.Op)
 	}
-}
-
-func decodeContext() core.DecodeContext {
-	return core.DecodeContext{Leaf: decodeLeaf, Less: webLess}
-}
-
-// MarshalSeqProgram implements engine.ProgramCodec.
-func (l *lang) MarshalSeqProgram(p engine.SeqRegionProgram) ([]byte, error) {
-	sp, ok := p.(seqProgram)
-	if !ok {
-		return nil, fmt.Errorf("weblang: cannot serialize foreign program %T", p)
-	}
-	return core.MarshalProgram(sp.p)
-}
-
-// UnmarshalSeqProgram implements engine.ProgramCodec.
-func (l *lang) UnmarshalSeqProgram(data []byte) (engine.SeqRegionProgram, error) {
-	p, err := decodeContext().UnmarshalProgram(data)
-	if err != nil {
-		return nil, err
-	}
-	return seqProgram{p}, nil
-}
-
-// MarshalRegionProgram implements engine.ProgramCodec.
-func (l *lang) MarshalRegionProgram(p engine.RegionProgram) ([]byte, error) {
-	rp, ok := p.(regProgram)
-	if !ok {
-		return nil, fmt.Errorf("weblang: cannot serialize foreign program %T", p)
-	}
-	return core.MarshalProgram(rp.p)
-}
-
-// UnmarshalRegionProgram implements engine.ProgramCodec.
-func (l *lang) UnmarshalRegionProgram(data []byte) (engine.RegionProgram, error) {
-	p, err := decodeContext().UnmarshalProgram(data)
-	if err != nil {
-		return nil, err
-	}
-	return regProgram{p}, nil
 }

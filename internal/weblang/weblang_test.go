@@ -409,7 +409,42 @@ func TestLearnPriceNumberSequence(t *testing.T) {
 	}
 }
 
+func TestSeqProgramsRejectSpanInput(t *testing.T) {
+	// Lweb sequence programs run over node regions only: a span ancestor
+	// (here one whose text holds a price) must fail the program rather
+	// than have its position sequence read the span's text.
+	d := MustNewDocument(shopPage)
+	progs := d.Language().SynthesizeSeqRegion(context.Background(), []engine.SeqRegionExample{{
+		Input:    d.WholeRegion(),
+		Positive: []region.Region{mustSpan(t, d, "9.99"), mustSpan(t, d, "19.50")},
+	}})
+	if len(progs) == 0 {
+		t.Fatal("no programs")
+	}
+	span := mustSpan(t, d, "GadgetSale: $19.50 USD")
+	for _, p := range progs {
+		if out, err := p.ExtractSeq(span); err == nil {
+			t.Fatalf("program %s ran on span %s: %v", p, span, regionValues(out))
+		}
+	}
+}
+
 // ---- serialization round trips ----
+
+// decodeLeaf is the language's leaf decoder (engine.ProgramCodec).
+var decodeLeaf = new(lang).DecodeLeaf
+
+// roundTrip serializes a learned program's core tree and decodes it back
+// through the language's leaf decoder, as engine.SaveSchemaProgram and
+// engine.LoadSchemaProgram do.
+func roundTrip(p core.Program) ([]byte, core.Program, error) {
+	data, err := core.MarshalProgram(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	back, err := core.DecodeContext{Leaf: decodeLeaf, Less: engine.RegionLess}.UnmarshalProgram(data)
+	return data, back, err
+}
 
 func TestSeqProgramSerializationRoundTrip(t *testing.T) {
 	d := MustNewDocument(shopPage)
@@ -425,14 +460,11 @@ func TestSeqProgramSerializationRoundTrip(t *testing.T) {
 		if len(progs) == 0 {
 			t.Fatalf("%s: no programs", name)
 		}
-		data, err := l.MarshalSeqProgram(progs[0])
+		_, p, err := roundTrip(progs[0].(engine.CoreSeq).P)
 		if err != nil {
-			t.Fatalf("%s: marshal: %v", name, err)
+			t.Fatalf("%s: round trip: %v", name, err)
 		}
-		back, err := l.UnmarshalSeqProgram(data)
-		if err != nil {
-			t.Fatalf("%s: unmarshal: %v", name, err)
-		}
+		back := engine.CoreSeq{P: p}
 		origOut := regionValues(extractSeq(t, progs[0], d.WholeRegion()))
 		backOut := regionValues(extractSeq(t, back, d.WholeRegion()))
 		if strings.Join(origOut, "|") != strings.Join(backOut, "|") {
@@ -454,14 +486,11 @@ func TestRegionProgramSerializationRoundTrip(t *testing.T) {
 		if len(progs) == 0 {
 			t.Fatalf("%s: no programs", name)
 		}
-		data, err := l.MarshalRegionProgram(progs[0])
+		_, p, err := roundTrip(progs[0].(engine.CoreRegion).P)
 		if err != nil {
-			t.Fatalf("%s: marshal: %v", name, err)
+			t.Fatalf("%s: round trip: %v", name, err)
 		}
-		back, err := l.UnmarshalRegionProgram(data)
-		if err != nil {
-			t.Fatalf("%s: unmarshal: %v", name, err)
-		}
+		back := engine.CoreRegion{P: p}
 		var in region.Region = item2
 		if name == "span" {
 			in = nodeByClassText(t, d, "price", "19.50")
