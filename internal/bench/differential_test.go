@@ -10,9 +10,8 @@ import (
 )
 
 // fieldPrograms synthesizes every field of a task ⊥-relative from two
-// golden examples at the given GOMAXPROCS, which sizes both the validation
-// pool and the union fan-out, and returns the learned program text per
-// color.
+// golden examples at the given GOMAXPROCS, which sizes the union fan-out,
+// and returns the learned program text per color.
 func fieldPrograms(t *testing.T, task *bench.Task, procs int) map[string]string {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -46,11 +45,11 @@ func fieldProgramString(fp *engine.FieldProgram) string {
 }
 
 // TestDifferentialParallelValidation is the differential harness for the
-// parallel candidate-validation scan and union fan-out: for every corpus
-// document (plus the hadoop-xl stress document), synthesis at GOMAXPROCS=4
-// must return bit-identical programs to the serial reference at
-// GOMAXPROCS=1. Any divergence means parallelism changed candidate
-// ranking.
+// concurrent union fan-out of core.UnionLearners, whose candidates the
+// rank-order validation scan then checks: for every corpus document (plus
+// the hadoop-xl stress document), synthesis at GOMAXPROCS=4 must return
+// bit-identical programs to the serial reference at GOMAXPROCS=1. Any
+// divergence means parallelism changed candidate ranking.
 func TestDifferentialParallelValidation(t *testing.T) {
 	for _, task := range corpusTasks(t) {
 		t.Run(task.Name, func(t *testing.T) {

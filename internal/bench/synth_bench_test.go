@@ -12,8 +12,8 @@ import (
 // synthesizeTaskFields runs the Algorithm 2 driver — learning plus the
 // execute-and-check candidate validation loop — for every field of a task,
 // ⊥-relative, from two golden examples. This is the end-to-end path behind
-// every interactive refinement, and the target of the evaluation-cache and
-// parallel-validation optimizations.
+// every interactive refinement, and the target of the evaluation-cache
+// optimizations.
 func synthesizeTaskFields(b *testing.B, task *bench.Task) {
 	b.Helper()
 	for _, fi := range task.Schema.Fields() {

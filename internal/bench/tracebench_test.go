@@ -15,8 +15,8 @@ import (
 )
 
 // traceHadoopXLSerial synthesizes hadoop-xl under the tracer at
-// GOMAXPROCS(1), which serializes every union and validation scan — the
-// configuration in which the span tree's structure is fully deterministic.
+// GOMAXPROCS(1), which serializes every union fan-out — the configuration
+// in which the span tree's structure is fully deterministic.
 func traceHadoopXLSerial(t *testing.T) *trace.Span {
 	t.Helper()
 	oldProcs := runtime.GOMAXPROCS(1)

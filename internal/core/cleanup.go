@@ -7,15 +7,12 @@ import (
 	"flashextract/internal/trace"
 )
 
-// CleanUpInputCap bounds how many candidate programs CleanUp will compare
-// pairwise; lower-ranked candidates beyond the cap are dropped first.
-const CleanUpInputCap = 512
-
 // DisableCleanUp turns subsumption pruning off (used by the ablation
 // benchmarks); candidates are still checked for consistency and ranked.
 var DisableCleanUp = false
 
-// CleanUp ranks and prunes a candidate program list. Programs inconsistent
+// CleanUp ranks and prunes a candidate program list. Only the DefaultCap
+// highest-ranked candidates of ps are considered. Programs inconsistent
 // with the examples (including programs whose execution fails) are dropped
 // outright, preserving soundness (Theorem 1). The survivors are ordered by
 // ranking cost (see Coster), tie-broken by total output size — this
@@ -32,7 +29,7 @@ var DisableCleanUp = false
 // prefix (and recording the truncation on the budget so the engine can
 // surface it as a PartialResult reason).
 func CleanUp(ctx context.Context, ps []Program, exs []SeqExample) (kept []Program) {
-	ps = capList(ps, CleanUpInputCap)
+	ps = capList(ps)
 	_, sp := trace.Start(ctx, "cleanup")
 	if sp != nil {
 		sp.SetInt("candidates", int64(len(ps)))

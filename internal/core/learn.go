@@ -42,12 +42,10 @@ type SeqLearner func(ctx context.Context, exs []SeqExample) []Program
 // programs.
 const DefaultCap = 128
 
-func capList(ps []Program, limit int) []Program {
-	if limit <= 0 {
-		limit = DefaultCap
-	}
-	if len(ps) > limit {
-		return ps[:limit]
+// capList keeps the DefaultCap highest-ranked programs of ps.
+func capList(ps []Program) []Program {
+	if len(ps) > DefaultCap {
+		return ps[:DefaultCap]
 	}
 	return ps
 }

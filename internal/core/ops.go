@@ -40,8 +40,6 @@ type MapOp struct {
 	// Decompose computes the witness sequence Z for (σ, Y); it must return
 	// one witness element per element of Y, or an error if none exists.
 	Decompose func(st State, y []Value) ([]Value, error)
-	// Cap bounds the result list (0 means DefaultCap).
-	Cap int
 }
 
 // Learn implements Map.Learn of Fig. 6: decompose every example, learn F
@@ -84,7 +82,7 @@ cross:
 			out = append(out, &MapProgram{Name: op.Name, Var: op.Var, F: f, S: s})
 		}
 	}
-	return CleanUp(ctx, capList(out, op.Cap*4), exs)
+	return CleanUp(ctx, out, exs)
 }
 
 // FilterBoolOp selects elements of a sequence by a learned predicate.
@@ -95,8 +93,6 @@ type FilterBoolOp struct {
 	B ScalarLearner
 	// S learns the inner sequence expression.
 	S SeqLearner
-	// Cap bounds the result list (0 means DefaultCap).
-	Cap int
 }
 
 // Learn implements FilterBool.Learn of Fig. 6: learn S from the sequence
@@ -129,15 +125,13 @@ cross:
 			out = append(out, &FilterBoolProgram{Var: op.Var, B: b, S: s})
 		}
 	}
-	return CleanUp(ctx, capList(out, op.Cap*4), exs)
+	return CleanUp(ctx, out, exs)
 }
 
 // FilterIntOp selects elements of a sequence by index arithmetic.
 type FilterIntOp struct {
 	// S learns the inner sequence expression.
 	S SeqLearner
-	// Cap bounds the result list (0 means DefaultCap).
-	Cap int
 }
 
 // Learn implements FilterInt.Learn of Fig. 6: for each learned inner
@@ -169,7 +163,7 @@ func (op FilterIntOp) Learn(ctx context.Context, exs []SeqExample) (learned []Pr
 		}
 		out = append(out, p)
 	}
-	return CleanUp(ctx, capList(out, op.Cap*4), exs)
+	return CleanUp(ctx, out, exs)
 }
 
 func deriveFilterInt(s Program, exs []SeqExample) (init, iter int, ok bool) {
@@ -235,8 +229,6 @@ type PairOp struct {
 	// Make converts the two component values back into the output value at
 	// execution time (see PairProgram.Make).
 	Make func(a, b Value) (Value, error)
-	// Cap bounds the result list (0 means DefaultCap).
-	Cap int
 }
 
 // Learn implements Pair.Learn of Fig. 6: learn both components
@@ -272,7 +264,7 @@ cross:
 			out = append(out, &PairProgram{A: a, B: b, Make: op.Make})
 		}
 	}
-	return capList(out, op.Cap)
+	return capList(out)
 }
 
 // MergeExhaustiveLimit is the largest number of positive instances for
@@ -287,8 +279,6 @@ type MergeOp struct {
 	A SeqLearner
 	// Less orders values by their location in the document.
 	Less func(a, b Value) bool
-	// Cap bounds the result list (0 means DefaultCap).
-	Cap int
 }
 
 type mergeItem struct {
@@ -311,7 +301,7 @@ func (op MergeOp) Learn(ctx context.Context, exs []SeqExample) (learned []Progra
 		for i, p := range ps {
 			out[i] = &MergeProgram{Args: []Program{p}, Less: op.Less}
 		}
-		return CleanUp(ctx, capList(out, op.Cap*4), exs)
+		return CleanUp(ctx, out, exs)
 	}
 	var items []mergeItem
 	for j, ex := range exs {
@@ -345,7 +335,7 @@ func (op MergeOp) Learn(ctx context.Context, exs []SeqExample) (learned []Progra
 	} else {
 		out = op.learnGreedy(exs, items, learnClass)
 	}
-	return CleanUp(ctx, capList(out, op.Cap*4), exs)
+	return CleanUp(ctx, out, exs)
 }
 
 // classExamples builds the sub-example-set for a class of item indices,

@@ -156,21 +156,46 @@ func (q *SchemaProgram) Run(doc Document) (*Instance, Highlighting, error) {
 // which extraction programs execute — so a batch runtime can bound each
 // document's run without leaking work.
 func (q *SchemaProgram) RunContext(ctx context.Context, doc Document) (*Instance, Highlighting, error) {
+	inst, cr, _, err := q.runFields(ctx, doc, false)
+	return inst, cr, err
+}
+
+// RunCapturedContext is RunContext with execution provenance: in addition
+// to the instance and highlighting it returns, per field color, the
+// ExecCapture recording which operator subexpressions produced each of the
+// field's regions. Captured runs bypass no consistency checks — the
+// instance and highlighting are identical to an uncaptured run's (capture
+// only observes operator outputs; see the provenance differential tests).
+func (q *SchemaProgram) RunCapturedContext(ctx context.Context, doc Document) (*Instance, Highlighting, map[string]*core.ExecCapture, error) {
+	return q.runFields(ctx, doc, true)
+}
+
+// runFields is the body of Algorithm 1 shared by RunContext and
+// RunCapturedContext; caps is nil unless capture is set.
+func (q *SchemaProgram) runFields(ctx context.Context, doc Document, capture bool) (*Instance, Highlighting, map[string]*core.ExecCapture, error) {
 	if err := q.Complete(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
+	}
+	var caps map[string]*core.ExecCapture
+	if capture {
+		caps = map[string]*core.ExecCapture{}
 	}
 	cr := Highlighting{}
 	for _, fi := range q.Schema.Fields() {
-		fp := q.Fields[fi.Color()]
-		rs, err := fp.runCtx(ctx, doc, cr, nil)
+		var cap *core.ExecCapture
+		if capture {
+			cap = core.NewExecCapture()
+			caps[fi.Color()] = cap
+		}
+		rs, err := q.Fields[fi.Color()].runCtx(ctx, doc, cr, cap)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		cr.Add(fi.Color(), rs...)
 	}
 	if err := cr.ConsistentWith(q.Schema); err != nil {
-		return nil, nil, fmt.Errorf("engine: extraction result inconsistent with schema: %w", err)
+		return nil, nil, nil, fmt.Errorf("engine: extraction result inconsistent with schema: %w", err)
 	}
 	inst := Fill(q.Schema, cr, doc.WholeRegion())
-	return inst, cr, nil
+	return inst, cr, caps, nil
 }

@@ -26,9 +26,6 @@ type PartialResult struct {
 	// Reason is why it tripped: "deadline", "cancelled", "candidates", or
 	// "injected" (empty when Exhausted is false).
 	Reason string `json:"reason,omitempty"`
-	// BestEffort is true when a program was returned but the search was
-	// truncated, so a better-ranked program may exist.
-	BestEffort bool `json:"best_effort,omitempty"`
 	// CandidatesExplored counts the candidate programs examined.
 	CandidatesExplored int64 `json:"candidates_explored"`
 	// TruncatedPhases lists the synthesis phases that stopped scanning
@@ -131,11 +128,10 @@ func synthesizeFieldProgramCapture(
 		cacheBefore = cs.CacheStats()
 	}
 
-	finish := func(fp *FieldProgram, bestEffort bool, err error) (*FieldProgram, *PartialResult, error) {
+	finish := func(fp *FieldProgram, err error) (*FieldProgram, *PartialResult, error) {
 		pr := &PartialResult{
 			Exhausted:          bud.Reason() != "",
 			Reason:             bud.Reason(),
-			BestEffort:         bestEffort && bud.Reason() != "",
 			CandidatesExplored: bud.Explored(),
 			TruncatedPhases:    bud.Truncations(),
 			Elapsed:            time.Since(start),
@@ -174,7 +170,7 @@ func synthesizeFieldProgramCapture(
 	}
 
 	if len(pos) == 0 {
-		return finish(nil, false, fmt.Errorf("engine: field %s: at least one positive example is required", f.Color()))
+		return finish(nil, fmt.Errorf("engine: field %s: at least one positive example is required", f.Color()))
 	}
 	lang := doc.Language()
 	var lastErr error
@@ -190,7 +186,7 @@ func synthesizeFieldProgramCapture(
 		}
 		actx, asp := trace.Start(ctx, "ancestor:"+ancName(anc))
 		asp.SetInt("inputs", int64(len(inputs)))
-		fp, bestEffort, all, err := synthesizeAgainstAncestor(actx, doc, m, cr, f, anc, inputs, pos, neg, lang)
+		fp, all, err := synthesizeAgainstAncestor(actx, doc, m, cr, f, anc, inputs, pos, neg, lang)
 		asp.SetBool("ok", err == nil)
 		asp.End()
 		if err != nil {
@@ -214,7 +210,7 @@ func synthesizeFieldProgramCapture(
 				}
 			}
 		}
-		return finish(fp, bestEffort, nil)
+		return finish(fp, nil)
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("engine: field %s: no materialized ancestor available", f.Color())
@@ -222,7 +218,7 @@ func synthesizeFieldProgramCapture(
 	if reason := bud.Reason(); reason != "" {
 		lastErr = fmt.Errorf("engine: field %s: synthesis budget exhausted (%s) before a program was found: %w", f.Color(), reason, lastErr)
 	}
-	return finish(nil, false, lastErr)
+	return finish(nil, lastErr)
 }
 
 // seqExamplesFor splits field examples into per-ancestor-region sequence
@@ -300,10 +296,8 @@ func validatesCandidate(doc Document, m *schema.Schema, cr Highlighting, f *sche
 }
 
 // synthesizeAgainstAncestor learns and validates candidates relative to
-// one ancestor. bestEffort reports that the returned program came from a
-// truncated validation scan (a lower-ranked candidate was returned than a
-// complete scan might have chosen); all is the full ranked candidate list
-// the winner was selected from.
+// one ancestor; all is the full ranked candidate list the winner was
+// selected from.
 func synthesizeAgainstAncestor(
 	ctx context.Context,
 	doc Document,
@@ -314,7 +308,7 @@ func synthesizeAgainstAncestor(
 	inputs []region.Region,
 	pos, neg []region.Region,
 	lang Language,
-) (fp *FieldProgram, bestEffort bool, all []*FieldProgram, err error) {
+) (fp *FieldProgram, all []*FieldProgram, err error) {
 	sink := metrics.From(ctx)
 	isSeq := f.IsSequenceAncestor(anc)
 	var seqProgs []SeqRegionProgram
@@ -323,7 +317,7 @@ func synthesizeAgainstAncestor(
 	if isSeq {
 		exs, err := seqExamplesFor(f, anc, inputs, pos, neg)
 		if err != nil {
-			return nil, false, nil, err
+			return nil, nil, err
 		}
 		lctx, lsp := trace.Start(ctx, "learn")
 		lsp.SetBool("sequence", true)
@@ -332,12 +326,12 @@ func synthesizeAgainstAncestor(
 		lsp.End()
 		sink.Observe(metrics.PhaseLearn, time.Since(learnStart).Seconds())
 		if len(seqProgs) == 0 {
-			return nil, false, nil, fmt.Errorf("engine: field %s: no consistent sequence program relative to %s", f.Color(), ancName(anc))
+			return nil, nil, fmt.Errorf("engine: field %s: no consistent sequence program relative to %s", f.Color(), ancName(anc))
 		}
 	} else {
 		exs, err := regExamplesFor(f, anc, inputs, pos)
 		if err != nil {
-			return nil, false, nil, err
+			return nil, nil, err
 		}
 		lctx, lsp := trace.Start(ctx, "learn")
 		lsp.SetBool("sequence", false)
@@ -346,15 +340,11 @@ func synthesizeAgainstAncestor(
 		lsp.End()
 		sink.Observe(metrics.PhaseLearn, time.Since(learnStart).Seconds())
 		if len(regProgs) == 0 {
-			return nil, false, nil, fmt.Errorf("engine: field %s: no consistent region program relative to %s", f.Color(), ancName(anc))
+			return nil, nil, fmt.Errorf("engine: field %s: no consistent region program relative to %s", f.Color(), ancName(anc))
 		}
 	}
 
-	// Select the first program passing validatesCandidate. Candidates are
-	// independent, so the checks are fanned across a worker pool;
-	// firstPassing returns the lowest-ranked passing candidate, keeping the
-	// choice bit-identical to a serial scan unless the budget truncates the
-	// scan.
+	// Select the first program, in rank order, passing validatesCandidate.
 	var fps []*FieldProgram
 	if isSeq {
 		fps = make([]*FieldProgram, len(seqProgs))
@@ -379,12 +369,30 @@ func synthesizeAgainstAncestor(
 	vsp.End()
 	sink.Observe(metrics.PhaseValidate, time.Since(validateStart).Seconds())
 	if i >= 0 {
-		return fps[i], !complete, fps, nil
+		return fps[i], fps, nil
 	}
 	if !complete {
-		return nil, false, nil, fmt.Errorf("engine: field %s: synthesis budget exhausted while validating %d candidates", f.Color(), len(fps))
+		return nil, nil, fmt.Errorf("engine: field %s: synthesis budget exhausted while validating %d candidates", f.Color(), len(fps))
 	}
-	return nil, false, nil, fmt.Errorf("engine: field %s: every consistent program violates the schema when executed", f.Color())
+	return nil, nil, fmt.Errorf("engine: field %s: every consistent program violates the schema when executed", f.Color())
+}
+
+// firstPassing returns the lowest index i in [0, n) for which try(i) is
+// true, or -1 when no index passes, trying candidates in rank order. The
+// context and the call's budget are checked before each try; when either
+// stops the scan, it returns (-1, false), so a returned index always has
+// every lower-ranked candidate tried and rejected before it.
+func firstPassing(ctx context.Context, n int, try func(int) bool) (idx int, complete bool) {
+	bud := core.BudgetFrom(ctx)
+	for i := 0; i < n; i++ {
+		if ctx.Err() != nil || bud.ExhaustedNow() {
+			return -1, false
+		}
+		if try(i) {
+			return i, true
+		}
+	}
+	return -1, true
 }
 
 func ancName(anc *schema.FieldInfo) string {

@@ -42,9 +42,8 @@ type lang struct{}
 // dynamic tokens promoted from the neighborhood of the examples) and the
 // document whose evaluation cache serves boundary indexes to the learners.
 type learnCtx struct {
-	toks   []tokens.Token
-	doc    *Document
-	poolID uint64
+	toks []tokens.Token
+	doc  *Document
 
 	// lsFlight single-flights the LS sub-learn per example fingerprint: all
 	// three SS rules re-learn LS, and their witness sequences coincide
@@ -77,16 +76,16 @@ func newLearnCtx(doc *Document, boundary []Region) *learnCtx {
 	pool := make([]tokens.Token, 0, len(tokens.Standard)+len(dyn))
 	pool = append(pool, tokens.Standard...)
 	pool = append(pool, dyn...)
-	return &learnCtx{toks: pool, doc: doc, poolID: tokens.PoolID(pool)}
+	return &learnCtx{toks: pool, doc: doc}
 }
 
-// index returns the memoized boundary index of Text[lo:hi] for the
-// context's token pool.
+// index returns the boundary index of Text[lo:hi] for the context's token
+// pool, clipped from the document cache's whole-document token entries.
 func (c *learnCtx) index(lo, hi int) *tokens.Index {
 	if c.doc == nil {
 		return nil
 	}
-	return c.doc.cache.IndexFor(lo, hi, c.toks, c.poolID)
+	return c.doc.cache.IndexFor(lo, hi, c.toks)
 }
 
 // SynthesizeSeqRegion learns N1 programs (Fig. 7): a Merge of pair

@@ -9,12 +9,12 @@ import (
 // Cache is a document-scoped evaluation cache. It is owned by a document
 // (one immutable text) and memoizes the three quantities the synthesis
 // hot loop recomputes most: per-token boundary positions, regex-pair
-// position sequences, and whole boundary indexes per token pool — all
+// position sequences, and regex match counts. Sequences and counts are
 // keyed on half-open ranges [lo, hi) of the document text, so the same
 // answer is shared across candidate programs, validation runs, and
-// refinement iterations. Sub-range token boundaries are derived from the
-// whole-document entry once it exists instead of being rescanned and
-// stored per range (see Boundaries).
+// refinement iterations. Token boundaries are held once per token, over
+// the whole document, and every sub-range is clipped from that entry (see
+// Boundaries).
 //
 // All methods are safe for concurrent use; returned slices are shared and
 // must be treated as read-only. The backing text never changes, so cached
@@ -29,12 +29,11 @@ type Cache struct {
 	evictions atomic.Int64 // entries dropped by any eviction path
 	maxBytes  atomic.Int64 // 0 = no byte cap
 
-	mu      sync.RWMutex
-	bytes   int64 // approximate resident bytes of all entries (guarded by mu)
-	bounds  map[boundKey]boundEntry
-	seqs    map[seqKey][]seqEntry
-	counts  map[countKey][]countEntry
-	indexes map[indexKey]*Index
+	mu     sync.RWMutex
+	bytes  int64                 // approximate resident bytes of all entries (guarded by mu)
+	bounds map[string]boundEntry // whole-document boundaries by token name
+	seqs   map[seqKey][]seqEntry
+	counts map[countKey][]countEntry
 }
 
 // Stats summarizes the cache: probe hits and misses, entry count,
@@ -51,7 +50,7 @@ type Stats struct {
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
 	c.mu.RLock()
-	entries := int64(len(c.bounds) + len(c.seqs) + len(c.counts) + len(c.indexes))
+	entries := int64(len(c.bounds) + len(c.seqs) + len(c.counts))
 	bytes := c.bytes
 	c.mu.RUnlock()
 	return Stats{
@@ -84,19 +83,10 @@ func seqSize(e seqEntry) int64 {
 	return 96 + 8*int64(len(e.ps)) + 48*int64(len(e.rr.Left)+len(e.rr.Right))
 }
 func countSize(e countEntry) int64 { return 64 + 48*int64(len(e.r)) }
-func indexSize(ix *Index) int64 {
-	n := int64(128)
-	for _, ps := range ix.pre {
-		n += 48 + 8*int64(len(ps))
-	}
-	for _, ps := range ix.suf {
-		n += 48 + 8*int64(len(ps))
-	}
-	return n
-}
 
-// enforceBytesLocked evicts non-pinned entries from every map when the
-// byte cap is exceeded. Requires c.mu held for writing.
+// enforceBytesLocked evicts non-pinned sequence entries, then non-pinned
+// count entries, when the byte cap is exceeded. Requires c.mu held for
+// writing.
 func (c *Cache) enforceBytesLocked() {
 	limit := c.maxBytes.Load()
 	if limit <= 0 || c.bytes <= limit {
@@ -106,20 +96,7 @@ func (c *Cache) enforceBytesLocked() {
 	if c.bytes <= limit {
 		return
 	}
-	c.evictBoundsLocked()
-	if c.bytes <= limit {
-		return
-	}
 	c.evictCountsLocked()
-	if c.bytes <= limit {
-		return
-	}
-	c.evictIndexesLocked()
-}
-
-type boundKey struct {
-	lo, hi int
-	tok    string
 }
 
 type boundEntry struct {
@@ -151,19 +128,12 @@ type countEntry struct {
 	n int
 }
 
-type indexKey struct {
-	lo, hi int
-	pool   uint64
-}
-
 // Cache size bounds. Sub-document ranges (lines, suffixes, prefixes)
 // repeat heavily but are unbounded in principle; whole-document entries
 // are never evicted.
 const (
-	maxBoundEntries = 32768
 	maxSeqEntries   = 32768
 	maxCountEntries = 32768
-	maxIndexEntries = 64
 )
 
 // smallRange bounds the ranges whose RegPos evaluation materializes and
@@ -179,11 +149,10 @@ const smallRange = 2048
 // NewCache creates the evaluation cache of one immutable document text.
 func NewCache(text string) *Cache {
 	return &Cache{
-		text:    text,
-		bounds:  map[boundKey]boundEntry{},
-		seqs:    map[seqKey][]seqEntry{},
-		counts:  map[countKey][]countEntry{},
-		indexes: map[indexKey]*Index{},
+		text:   text,
+		bounds: map[string]boundEntry{},
+		seqs:   map[seqKey][]seqEntry{},
+		counts: map[countKey][]countEntry{},
 	}
 }
 
@@ -262,41 +231,31 @@ func (c *Cache) seqGet(key seqKey, rr RegexPair) ([]int, bool) {
 // the positions where t matches as a prefix (run starts) and as a suffix
 // (run ends), relative to lo. Both slices are read-only.
 //
-// Once the whole-document entry of t is cached, a sub-range is answered by
-// clipping it (clipBoundaries) rather than rescanning text[lo:hi]; the
-// clipped answer is not stored, so sub-ranges cost no cache memory. Without
-// a whole-document entry the range is scanned and cached as is: run-path
-// documents touch a few small node ranges, where a whole-text scan would
-// cost more than it saves.
+// The first call for t scans the whole document and caches that one
+// entry; every sub-range is then answered by clipping it (clipBoundaries)
+// rather than rescanning text[lo:hi], and the clipped answer is not
+// stored, so sub-ranges cost no cache memory.
 func (c *Cache) Boundaries(lo, hi int, t Token) (pre, suf []int) {
-	key := boundKey{lo: lo, hi: hi, tok: t.Name}
 	c.mu.RLock()
-	e, ok := c.bounds[key]
-	var whole boundEntry
-	haveWhole := false
-	if !ok {
-		whole, haveWhole = c.bounds[boundKey{lo: 0, hi: len(c.text), tok: t.Name}]
-	}
+	w, ok := c.bounds[t.Name]
 	c.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
-		return e.pre, e.suf
+	} else {
+		c.misses.Add(1)
+		w = scanBoundaries(c.text, t)
+		c.mu.Lock()
+		if _, raced := c.bounds[t.Name]; !raced {
+			c.bounds[t.Name] = w
+			c.bytes += boundSize(w)
+			c.enforceBytesLocked()
+		}
+		c.mu.Unlock()
 	}
-	if haveWhole {
-		c.hits.Add(1)
-		e = clipBoundaries(whole, lo, hi, len(t.lit))
-		return e.pre, e.suf
+	if c.pinned(lo, hi) {
+		return w.pre, w.suf
 	}
-	c.misses.Add(1)
-	e = scanBoundaries(c.text[lo:hi], t)
-	c.mu.Lock()
-	if len(c.bounds) >= maxBoundEntries && !c.pinned(lo, hi) {
-		c.evictBoundsLocked()
-	}
-	c.bounds[key] = e
-	c.bytes += boundSize(e)
-	c.enforceBytesLocked()
-	c.mu.Unlock()
+	e := clipBoundaries(w, lo, hi, len(t.lit))
 	return e.pre, e.suf
 }
 
@@ -334,7 +293,9 @@ func clipBoundaries(w boundEntry, lo, hi, litLen int) boundEntry {
 }
 
 // scanBoundaries computes the prefix/suffix boundary positions of one
-// token over s (the per-token body of NewIndex).
+// token over s (the per-token body of NewIndex). Class tokens match
+// maximal runs: prefix positions are run starts, suffix positions run
+// ends.
 func scanBoundaries(s string, t Token) boundEntry {
 	var e boundEntry
 	if t.lit != "" {
@@ -413,39 +374,12 @@ func (c *Cache) CountIn(lo, hi int, r Regex) int {
 }
 
 // IndexFor returns the boundary index of text[lo:hi] for a token pool,
-// memoized per (range, pool). poolID must identify the pool contents (see
-// PoolID); learning reuses the index across examples, learners, and
-// refinement iterations of one synthesis session.
-func (c *Cache) IndexFor(lo, hi int, pool []Token, poolID uint64) *Index {
-	key := indexKey{lo: lo, hi: hi, pool: poolID}
-	c.mu.RLock()
-	ix, ok := c.indexes[key]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		return ix
-	}
-	c.misses.Add(1)
-	// Build from the per-token boundary cache so the token scans are shared
-	// with Positions.
-	ix = &Index{s: c.text[lo:hi], pre: map[string][]int{}, suf: map[string][]int{}}
-	for _, t := range pool {
-		if _, done := ix.pre[t.Name]; done {
-			continue
-		}
-		pre, suf := c.Boundaries(lo, hi, t)
-		ix.pre[t.Name] = pre
-		ix.suf[t.Name] = suf
-	}
-	c.mu.Lock()
-	if len(c.indexes) >= maxIndexEntries && !c.pinned(lo, hi) {
-		c.evictIndexesLocked()
-	}
-	c.indexes[key] = ix
-	c.bytes += indexSize(ix)
-	c.enforceBytesLocked()
-	c.mu.Unlock()
-	return ix
+// built from the per-token whole-document entries of Boundaries, so the
+// token scans are shared with Positions and across calls.
+func (c *Cache) IndexFor(lo, hi int, pool []Token) *Index {
+	return buildIndex(c.text[lo:hi], pool, func(t Token) (pre, suf []int) {
+		return c.Boundaries(lo, hi, t)
+	})
 }
 
 // evictSeqsLocked drops non-pinned position-sequence entries. Requires
@@ -462,18 +396,6 @@ func (c *Cache) evictSeqsLocked() {
 	}
 }
 
-// evictBoundsLocked drops non-pinned boundary entries. Requires c.mu held
-// for writing.
-func (c *Cache) evictBoundsLocked() {
-	for k, e := range c.bounds {
-		if !c.pinned(k.lo, k.hi) {
-			c.bytes -= boundSize(e)
-			c.evictions.Add(1)
-			delete(c.bounds, k)
-		}
-	}
-}
-
 // evictCountsLocked drops non-pinned match-count entries. Requires c.mu
 // held for writing.
 func (c *Cache) evictCountsLocked() {
@@ -486,34 +408,6 @@ func (c *Cache) evictCountsLocked() {
 			delete(c.counts, k)
 		}
 	}
-}
-
-// evictIndexesLocked drops non-pinned boundary indexes. Requires c.mu held
-// for writing.
-func (c *Cache) evictIndexesLocked() {
-	for k, ix := range c.indexes {
-		if !c.pinned(k.lo, k.hi) {
-			c.bytes -= indexSize(ix)
-			c.evictions.Add(1)
-			delete(c.indexes, k)
-		}
-	}
-}
-
-// PoolID fingerprints a token pool for IndexFor keying (FNV-1a over the
-// token names, which uniquely identify tokens — dynamic tokens embed
-// their literal in the name).
-func PoolID(toks []Token) uint64 {
-	h := uint64(14695981039346656037)
-	for _, t := range toks {
-		for i := 0; i < len(t.Name); i++ {
-			h ^= uint64(t.Name[i])
-			h *= 1099511628211
-		}
-		h ^= 0x1f // name separator
-		h *= 1099511628211
-	}
-	return h
 }
 
 // regexFingerprint extends an FNV-1a hash with a regex's token names.

@@ -172,26 +172,27 @@ func TestCacheEvalAttrMatchesEval(t *testing.T) {
 	}
 }
 
-// TestCacheIndexForMemoizesAndMatches checks that IndexFor returns the
-// same index instance per (range, pool) and that the built index agrees
-// with NewIndex.
+// TestCacheIndexForMemoizesAndMatches checks that IndexFor agrees with
+// NewIndex over the whole document and over a sub-range, and that its
+// token scans are memoized: once the whole-document index is built, a
+// sub-range index is clipped from the cached entries with no new scan.
 func TestCacheIndexForMemoizesAndMatches(t *testing.T) {
 	text := cacheSample
 	c := NewCache(text)
 	pool := []Token{Number, Word, Space, Literal("WARN")}
-	id := PoolID(pool)
-	ix1 := c.IndexFor(0, len(text), pool, id)
-	ix2 := c.IndexFor(0, len(text), pool, id)
-	if ix1 != ix2 {
-		t.Fatal("IndexFor rebuilt a memoized index")
-	}
-	ref := NewIndex(text, pool)
 	rr := RegexPair{Left: Regex{Literal("WARN"), Space}, Right: Regex{Number}}
-	if !equalPositions(ix1.Positions(rr), ref.Positions(rr)) {
-		t.Fatalf("cached index disagrees with NewIndex: %v vs %v", ix1.Positions(rr), ref.Positions(rr))
+	ix := c.IndexFor(0, len(text), pool)
+	if ref := NewIndex(text, pool); !equalPositions(ix.Positions(rr), ref.Positions(rr)) {
+		t.Fatalf("cached index disagrees with NewIndex: %v vs %v", ix.Positions(rr), ref.Positions(rr))
 	}
-	if PoolID(pool) == PoolID(pool[:2]) {
-		t.Fatal("PoolID ignores pool contents")
+	misses := c.Stats().Misses
+	lo, hi := 5, len(text)-3
+	sub := c.IndexFor(lo, hi, pool)
+	if got := c.Stats().Misses; got != misses {
+		t.Fatalf("sub-range index rescanned: misses %d -> %d", misses, got)
+	}
+	if ref := NewIndex(text[lo:hi], pool); !equalPositions(sub.Positions(rr), ref.Positions(rr)) {
+		t.Fatalf("sub-range index disagrees with NewIndex: %v vs %v", sub.Positions(rr), ref.Positions(rr))
 	}
 }
 
@@ -202,38 +203,27 @@ func TestCacheEvictionKeepsPinnedEntries(t *testing.T) {
 	text := randomText(rand.New(rand.NewSource(3)), 400)
 	c := NewCache(text)
 	rr := RegexPair{Left: Regex{Number}}
-	pool := []Token{Number}
-	id := PoolID(pool)
 
 	wholeSeq := c.Positions(0, len(text), rr)
-	wholeIx := c.IndexFor(0, len(text), pool, id)
 
-	// Flood: distinct (lo,hi) keys well past maxSeqEntries/maxBoundEntries
-	// and maxIndexEntries.
+	// Flood: distinct (lo,hi) keys well past maxSeqEntries.
 	n := 0
 	for lo := 0; lo < len(text) && n < maxSeqEntries+100; lo++ {
 		for hi := lo; hi <= len(text) && n < maxSeqEntries+100; hi += 7 {
 			c.Positions(lo, hi, rr)
-			if n < maxIndexEntries+10 {
-				c.IndexFor(lo, hi, pool, id)
-			}
 			n++
 		}
 	}
 
 	c.mu.RLock()
 	_, seqOK := c.seqs[seqKey{lo: 0, hi: len(text), h: pairFingerprint(rr)}]
-	_, boundOK := c.bounds[boundKey{lo: 0, hi: len(text), tok: Number.Name}]
-	ixAfter, ixOK := c.indexes[indexKey{lo: 0, hi: len(text), pool: id}]
+	_, boundOK := c.bounds[Number.Name]
 	c.mu.RUnlock()
 	if !seqOK {
 		t.Fatal("whole-document position sequence was evicted")
 	}
 	if !boundOK {
 		t.Fatal("whole-document token boundaries were evicted")
-	}
-	if !ixOK || ixAfter != wholeIx {
-		t.Fatal("whole-document index was evicted or rebuilt")
 	}
 	if got := c.Positions(0, len(text), rr); !equalPositions(got, wholeSeq) {
 		t.Fatalf("pinned sequence changed: %v vs %v", got, wholeSeq)
@@ -269,10 +259,11 @@ func TestCacheEvictionCounter(t *testing.T) {
 
 // TestBoundariesMatchesScan is the property test behind sub-range
 // derivation: Boundaries(lo, hi, t) must equal scanBoundaries(text[lo:hi],
-// t) both when it clips the cached whole-document entry and when no such
-// entry exists, for every standard token and for self-overlapping
-// literals, over random ranges that include empty ranges and ranges
-// cutting a run at lo or at hi.
+// t) both when the whole-document entry was cached up front (warm) and
+// when the first call for t is a sub-range (cold), for every standard
+// token and for self-overlapping literals, over random ranges that include
+// empty ranges and ranges cutting a run at lo or at hi. Either way the
+// cache must end up holding exactly one boundary entry per token.
 func TestBoundariesMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	toks := append(append([]Token(nil), Standard...),
@@ -317,29 +308,21 @@ func TestBoundariesMatchesScan(t *testing.T) {
 				}
 			}
 		}
-		// Every warm answer was derived by clipping: no sub-range entry was
+		// Every answer was derived by clipping: no sub-range entry was
 		// scanned and stored next to the whole-document ones.
-		if n := len(warm.bounds); n != len(toks) {
-			t.Fatalf("warm cache holds %d boundary entries, want only the %d whole-document ones", n, len(toks))
+		for name, c := range map[string]*Cache{"warm": warm, "cold": cold} {
+			if n := len(c.bounds); n != len(toks) {
+				t.Fatalf("%s cache holds %d boundary entries, want only the %d whole-document ones", name, n, len(toks))
+			}
 		}
 	}
 }
 
-// TestCacheEntryCapEvictionsCounted overflows the entry caps of the index
-// and match-count maps and requires Stats.Evictions to record the drops.
+// TestCacheEntryCapEvictionsCounted overflows the entry cap of the
+// match-count map and requires Stats.Evictions to record the drops.
 func TestCacheEntryCapEvictionsCounted(t *testing.T) {
 	text := randomText(rand.New(rand.NewSource(11)), 400)
-	pool := []Token{Number}
-	id := PoolID(pool)
 	c := NewCache(text)
-	for lo := 0; lo <= maxIndexEntries; lo++ {
-		c.IndexFor(lo, len(text), pool, id)
-	}
-	if ev := c.Stats().Evictions; ev == 0 {
-		t.Fatalf("overflowing maxIndexEntries recorded %d evictions", ev)
-	}
-
-	c = NewCache(text)
 	r := Regex{Number}
 	n := 0
 	for lo := 0; lo < len(text) && n <= maxCountEntries; lo++ {

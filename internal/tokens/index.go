@@ -15,38 +15,20 @@ type Index struct {
 
 // NewIndex builds the boundary index of s for a token pool.
 func NewIndex(s string, toks []Token) *Index {
+	return buildIndex(s, toks, func(t Token) (pre, suf []int) {
+		e := scanBoundaries(s, t)
+		return e.pre, e.suf
+	})
+}
+
+// buildIndex assembles the index of s from the boundaries of each distinct
+// pool token.
+func buildIndex(s string, toks []Token, bounds func(Token) (pre, suf []int)) *Index {
 	ix := &Index{s: s, pre: map[string][]int{}, suf: map[string][]int{}}
 	for _, t := range toks {
-		if _, done := ix.pre[t.Name]; done {
-			continue
+		if _, done := ix.pre[t.Name]; !done {
+			ix.pre[t.Name], ix.suf[t.Name] = bounds(t)
 		}
-		var pre, suf []int
-		if t.lit != "" {
-			for k := 0; k+len(t.lit) <= len(s); k++ {
-				if s[k:k+len(t.lit)] == t.lit {
-					pre = append(pre, k)
-					suf = append(suf, k+len(t.lit))
-				}
-			}
-		} else {
-			// Class tokens match maximal runs: prefix positions are run
-			// starts, suffix positions are run ends.
-			k := 0
-			for k < len(s) {
-				if !t.class(s[k]) {
-					k++
-					continue
-				}
-				start := k
-				for k < len(s) && t.class(s[k]) {
-					k++
-				}
-				pre = append(pre, start)
-				suf = append(suf, k)
-			}
-		}
-		ix.pre[t.Name] = pre
-		ix.suf[t.Name] = suf
 	}
 	return ix
 }

@@ -71,8 +71,9 @@ func TestNesting(t *testing.T) {
 }
 
 // TestConcurrentChildren exercises concurrent span creation and attribute
-// writes under one parent — the shape firstPassing's worker goroutines
-// produce — and is expected to run under -race in CI.
+// writes under one parent — the shape the learner goroutines of
+// core.UnionLearners produce under a union span — and is expected to run
+// under -race in CI.
 func TestConcurrentChildren(t *testing.T) {
 	tr := NewTracer()
 	ctx, root := tr.StartRoot(context.Background(), "root")

@@ -29,9 +29,8 @@ type lang struct{}
 // webCtx carries the per-call token pool and the document whose evaluation
 // cache serves boundary indexes to the learners.
 type webCtx struct {
-	toks   []tokens.Token
-	doc    *Document
-	poolID uint64
+	toks []tokens.Token
+	doc  *Document
 }
 
 func newWebCtx(doc *Document, boundary []region.Region) *webCtx {
@@ -49,16 +48,16 @@ func newWebCtx(doc *Document, boundary []region.Region) *webCtx {
 	pool := make([]tokens.Token, 0, len(tokens.Standard)+len(dyn))
 	pool = append(pool, tokens.Standard...)
 	pool = append(pool, dyn...)
-	return &webCtx{toks: pool, doc: doc, poolID: tokens.PoolID(pool)}
+	return &webCtx{toks: pool, doc: doc}
 }
 
-// index returns the memoized boundary index of Text[lo:hi] for the
-// context's token pool.
+// index returns the boundary index of Text[lo:hi] for the context's token
+// pool, clipped from the document cache's whole-document token entries.
 func (c *webCtx) index(lo, hi int) *tokens.Index {
 	if c.doc == nil {
 		return nil
 	}
-	return c.doc.cache.IndexFor(lo, hi, c.toks, c.poolID)
+	return c.doc.cache.IndexFor(lo, hi, c.toks)
 }
 
 // SynthesizeSeqRegion learns N1 programs (Fig. 8): a Merge of node
