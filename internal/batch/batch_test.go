@@ -257,9 +257,11 @@ func TestBatchDocTimeout(t *testing.T) {
 	}
 }
 
-// slowSource blocks Open until released, to hold documents in flight.
-func slowSource(name string, release <-chan struct{}, data string) batch.Source {
+// slowSource signals entered on entering Open, then blocks until
+// released, to hold documents in flight.
+func slowSource(name string, entered chan<- struct{}, release <-chan struct{}, data string) batch.Source {
 	return batch.Source{Name: name, Open: func() ([]byte, error) {
+		entered <- struct{}{}
 		<-release
 		return []byte(data), nil
 	}}
@@ -273,6 +275,7 @@ func TestBatchCancelDrainsWithoutLeaks(t *testing.T) {
 	prog := learnTextProgram(t)
 	before := runtime.NumGoroutine()
 
+	entered := make(chan struct{}, 2)
 	release := make(chan struct{})
 	var once sync.Once
 	ctx, cancel := context.WithCancel(context.Background())
@@ -282,16 +285,17 @@ func TestBatchCancelDrainsWithoutLeaks(t *testing.T) {
 		name := fmt.Sprintf("doc%02d.txt", i)
 		if i < 2 {
 			// The first two documents block until the test cancels.
-			sources = append(sources, slowSource(name, release, chairDoc("Bistro", "75.40")))
+			sources = append(sources, slowSource(name, entered, release, chairDoc("Bistro", "75.40")))
 		} else {
 			sources = append(sources, batch.StringSource(name, chairDoc("Windsor", "185.00")))
 		}
 	}
 	go func() {
-		// Let the pool pick up the blocking documents, then cancel and
-		// release them: the feeder must stop dispatching and the workers
-		// must finish what they hold.
-		time.Sleep(10 * time.Millisecond)
+		// Wait until both workers hold a blocking document, then cancel
+		// and release them: the feeder must stop dispatching and the
+		// workers must finish what they hold.
+		<-entered
+		<-entered
 		cancel()
 		once.Do(func() { close(release) })
 	}()

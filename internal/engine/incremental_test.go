@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"flashextract/internal/core"
+	"flashextract/internal/logx"
 	"flashextract/internal/metrics"
 	"flashextract/internal/region"
 	"flashextract/internal/schema"
@@ -113,10 +114,9 @@ func TestIncrementalFallbackOnContradictingExample(t *testing.T) {
 	if fp.Seq.String() != "AllLines" {
 		t.Fatalf("first winner = %s, want AllLines", fp.Seq)
 	}
-	// Striking lines[1] contradicts AllLines: the winner dies, and the
-	// session must fall back to a cold re-learn rather than promote a
-	// lower-ranked retained candidate (the fresh learner could rank a new
-	// program above it).
+	// Striking lines[1] contradicts AllLines: the current program fails
+	// the re-check, and the session must fall back to a cold re-learn,
+	// whose fresh ranking picks the next program.
 	if err := s.AddNegative("row", lines[1]); err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +182,104 @@ func TestIncrementalInvalidatedByCommitOfOtherField(t *testing.T) {
 	}
 	if s.Stats().IncrementalFallbacks == 0 {
 		t.Fatal("no fallback recorded for the stale-key re-learn")
+	}
+}
+
+func TestIncrementalHitRunsOnlyCurrentProgram(t *testing.T) {
+	doc, cl := newCountingDomain(fakeText)
+	lines := lineSpans(fakeText)
+	n0, _ := numberOfLine(lines[0])
+	w1, _ := wordOfLine(lines[1])
+	n1, _ := numberOfLine(lines[1])
+	n2, _ := numberOfLine(lines[2])
+	// The rank-0 candidate is consistent with every positive of b below,
+	// but "beta" fails the Int check, so AllNumbers wins at rank 1.
+	runs := 0
+	cl.inner.seqCandidates = append([]seqProg{{"NumbersAndBeta", func(span) []span {
+		runs++
+		return []span{n0, w1, n1, n2}
+	}}}, cl.inner.seqCandidates...)
+	s := NewSession(doc, schema.MustParse(rowSchema))
+
+	s.AddPositive("b", n0)
+	fp, _ := mustLearn(t, s, "b")
+	if fp.Seq.String() != "AllNumbers" {
+		t.Fatalf("cold winner = %s, want AllNumbers", fp.Seq)
+	}
+
+	// n1 confirms AllNumbers: the hit re-checks that one program and never
+	// runs the candidate the cold call already rejected.
+	runs = 0
+	s.AddPositive("b", n1)
+	fp2, _ := mustLearn(t, s, "b")
+	if fp2 != fp {
+		t.Fatalf("hit returned %s, want the current program %s", fp2.Seq, fp.Seq)
+	}
+	if cl.seqCalls != 1 {
+		t.Fatalf("learner ran %d times, want 1", cl.seqCalls)
+	}
+	if st := s.Stats(); st.IncrementalHits != 1 || st.IncrementalFallbacks != 0 {
+		t.Fatalf("hits=%d fallbacks=%d, want 1/0", st.IncrementalHits, st.IncrementalFallbacks)
+	}
+	if runs != 0 {
+		t.Fatalf("the rejected rank-0 candidate executed %d times on the hit, want 0", runs)
+	}
+	if got := s.LastPartial("b").CandidatesExplored; got != 1 {
+		t.Fatalf("hit explored %d candidates, want 1", got)
+	}
+}
+
+func TestIncrementalFallbackOnExampleSplit(t *testing.T) {
+	// A second positive inside the same row region cannot be split against
+	// the row ancestor of a's current program: the call must fall back and
+	// fail exactly as a from-scratch session does.
+	m := schema.MustParse(rowSchema)
+	lines := lineSpans(fakeText)
+	w0, _ := wordOfLine(lines[0])
+	n0, _ := numberOfLine(lines[0])
+	// prepare commits row, learns a from w0 and adds n0 to a's examples.
+	prepare := func(s *Session) {
+		s.AddPositive("row", lines[0])
+		s.AddPositive("row", lines[1])
+		mustLearn(t, s, "row")
+		if err := s.Commit("row"); err != nil {
+			t.Fatal(err)
+		}
+		s.AddPositive("a", w0)
+		mustLearn(t, s, "a")
+		s.AddPositive("a", n0)
+	}
+
+	doc, cl := newCountingDomain(fakeText)
+	s := NewSession(doc, m)
+	prepare(s)
+	calls := cl.seqCalls + cl.regCalls
+	var logs strings.Builder
+	logger, err := logx.New(&logs, "debug", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, incErr := s.LearnContext(logx.Into(context.Background(), logger), "a")
+	if st := s.Stats(); st.IncrementalHits != 0 || st.IncrementalFallbacks != 1 {
+		t.Fatalf("hits=%d fallbacks=%d, want 0/1", st.IncrementalHits, st.IncrementalFallbacks)
+	}
+	if !strings.Contains(logs.String(), "example_split") {
+		t.Fatalf("fallback reason not logged as example_split:\n%s", logs.String())
+	}
+	if cl.seqCalls+cl.regCalls <= calls {
+		t.Fatal("the fallback did not re-run the learner")
+	}
+
+	doc2, _ := newCountingDomain(fakeText)
+	ref := NewSession(doc2, m)
+	ref.SetIncremental(false)
+	prepare(ref)
+	_, _, refErr := ref.Learn("a")
+	if incErr == nil || refErr == nil || incErr.Error() != refErr.Error() {
+		t.Fatalf("incremental err = %v, from-scratch err = %v", incErr, refErr)
+	}
+	if !strings.Contains(incErr.Error(), "no consistent sequence program relative to ⊥") {
+		t.Fatalf("err = %v", incErr)
 	}
 }
 

@@ -65,11 +65,11 @@ func (s *Session) InferStructure(color string) (*FieldProgram, []region.Region, 
 	}
 	// Run through the session's budgeted driver so the call is recorded in
 	// SessionStats like any other synthesis call. The synthetic span
-	// examples are not the user's recorded spec for the color, so any
-	// retained incremental state is dropped rather than refreshed.
+	// examples are not the user's recorded spec for the color, so the
+	// inferred program is never reused by a later Learn.
 	fp, pr, err := s.synthesize(context.Background(), fi, spans, nil)
 	s.record(color, pr)
-	delete(s.inc, color)
+	delete(s.learnedEpoch, color)
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine: inferring %s: %w", color, err)
 	}

@@ -16,11 +16,11 @@ import (
 // asks FlashExtract to learn, inspects the inferred highlighting, and
 // either provides more examples or commits the field and moves on.
 //
-// Learn calls are incremental by default: the session retains the ranked
-// candidate set of each field's last complete synthesis call, and a
-// re-learn after adding examples intersects the retained candidates with
-// the extended spec instead of restarting the DSL learner (see
-// incremental.go for the reuse conditions and the fallback rules).
+// Learn calls are incremental by default: a re-learn after adding
+// examples first re-checks the field's current program against the
+// extended spec and keeps it when it still passes, instead of restarting
+// the DSL learner (see incremental.go for the reuse rule and the fallback
+// list).
 type Session struct {
 	doc Document
 	sch *schema.Schema
@@ -30,13 +30,16 @@ type Session struct {
 	programs     map[string]*FieldProgram
 	pos, neg     map[string][]region.Region // examples per color
 
-	budget      core.SynthBudget  // per-Learn budget (zero = unlimited)
-	reg         *metrics.Registry // session-lifetime engine metrics
-	partial     map[string]*PartialResult
-	stats       SessionStats
-	inc         map[string]*incState // retained candidate state per color
-	incremental bool                 // reuse retained state across Learn calls
-	epoch       int                  // count of first commits; see Commit
+	budget  core.SynthBudget  // per-Learn budget (zero = unlimited)
+	reg     *metrics.Registry // session-lifetime engine metrics
+	partial map[string]*PartialResult
+	stats   SessionStats
+	// learnedEpoch holds, for each color whose current program may be
+	// reused by the next Learn, the commit epoch that program was learned
+	// in. It is empty while incremental reuse is off.
+	learnedEpoch map[string]int
+	incremental  bool // reuse the current program across Learn calls
+	epoch        int  // count of first commits; see Commit
 }
 
 // SessionStats aggregates the engine metrics of a session: per-call
@@ -54,11 +57,12 @@ type SessionStats struct {
 	CandidatesExplored int64 `json:"candidates_explored"`
 	// LearnerFanout totals learners dispatched by Union combinators.
 	LearnerFanout int64 `json:"learner_fanout"`
-	// IncrementalHits counts Learn calls served from the session's retained
-	// candidate state without re-invoking the DSL learner.
+	// IncrementalHits counts Learn calls that kept the field's current
+	// program, re-checked against the extended spec, without re-invoking
+	// the DSL learner.
 	IncrementalHits int64 `json:"incremental_hits"`
-	// IncrementalFallbacks counts Learn calls that had retained candidate
-	// state but fell back to a cold re-synthesis.
+	// IncrementalFallbacks counts Learn calls that had a reusable current
+	// program but fell back to a cold re-synthesis.
 	IncrementalFallbacks int64 `json:"incremental_fallbacks"`
 	// CandidatesPruned and AbstractionRefinements are always 0: they were
 	// the counters of the abstraction-guided candidate pruner, which has
@@ -88,7 +92,7 @@ func NewSession(doc Document, sch *schema.Schema) *Session {
 		neg:          map[string][]region.Region{},
 		reg:          metrics.NewRegistry(),
 		partial:      map[string]*PartialResult{},
-		inc:          map[string]*incState{},
+		learnedEpoch: map[string]int{},
 		incremental:  true,
 	}
 }
@@ -182,8 +186,8 @@ func (s *Session) AddNegative(color string, r region.Region) error {
 }
 
 // ClearExamples removes all recorded examples for a color and invalidates
-// everything derived from them: the learned program, the last
-// PartialResult, and any retained incremental candidate state. A field
+// everything derived from them: the learned program and the last
+// PartialResult, so the next Learn goes cold. A field
 // cleared after Learn must be re-learned before it can be committed.
 func (s *Session) ClearExamples(color string) error {
 	if _, err := s.mutableField(color); err != nil {
@@ -193,7 +197,7 @@ func (s *Session) ClearExamples(color string) error {
 	delete(s.neg, color)
 	delete(s.programs, color)
 	delete(s.partial, color)
-	delete(s.inc, color)
+	delete(s.learnedEpoch, color)
 	return nil
 }
 
@@ -213,15 +217,13 @@ func (s *Session) Learn(color string) (*FieldProgram, []region.Region, error) {
 // describing the truncation; the caller decides whether to keep it,
 // refine, or retry with a larger budget.
 //
-// When the session holds reusable candidate state for the color (a
-// previous complete Learn under the same committed highlighting, and the
-// examples have only grown), the call is served by intersecting the
-// retained candidates with the extended spec instead of re-running the DSL
-// learner; otherwise it falls back to a cold synthesis, which refreshes
-// the retained state. A reuse hit keeps the previously inferred
-// highlighting unchanged (the new examples confirmed it); a fallback is
-// bit-identical to a from-scratch call (see incremental.go for the
-// contract).
+// When the color's current program came from a complete Learn under the
+// same committed highlighting, the call first re-checks that program
+// against the extended spec and keeps it when it passes, without
+// re-running the DSL learner; otherwise it falls back to a cold synthesis.
+// A reuse hit keeps the previously inferred highlighting unchanged (the
+// new examples confirmed it); a fallback is bit-identical to a
+// from-scratch call (see incremental.go for the contract).
 func (s *Session) LearnContext(ctx context.Context, color string) (*FieldProgram, []region.Region, *PartialResult, error) {
 	fi, err := s.field(color)
 	if err != nil {
@@ -239,13 +241,17 @@ func (s *Session) LearnContext(ctx context.Context, color string) (*FieldProgram
 	ctx, _ = core.WithBudget(ctx, s.budget)
 	if fp, pr, ok := s.tryIncremental(ctx, fi, pos, neg); ok {
 		s.record(color, pr)
-		s.programs[color] = fp
 		return fp, fp.run(s.doc, s.cr), pr, nil
 	}
-	var capture learnedCandidates
-	fp, pr, err := synthesizeFieldProgramCapture(ctx, s.doc, s.sch, s.cr, fi, pos, neg, s.materialized, &capture)
-	s.captureIncremental(color, capture, pr, err, pos, neg)
+	fp, pr, err := SynthesizeFieldProgramCtx(ctx, s.doc, s.sch, s.cr, fi, pos, neg, s.materialized)
 	s.record(color, pr)
+	// Only a complete call's program may be reused: a truncated one may
+	// not be the top-ranked program that passes.
+	if s.incremental && err == nil && !pr.Exhausted {
+		s.learnedEpoch[color] = s.epoch
+	} else {
+		delete(s.learnedEpoch, color)
+	}
 	if err != nil {
 		return nil, nil, pr, err
 	}
@@ -297,17 +303,16 @@ func (s *Session) Commit(color string) error {
 		return fmt.Errorf("engine: committing %s: %w", color, err)
 	}
 	if !s.materialized[color] {
-		// A first commit changes the environment that every retained
-		// candidate set was validated in, so it stales them all. A
-		// re-commit reruns the same program over the same ancestor
-		// regions and leaves the environment as it was.
+		// A first commit changes the environment that every reusable
+		// program was validated in, so it stales them all. A re-commit
+		// reruns the same program over the same ancestor regions and
+		// leaves the environment as it was.
 		s.epoch++
 	}
 	s.cr = crNew
 	s.materialized[fi.Color()] = true
-	// The field can no longer be re-learned, so its retained candidate
-	// state is dead weight.
-	delete(s.inc, color)
+	// The field can no longer be re-learned.
+	delete(s.learnedEpoch, color)
 	return nil
 }
 

@@ -74,35 +74,6 @@ func SynthesizeFieldProgramCtx(
 	pos, neg []region.Region,
 	materialized map[string]bool,
 ) (*FieldProgram, *PartialResult, error) {
-	return synthesizeFieldProgramCapture(ctx, doc, m, cr, f, pos, neg, materialized, nil)
-}
-
-// learnedCandidates captures the full ranked candidate list of one
-// synthesis call for the session's incremental reuse: the ancestor the
-// candidates were learned against and every candidate, not just the
-// selected one. A call that tripped its budget may have truncated the list
-// (PartialResult.Exhausted), so only captures of complete calls are safe to
-// intersect against a future, larger example spec.
-type learnedCandidates struct {
-	anc       *schema.FieldInfo
-	isSeq     bool
-	fps       []*FieldProgram
-	winnerIdx int // rank of the selected program within fps
-}
-
-// synthesizeFieldProgramCapture is SynthesizeFieldProgramCtx with an
-// optional capture of the winning ancestor's full candidate list (cap may
-// be nil; it is only populated on success).
-func synthesizeFieldProgramCapture(
-	ctx context.Context,
-	doc Document,
-	m *schema.Schema,
-	cr Highlighting,
-	f *schema.FieldInfo,
-	pos, neg []region.Region,
-	materialized map[string]bool,
-	capture *learnedCandidates,
-) (*FieldProgram, *PartialResult, error) {
 	start := time.Now()
 	bud := core.BudgetFrom(ctx)
 	if bud == nil {
@@ -186,7 +157,7 @@ func synthesizeFieldProgramCapture(
 		}
 		actx, asp := trace.Start(ctx, "ancestor:"+ancName(anc))
 		asp.SetInt("inputs", int64(len(inputs)))
-		fp, all, err := synthesizeAgainstAncestor(actx, doc, m, cr, f, anc, inputs, pos, neg, lang)
+		fp, err := synthesizeAgainstAncestor(actx, doc, m, cr, f, anc, inputs, pos, neg, lang)
 		asp.SetBool("ok", err == nil)
 		asp.End()
 		if err != nil {
@@ -197,18 +168,6 @@ func synthesizeFieldProgramCapture(
 				break
 			}
 			continue
-		}
-		if capture != nil {
-			capture.anc = anc
-			capture.isSeq = f.IsSequenceAncestor(anc)
-			capture.fps = all
-			capture.winnerIdx = -1
-			for i, p := range all {
-				if p == fp {
-					capture.winnerIdx = i
-					break
-				}
-			}
 		}
 		return finish(fp, nil)
 	}
@@ -279,7 +238,7 @@ func regExamplesFor(f *schema.FieldInfo, anc *schema.FieldInfo, inputs, pos []re
 // negative instance. (Sequence synthesis already filters negatives inside
 // the language; the check here also covers region programs, whose
 // per-ancestor learning API has no negative channel.) It is the shared
-// validation predicate of the cold driver and the incremental session scan.
+// validation predicate of the cold driver and the incremental re-check.
 func validatesCandidate(doc Document, m *schema.Schema, cr Highlighting, f *schema.FieldInfo, neg []region.Region, fp *FieldProgram) bool {
 	crNew := cr.Clone()
 	crNew[f.Color()] = nil
@@ -296,8 +255,7 @@ func validatesCandidate(doc Document, m *schema.Schema, cr Highlighting, f *sche
 }
 
 // synthesizeAgainstAncestor learns and validates candidates relative to
-// one ancestor; all is the full ranked candidate list the winner was
-// selected from.
+// one ancestor.
 func synthesizeAgainstAncestor(
 	ctx context.Context,
 	doc Document,
@@ -308,7 +266,7 @@ func synthesizeAgainstAncestor(
 	inputs []region.Region,
 	pos, neg []region.Region,
 	lang Language,
-) (fp *FieldProgram, all []*FieldProgram, err error) {
+) (*FieldProgram, error) {
 	sink := metrics.From(ctx)
 	isSeq := f.IsSequenceAncestor(anc)
 	var seqProgs []SeqRegionProgram
@@ -317,7 +275,7 @@ func synthesizeAgainstAncestor(
 	if isSeq {
 		exs, err := seqExamplesFor(f, anc, inputs, pos, neg)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		lctx, lsp := trace.Start(ctx, "learn")
 		lsp.SetBool("sequence", true)
@@ -326,12 +284,12 @@ func synthesizeAgainstAncestor(
 		lsp.End()
 		sink.Observe(metrics.PhaseLearn, time.Since(learnStart).Seconds())
 		if len(seqProgs) == 0 {
-			return nil, nil, fmt.Errorf("engine: field %s: no consistent sequence program relative to %s", f.Color(), ancName(anc))
+			return nil, fmt.Errorf("engine: field %s: no consistent sequence program relative to %s", f.Color(), ancName(anc))
 		}
 	} else {
 		exs, err := regExamplesFor(f, anc, inputs, pos)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		lctx, lsp := trace.Start(ctx, "learn")
 		lsp.SetBool("sequence", false)
@@ -340,7 +298,7 @@ func synthesizeAgainstAncestor(
 		lsp.End()
 		sink.Observe(metrics.PhaseLearn, time.Since(learnStart).Seconds())
 		if len(regProgs) == 0 {
-			return nil, nil, fmt.Errorf("engine: field %s: no consistent region program relative to %s", f.Color(), ancName(anc))
+			return nil, fmt.Errorf("engine: field %s: no consistent region program relative to %s", f.Color(), ancName(anc))
 		}
 	}
 
@@ -369,12 +327,12 @@ func synthesizeAgainstAncestor(
 	vsp.End()
 	sink.Observe(metrics.PhaseValidate, time.Since(validateStart).Seconds())
 	if i >= 0 {
-		return fps[i], fps, nil
+		return fps[i], nil
 	}
 	if !complete {
-		return nil, nil, fmt.Errorf("engine: field %s: synthesis budget exhausted while validating %d candidates", f.Color(), len(fps))
+		return nil, fmt.Errorf("engine: field %s: synthesis budget exhausted while validating %d candidates", f.Color(), len(fps))
 	}
-	return nil, nil, fmt.Errorf("engine: field %s: every consistent program violates the schema when executed", f.Color())
+	return nil, fmt.Errorf("engine: field %s: every consistent program violates the schema when executed", f.Color())
 }
 
 // firstPassing returns the lowest index i in [0, n) for which try(i) is

@@ -43,14 +43,15 @@ const (
 	// validation. Values are seconds.
 	PhaseLearn    = "synth_phase_learn_seconds"
 	PhaseValidate = "synth_phase_validate_seconds"
-	// IncrementalHits counts interactive Learn calls served by intersecting
-	// the session's retained candidate set with the extended example spec
+	// IncrementalHits counts interactive Learn calls that kept the field's
+	// current program, re-checked against the extended example spec,
 	// instead of a cold re-synthesis.
 	IncrementalHits = "synth_incremental_hits"
-	// IncrementalFallbacks counts interactive Learn calls that had retained
-	// candidate state but fell back to a cold re-synthesis (stale committed
-	// highlighting, removed examples, budget-truncated state, or no
-	// surviving candidate).
+	// IncrementalFallbacks counts interactive Learn calls that had a
+	// reusable current program but fell back to a cold re-synthesis (budget
+	// exhausted or capped, stale committed highlighting, an example split
+	// the program's ancestor cannot explain, or a program that no longer
+	// passes).
 	IncrementalFallbacks = "synth_incremental_fallbacks"
 
 	// BatchDocs counts documents processed by the batch runtime (result

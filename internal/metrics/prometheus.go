@@ -20,7 +20,7 @@ var helpText = map[string]string{
 	PartialResults:        "Synthesis calls that exhausted their budget.",
 	PhaseLearn:            "DSL learning phase latency in seconds.",
 	PhaseValidate:         "Candidate validation phase latency in seconds.",
-	IncrementalHits:       "Interactive Learn calls served by candidate-set intersection.",
+	IncrementalHits:       "Interactive Learn calls that kept the current program.",
 	IncrementalFallbacks:  "Interactive Learn calls that fell back to cold re-synthesis.",
 	BatchDocs:             "Documents processed by the batch runtime.",
 	BatchErrors:           "Batch documents that yielded an error record.",
