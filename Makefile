@@ -4,7 +4,7 @@ GO ?= go
 # run fast and deterministic in duration; use a duration for real fuzzing).
 FUZZTIME ?= 40x
 
-.PHONY: all build vet test race check bench bench-synth bench-batch bench-interactive fuzz-smoke trace-smoke chaos-smoke shard-smoke serve-smoke obs-smoke trace
+.PHONY: all build vet fmt-check test race check bench bench-synth bench-batch bench-interactive fuzz-smoke trace-smoke chaos-smoke shard-smoke serve-smoke obs-smoke trace
 
 all: check
 
@@ -13,6 +13,15 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when gofmt would reformat any tracked Go file.
+fmt-check:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:" >&2; \
+		echo "$$unformatted" >&2; \
+		exit 1; \
+	fi
 
 test: fuzz-smoke
 	$(GO) test ./...
@@ -34,9 +43,10 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzPrefilterSound -fuzztime $(FUZZTIME) ./internal/prefilter
 	$(GO) test -run NONE -fuzz FuzzServeRequest -fuzztime $(FUZZTIME) ./internal/serve
 
-# check is what CI runs: compile everything, vet, and the race-enabled
-# test suite (which subsumes the plain one).
-check: build vet race
+# check is what the CI test job runs: compile everything, vet, gofmt, the
+# fuzz smoke, and the race-enabled test suite (which subsumes the plain
+# one).
+check: build vet fmt-check fuzz-smoke race
 
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x ./...

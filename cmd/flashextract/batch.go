@@ -8,9 +8,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"time"
 
 	"flashextract"
@@ -129,7 +127,7 @@ func runBatch(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sources, err := expandSources(cfg.globs)
+	sources, err := batch.FileSources(cfg.globs)
 	if err != nil {
 		return err
 	}
@@ -168,21 +166,18 @@ func runBatch(args []string, stdout io.Writer) error {
 		provOut = f
 	}
 	opts := flashextract.BatchOptions{
-		Program:    artifact,
-		DocType:    cfg.docType,
-		Workers:    cfg.workers,
-		DocTimeout: cfg.timeout,
-		Ordered:    cfg.ordered,
-		SelfCheck:  cfg.selfCheck,
-		Prefilter:  cfg.prefilter,
-		Dedup:      cfg.dedup,
-		Resume:     cfg.resume,
-		ShardIndex: shard.K,
-		ShardCount: shard.N,
-	}
-	if provOut != nil {
-		opts.Provenance = true
-		opts.ProvenanceOut = provOut
+		Program:       artifact,
+		DocType:       cfg.docType,
+		Workers:       cfg.workers,
+		DocTimeout:    cfg.timeout,
+		Ordered:       cfg.ordered,
+		SelfCheck:     cfg.selfCheck,
+		Prefilter:     cfg.prefilter,
+		Dedup:         cfg.dedup,
+		Resume:        cfg.resume,
+		ShardIndex:    shard.K,
+		ShardCount:    shard.N,
+		ProvenanceOut: provOut,
 	}
 
 	// Chaos mode: the -chaos spec (or the env var when the flag is empty)
@@ -210,11 +205,10 @@ func runBatch(args []string, stdout io.Writer) error {
 	baseline := runtime.NumGoroutine()
 	if cfg.admin != "" {
 		reg := metrics.NewRegistry()
-		mon := &batch.Monitor{}
+		mon := &batch.Monitor{TraceRing: cfg.traceRing}
 		opts.Metrics = reg
 		opts.Monitor = mon
 		opts.Trace = true
-		opts.TraceRing = cfg.traceRing
 		srv = admin.New(reg, mon)
 		srv.SetInjector(inj)
 		if err := srv.Start(cfg.admin); err != nil {
@@ -314,34 +308,4 @@ func checkGoroutineLeak(baseline int) error {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-}
-
-// expandSources resolves the positional arguments — paths or glob
-// patterns — into a deterministic, de-duplicated list of file sources.
-func expandSources(globs []string) ([]flashextract.BatchSource, error) {
-	seen := map[string]bool{}
-	var paths []string
-	for _, g := range globs {
-		matches, err := filepath.Glob(g)
-		if err != nil {
-			return nil, fmt.Errorf("batch: bad pattern %q: %w", g, err)
-		}
-		if matches == nil {
-			// A non-pattern path that doesn't exist should fail loudly per
-			// document, not vanish: keep it so Open reports the error.
-			matches = []string{g}
-		}
-		for _, m := range matches {
-			if !seen[m] {
-				seen[m] = true
-				paths = append(paths, m)
-			}
-		}
-	}
-	sort.Strings(paths)
-	sources := make([]flashextract.BatchSource, len(paths))
-	for i, p := range paths {
-		sources[i] = flashextract.BatchFileSource(p)
-	}
-	return sources, nil
 }

@@ -118,30 +118,3 @@ func TestBatchSubcommandErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestExpandSources(t *testing.T) {
-	dir := t.TempDir()
-	for _, n := range []string{"b.txt", "a.txt", "c.log"} {
-		writeFile(t, dir, n, "x")
-	}
-	// Overlapping patterns must dedupe; order must be sorted.
-	sources, err := expandSources([]string{
-		filepath.Join(dir, "*.txt"),
-		filepath.Join(dir, "a.txt"),
-		filepath.Join(dir, "*"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, s := range sources {
-		names = append(names, filepath.Base(s.Name))
-	}
-	want := []string{"a.txt", "b.txt", "c.log"}
-	if strings.Join(names, ",") != strings.Join(want, ",") {
-		t.Errorf("sources = %v, want %v", names, want)
-	}
-	if _, err := expandSources([]string{"[bad-pattern"}); err == nil {
-		t.Error("malformed pattern accepted")
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"flashextract"
+	"flashextract/internal/batch"
 	"flashextract/internal/logx"
 )
 
@@ -77,7 +78,7 @@ func runExplain(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sources, err := expandSources(cfg.globs)
+	sources, err := batch.FileSources(cfg.globs)
 	if err != nil {
 		return err
 	}
@@ -106,7 +107,6 @@ func runExplain(args []string, stdout io.Writer) error {
 		Workers:       1,
 		DocTimeout:    cfg.timeout,
 		Ordered:       true,
-		Provenance:    true,
 		ProvenanceOut: stdout,
 	}
 	sum, err := flashextract.RunBatch(ctx, opts, sources, records)

@@ -149,7 +149,7 @@ func runServe(args []string, stdout io.Writer) error {
 		return err
 	}
 	reg := metrics.NewRegistry()
-	mon := &batch.Monitor{}
+	mon := &batch.Monitor{TraceRing: cfg.traceRing}
 	server, err := serve.New(serve.Options{
 		Registry:       registry,
 		MaxInflight:    cfg.maxInflight,

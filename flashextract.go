@@ -164,7 +164,9 @@ func LoadProgram(data []byte, doc Document) (*SchemaProgram, error) {
 type BatchSource = batch.Source
 
 // BatchOptions configures RunBatch: the saved program artifact, document
-// type, worker count, per-document deadline, and ordered-output mode.
+// type, worker count, per-document deadline, ordered-output mode, and the
+// run-path switches (shortcut layers, chaos, self-checks, and the
+// provenance sidecar, on when ProvenanceOut is set).
 type BatchOptions = batch.Options
 
 // BatchRecord is one NDJSON line of batch output: a per-document result or

@@ -26,7 +26,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -61,23 +63,56 @@ func FileSource(path string) Source {
 	return Source{Name: path, Open: func() ([]byte, error) { return os.ReadFile(path) }}
 }
 
+// FileSources resolves paths and glob patterns into file sources, sorted
+// and de-duplicated; a pattern matching nothing is kept, so its Open
+// reports the error as a record instead of the document vanishing. The
+// CLIs and the server's scan_batch globs all expand through it.
+func FileSources(patterns []string) ([]Source, error) {
+	seen := map[string]bool{}
+	var paths []string
+	for _, g := range patterns {
+		matches, err := filepath.Glob(g)
+		if err != nil {
+			return nil, fmt.Errorf("batch: bad pattern %q: %w", g, err)
+		}
+		if matches == nil {
+			matches = []string{g}
+		}
+		for _, m := range matches {
+			if !seen[m] {
+				seen[m] = true
+				paths = append(paths, m)
+			}
+		}
+	}
+	sort.Strings(paths)
+	sources := make([]Source, len(paths))
+	for i, p := range paths {
+		sources[i] = FileSource(p)
+	}
+	return sources, nil
+}
+
 // StringSource is a Source over in-memory content.
 func StringSource(name, data string) Source {
 	return Source{Name: name, Open: func() ([]byte, error) { return []byte(data), nil }}
 }
 
 // ProgramSource supplies compiled program instances to the worker pool in
-// place of per-worker deserialization of Options.Program. Acquire hands a
-// worker an instance no other goroutine holds; Release returns it when the
-// worker drains, so instances are reused across runs without ever being
-// shared between concurrently running documents. The long-lived server's
-// program registry implements it to amortize compilation across requests.
+// place of per-worker deserialization of Options.Program. Run acquires one
+// instance per worker before dispatch — an instance no other goroutine
+// holds — and releases each when the run has drained, so instances are
+// reused across runs without ever being shared between concurrently running
+// documents. The long-lived server's program registry implements it to
+// amortize compilation across requests.
 type ProgramSource interface {
 	Acquire() (*engine.SchemaProgram, error)
 	Release(*engine.SchemaProgram)
 }
 
-// Options configures a batch run.
+// Options configures a batch run: it is the one place for the run-path
+// switches. The trace ring's bound belongs to the Monitor, which outlives
+// runs (Monitor.TraceRing).
 type Options struct {
 	// Program is the serialized schema extraction program artifact
 	// (the output of SaveProgram / engine.SaveSchemaProgram). Ignored when
@@ -107,12 +142,10 @@ type Options struct {
 	Monitor *Monitor
 	// Trace turns on per-document span trees: each document is run under
 	// its own tracer with a "doc:<name>" root span, and the finished tree
-	// is pushed into Monitor's ring. Requires Monitor (otherwise the trees
-	// would have no reader and the option is ignored).
+	// is pushed into Monitor's ring (bounded by Monitor.TraceRing). Requires
+	// Monitor (otherwise the trees would have no reader and the option is
+	// ignored).
 	Trace bool
-	// TraceRing bounds Monitor's retained trace trees; 0 means
-	// DefaultTraceRing.
-	TraceRing int
 	// Chaos arms deterministic fault injection for the run (nil = off).
 	// The injector is also installed in the per-document context, so
 	// engine-level sites (faults.SiteBudget) see it too.
@@ -143,17 +176,15 @@ type Options struct {
 	// zero values) disable sharding.
 	ShardIndex int
 	ShardCount int
-	// Provenance runs every fully-executed document with execution capture
-	// and writes one flashextract-explain/v1 frame per emitted record to
-	// ProvenanceOut — a sidecar stream aligned line-for-line with the main
-	// output. Records whose document did not re-execute the program (error
-	// paths, prefilter/dedup/resume shortcuts) get a frame with the
-	// "unavailable" reason set. The main NDJSON stream is unaffected:
-	// capture only observes operator outputs, so output is byte-identical
-	// with or without this option (see the provenance differential tests).
-	Provenance bool
-	// ProvenanceOut receives the explain frames (NDJSON); nil discards
-	// them.
+	// ProvenanceOut, when non-nil, turns on the provenance sidecar: every
+	// fully-executed document runs with execution capture, and one
+	// flashextract-explain/v1 frame per emitted record is written here —
+	// an NDJSON stream aligned line-for-line with the main output. Records
+	// whose document did not re-execute the program (error paths,
+	// prefilter/dedup/resume shortcuts) get a frame with the "unavailable"
+	// reason set. The main NDJSON stream is unaffected: capture only
+	// observes operator outputs, so output is byte-identical with or
+	// without a sidecar (see the provenance differential tests).
 	ProvenanceOut io.Writer
 }
 
@@ -164,8 +195,6 @@ const (
 	KindRead = "read"
 	// KindParse: the document's bytes did not parse as its type.
 	KindParse = "parse"
-	// KindProgram: the program artifact failed to deserialize in a worker.
-	KindProgram = "program"
 	// KindCancelled: the run's context was cancelled before or during the
 	// document.
 	KindCancelled = "cancelled"
@@ -200,23 +229,30 @@ type Record struct {
 	// Error describes the per-document failure (error records only).
 	Error string `json:"error,omitempty"`
 
-	// retries is the number of extra read attempts this document consumed,
-	// aggregated into Summary.Retries (not part of the NDJSON record).
+	// retries is the number of extra read attempts this document consumed
+	// (not part of the NDJSON record).
 	retries int
-	// drop marks a document outside this run's shard: it flows through the
-	// ordered-emission plumbing (keeping the pending map gap-free) but is
-	// never written and counts only toward Summary.ShardDropped.
-	drop bool
-	// skippedByFilter / dedupHit / resumeHit tag how a shortcut produced
-	// this record, for the run's counters and trace attributes.
-	skippedByFilter bool
-	dedupHit        bool
-	resumeHit       bool
+	// shortcut tags a record produced without running the program (not
+	// part of the NDJSON record).
+	shortcut shortcut
 	// prov is the record's marshaled flashextract-explain/v1 frame, set on
-	// the full execution path when Options.Provenance is on. Unexported, so
-	// it never perturbs the main NDJSON line.
+	// the full execution path when Options.ProvenanceOut is set. Unexported,
+	// so it never perturbs the main NDJSON line.
 	prov json.RawMessage
 }
+
+// shortcut names the run-path layer that stood in for running the program
+// on a document ("" for a full run); it is also the document span's
+// "shortcut" attribute. A shard drop is never written: it flows through
+// the ordered-emission plumbing only to keep the pending map gap-free.
+type shortcut string
+
+const (
+	shardDrop     shortcut = "shard_drop"
+	prefilterSkip shortcut = "prefilter"
+	dedupReplay   shortcut = "dedup"
+	resumeReplay  shortcut = "resume"
+)
 
 // Summary aggregates one batch run.
 type Summary struct {
@@ -249,6 +285,35 @@ type Summary struct {
 	Elapsed time.Duration
 }
 
+// add counts one collected record into the summary and the metrics sink —
+// the only place a record is counted. It reports whether the record is
+// written: a shard drop counts but produces no line.
+func (s *Summary) add(rec Record, sink metrics.Sink) bool {
+	count := func(field *int, name string, n int) {
+		*field += n
+		sink.Count(name, int64(n))
+	}
+	if rec.retries > 0 {
+		count(&s.Retries, metrics.BatchRetries, rec.retries)
+	}
+	switch rec.shortcut {
+	case shardDrop:
+		count(&s.ShardDropped, metrics.BatchShardDropped, 1)
+		return false
+	case prefilterSkip:
+		count(&s.PrefilterSkipped, metrics.BatchPrefilterSkipped, 1)
+	case dedupReplay:
+		count(&s.DedupHits, metrics.BatchDedupHits, 1)
+	case resumeReplay:
+		count(&s.ResumeHits, metrics.BatchResumeHits, 1)
+	}
+	count(&s.Docs, metrics.BatchDocs, 1)
+	if !rec.OK {
+		count(&s.Errors, metrics.BatchErrors, 1)
+	}
+	return true
+}
+
 // job pairs a source with its input position.
 type job struct {
 	index int
@@ -263,45 +328,53 @@ type job struct {
 // per-document failures are error records in the stream, not errors here.
 func Run(ctx context.Context, opts Options, sources []Source, out io.Writer) (Summary, error) {
 	start := time.Now()
-	lang, err := languageFor(opts.DocType)
+	lang, err := LanguageFor(opts.DocType)
 	if err != nil {
 		return Summary{}, err
 	}
-	// Validate the artifact once up front so a corrupt program fails the
-	// batch immediately instead of once per document; the instance also
-	// feeds the static prefilter analysis below (it is never run).
-	var prog0 *engine.SchemaProgram
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, max(len(sources), 1))
+	// One program instance per worker, deserialized or checked out before
+	// dispatch: program state is never shared between concurrent documents,
+	// and a corrupt program fails the run once, up front. Pooled instances
+	// go back when the run has drained or failed.
+	progs := make([]*engine.SchemaProgram, 0, workers)
 	if opts.Programs != nil {
-		prog0, err = opts.Programs.Acquire()
-	} else {
-		prog0, err = engine.LoadSchemaProgram(opts.Program, lang)
+		defer func() {
+			for _, p := range progs {
+				opts.Programs.Release(p)
+			}
+		}()
 	}
-	if err != nil {
-		return Summary{}, err
-	}
-	// prog0 is only read (prefilter analysis, the empty-outcome probe), so
-	// a registry-owned instance can go back to its pool as soon as the
-	// pre-run analysis is done — including on every error path.
-	releaseProg0 := func() {
-		if opts.Programs != nil && prog0 != nil {
-			opts.Programs.Release(prog0)
-			prog0 = nil
+	for len(progs) < workers {
+		var p *engine.SchemaProgram
+		if opts.Programs != nil {
+			p, err = opts.Programs.Acquire()
+		} else {
+			p, err = engine.LoadSchemaProgram(opts.Program, lang)
 		}
+		if err != nil {
+			return Summary{}, err
+		}
+		progs = append(progs, p)
 	}
-	defer releaseProg0()
 	env := &runEnv{shard: docstore.Shard{K: opts.ShardIndex, N: opts.ShardCount}}
 	if err := env.shard.Validate(); err != nil {
 		return Summary{}, err
 	}
 	if opts.Prefilter {
-		f, err := prefilter.FromSchemaProgram(prog0, opts.DocType)
+		// The analysis only reads the program, before any worker runs it.
+		f, err := prefilter.FromSchemaProgram(progs[0], opts.DocType)
 		if err != nil {
 			return Summary{}, err
 		}
 		// A non-selective filter admits everything; skip the per-document
 		// admission probe entirely rather than paying it for nothing.
 		if f.Selective() {
-			empty, err := emptyOutcome(prog0, opts.DocType, opts.SelfCheck)
+			empty, err := emptyOutcome(progs[0], opts.DocType, opts.SelfCheck)
 			if err != nil {
 				return Summary{}, err
 			}
@@ -318,20 +391,11 @@ func Run(ctx context.Context, opts Options, sources []Source, out io.Writer) (Su
 		}
 		env.manifest = m
 	}
-	releaseProg0()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(sources) && len(sources) > 0 {
-		workers = len(sources)
-	}
 	sink := opts.Metrics
 	if sink == nil {
 		sink = metrics.Nop
 	}
 	mon := opts.Monitor
-	mon.setRingCap(opts.TraceRing)
 	mon.runStarted(start)
 	ctx = faults.Into(ctx, opts.Chaos)
 	log := logx.From(ctx)
@@ -360,35 +424,14 @@ func Run(ctx context.Context, opts Options, sources []Source, out io.Writer) (Su
 	}()
 
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for _, prog := range progs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			mon.workerUp()
 			defer mon.workerDown()
-			// Each worker gets its own program instance — deserialized here,
-			// or checked out of the ProgramSource pool — so program state is
-			// never shared across concurrently running documents.
-			var prog *engine.SchemaProgram
-			var err error
-			if opts.Programs != nil {
-				prog, err = opts.Programs.Acquire()
-				if prog != nil {
-					defer opts.Programs.Release(prog)
-				}
-			} else {
-				prog, err = engine.LoadSchemaProgram(opts.Program, lang)
-			}
 			for j := range jobs {
-				var rec Record
-				if err != nil {
-					rec = Record{Doc: j.src.Name, Index: j.index, Kind: KindProgram, Error: err.Error()}
-					mon.docStarted()
-					mon.docFinished(false, nil)
-				} else {
-					rec = processDoc(ctx, prog, opts, env, j, sink)
-				}
-				results <- rec
+				results <- processDoc(ctx, prog, opts, env, j, sink)
 			}
 		}()
 	}
@@ -400,32 +443,14 @@ func Run(ctx context.Context, opts Options, sources []Source, out io.Writer) (Su
 	sum := Summary{}
 	var writeErr error
 	emit := func(rec Record) {
-		sum.Retries += rec.retries
-		if rec.drop {
-			sum.ShardDropped++
-			return
-		}
-		sum.Docs++
-		if !rec.OK {
-			sum.Errors++
-		}
-		if rec.skippedByFilter {
-			sum.PrefilterSkipped++
-		}
-		if rec.dedupHit {
-			sum.DedupHits++
-		}
-		if rec.resumeHit {
-			sum.ResumeHits++
-		}
-		if writeErr != nil {
+		if !sum.add(rec, sink) || writeErr != nil {
 			return
 		}
 		writeErr = writeRecord(out, rec)
 		// The provenance sidecar is written by the same emit path as the
 		// record, so ordered runs order the two streams identically and a
 		// frame exists for every emitted line.
-		if writeErr == nil && opts.Provenance && opts.ProvenanceOut != nil {
+		if writeErr == nil && opts.ProvenanceOut != nil {
 			writeErr = writeProvenance(opts.ProvenanceOut, rec)
 		}
 	}
@@ -539,34 +564,16 @@ func processDoc(ctx context.Context, prog *engine.SchemaProgram, opts Options, e
 			rec.Kind = KindPanic
 			rec.Error = fmt.Sprintf("panic: %v", r)
 		}
-		if rec.drop {
-			// Outside this run's shard: no record, no error accounting —
-			// only the drop counter and the monitor's conservation pair.
-			sink.Count(metrics.BatchShardDropped, 1)
-			opts.Monitor.addShardDropped(1)
-			root.SetBool("shard_dropped", true)
+		// The collector counts the record when it is emitted; here the
+		// document only leaves the monitor's in-flight set and, unless the
+		// shard dropped it, gives its latency sample.
+		if rec.shortcut != "" {
+			root.SetString("shortcut", string(rec.shortcut))
+		}
+		if rec.shortcut == shardDrop {
 			root.End()
 			opts.Monitor.docFinished(true, root)
 			return
-		}
-		sink.Count(metrics.BatchDocs, 1)
-		if !rec.OK {
-			sink.Count(metrics.BatchErrors, 1)
-		}
-		if rec.skippedByFilter {
-			sink.Count(metrics.BatchPrefilterSkipped, 1)
-			opts.Monitor.addPrefilterSkipped(1)
-			root.SetBool("prefilter_skipped", true)
-		}
-		if rec.dedupHit {
-			sink.Count(metrics.BatchDedupHits, 1)
-			opts.Monitor.addDedupHits(1)
-			root.SetBool("dedup_replayed", true)
-		}
-		if rec.resumeHit {
-			sink.Count(metrics.BatchResumeHits, 1)
-			opts.Monitor.addResumeHits(1)
-			root.SetBool("resume_replayed", true)
 		}
 		sink.Observe(metrics.BatchDocSeconds, time.Since(start).Seconds())
 		root.SetBool("ok", rec.OK)
@@ -614,11 +621,7 @@ func processDoc(ctx context.Context, prog *engine.SchemaProgram, opts Options, e
 		data, oerr = j.src.Open()
 		return oerr
 	})
-	if tries > 1 {
-		rec.retries = tries - 1
-		sink.Count(metrics.BatchRetries, int64(tries-1))
-		opts.Monitor.addRetries(int64(tries - 1))
-	}
+	rec.retries = tries - 1
 	if err != nil {
 		rec.Kind = KindRead
 		rec.Error = err.Error()
@@ -635,13 +638,13 @@ func processDoc(ctx context.Context, prog *engine.SchemaProgram, opts Options, e
 		// no record at all — regardless of the prefilter — so the n shards'
 		// outputs union exactly to the unsharded run.
 		if !env.shard.Owns(dg) {
-			rec.drop = true
+			rec.shortcut = shardDrop
 			return rec
 		}
 		// Resume: replay the persisted outcome of an earlier run.
 		if env.manifest != nil {
 			if oc, ok := env.manifest.Lookup(dg); ok {
-				rec.resumeHit = true
+				rec.shortcut = resumeReplay
 				applyOutcome(ctx, inj, j.src.Name, &rec, oc)
 				return rec
 			}
@@ -665,7 +668,7 @@ func processDoc(ctx context.Context, prog *engine.SchemaProgram, opts Options, e
 				select {
 				case <-done:
 					if oc := env.store.Outcome(dg); oc != nil {
-						rec.dedupHit = true
+						rec.shortcut = dedupReplay
 						applyOutcome(ctx, inj, j.src.Name, &rec, oc)
 						return rec
 					}
@@ -691,7 +694,7 @@ func processDoc(ctx context.Context, prog *engine.SchemaProgram, opts Options, e
 	// (Admit returns true for documents its substrate scanner rejects, so
 	// parse errors always surface through the full path below.)
 	if env.filter != nil && !env.filter.Admit(string(data)) {
-		rec.skippedByFilter = true
+		rec.shortcut = prefilterSkip
 		applyOutcome(ctx, inj, j.src.Name, &rec, env.empty)
 		return rec
 	}
@@ -721,7 +724,7 @@ func processDoc(ctx context.Context, prog *engine.SchemaProgram, opts Options, e
 	}
 	var inst *engine.Instance
 	var caps map[string]*core.ExecCapture
-	if opts.Provenance {
+	if opts.ProvenanceOut != nil {
 		inst, _, caps, err = prog.RunCapturedContext(dctx, doc)
 	} else {
 		inst, _, err = prog.RunContext(dctx, doc)
@@ -746,7 +749,7 @@ func processDoc(ctx context.Context, prog *engine.SchemaProgram, opts Options, e
 	}
 	rec.OK = true
 	rec.Data = raw
-	if opts.Provenance {
+	if opts.ProvenanceOut != nil {
 		frame := provenance.Explain(prog, inst, caps, j.src.Name, j.index)
 		frame.RequestID = reqid.From(ctx)
 		if fb, err := json.Marshal(frame); err == nil {
@@ -778,18 +781,18 @@ func writeProvenance(out io.Writer, rec Record) error {
 
 // unavailableReason classifies why a record carries no captured frame.
 func unavailableReason(rec Record) string {
-	switch {
-	case rec.skippedByFilter:
+	switch rec.shortcut {
+	case prefilterSkip:
 		return "prefilter: document provably yields zero matches; program not re-executed"
-	case rec.dedupHit:
+	case dedupReplay:
 		return "dedup: outcome replayed from an identical document"
-	case rec.resumeHit:
+	case resumeReplay:
 		return "resume: outcome replayed from an earlier run's manifest"
-	case !rec.OK:
-		return "error: " + rec.Kind
-	default:
-		return "not captured"
 	}
+	if !rec.OK {
+		return "error: " + rec.Kind
+	}
+	return "not captured"
 }
 
 // applyOutcome copies a replayed (or precomputed) outcome into the record,
@@ -923,13 +926,9 @@ func writeRecord(out io.Writer, rec Record) error {
 }
 
 // LanguageFor returns the DSL of a document type ("text", "web", or
-// "sheet"), for deserializing program artifacts outside a run — the
-// server's program registry compiles catalog entries with it.
-func LanguageFor(docType string) (engine.Language, error) { return languageFor(docType) }
-
-// languageFor returns the DSL of a document type, for deserializing the
-// program artifact.
-func languageFor(docType string) (engine.Language, error) {
+// "sheet"), for deserializing program artifacts — a run's own, and the
+// catalog entries the server's program registry compiles.
+func LanguageFor(docType string) (engine.Language, error) {
 	switch docType {
 	case "text":
 		return textlang.NewDocument("").Language(), nil

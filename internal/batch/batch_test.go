@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -361,6 +363,82 @@ func TestBatchUnorderedCoversAll(t *testing.T) {
 	}
 }
 
+// countingSource is a ProgramSource that deserializes a fresh instance per
+// Acquire and counts the calls; Acquire number failAt (1-based) fails.
+type countingSource struct {
+	artifact []byte
+	failAt   int
+
+	mu                 sync.Mutex
+	acquires, releases int
+}
+
+var errAcquire = errors.New("acquire failed")
+
+func (c *countingSource) Acquire() (*engine.SchemaProgram, error) {
+	c.mu.Lock()
+	c.acquires++
+	n := c.acquires
+	c.mu.Unlock()
+	if n == c.failAt {
+		return nil, errAcquire
+	}
+	lang, err := batch.LanguageFor("text")
+	if err != nil {
+		return nil, err
+	}
+	return engine.LoadSchemaProgram(c.artifact, lang)
+}
+
+func (c *countingSource) Release(*engine.SchemaProgram) {
+	c.mu.Lock()
+	c.releases++
+	c.mu.Unlock()
+}
+
+// TestProgramSourceOnePerWorker: Run checks out exactly one instance per
+// worker, the prefilter analysis included, and returns each; a failed
+// checkout fails the run before any record and returns what it took.
+func TestProgramSourceOnePerWorker(t *testing.T) {
+	prog := learnTextProgram(t)
+	sources := []batch.Source{
+		batch.StringSource("a.txt", chairDoc("Bistro", "75.40")),
+		batch.StringSource("b.txt", chairDoc("Windsor", "185.00")),
+		batch.StringSource("c.txt", "not a chair document at all"),
+	}
+	for _, workers := range []int{1, 3} {
+		src := &countingSource{artifact: prog}
+		var out bytes.Buffer
+		sum, err := batch.Run(context.Background(), batch.Options{
+			Programs: src, DocType: "text", Workers: workers, Ordered: true, Prefilter: true,
+		}, sources, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Docs != len(sources) {
+			t.Fatalf("%d workers: summary = %+v", workers, sum)
+		}
+		if src.acquires != workers || src.releases != workers {
+			t.Errorf("%d workers: %d acquires, %d releases, want %d each",
+				workers, src.acquires, src.releases, workers)
+		}
+	}
+	src := &countingSource{artifact: prog, failAt: 2}
+	var out bytes.Buffer
+	_, err := batch.Run(context.Background(), batch.Options{
+		Programs: src, DocType: "text", Workers: 3, Ordered: true,
+	}, sources, &out)
+	if !errors.Is(err, errAcquire) {
+		t.Fatalf("err = %v, want the Acquire error", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("records written after a failed Acquire: %q", out.String())
+	}
+	if src.acquires != 2 || src.releases != 1 {
+		t.Errorf("%d acquires, %d releases, want 2 and 1", src.acquires, src.releases)
+	}
+}
+
 func TestBatchBadOptions(t *testing.T) {
 	prog := learnTextProgram(t)
 	var out bytes.Buffer
@@ -400,5 +478,40 @@ func TestBatchWriteErrorSurfaces(t *testing.T) {
 	}, sources, &failingWriter{})
 	if err == nil || !strings.Contains(err.Error(), "pipe closed") {
 		t.Fatalf("err = %v, want write error", err)
+	}
+}
+
+func TestFileSources(t *testing.T) {
+	dir := t.TempDir()
+	for _, n := range []string{"b.txt", "a.txt", "c.log"} {
+		if err := os.WriteFile(filepath.Join(dir, n), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Overlapping patterns must dedupe; order must be sorted; a path that
+	// matches nothing is kept, so its Open reports the error.
+	missing := filepath.Join(dir, "missing.txt")
+	sources, err := batch.FileSources([]string{
+		filepath.Join(dir, "*.txt"),
+		filepath.Join(dir, "a.txt"),
+		filepath.Join(dir, "*"),
+		missing,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, s := range sources {
+		names = append(names, filepath.Base(s.Name))
+	}
+	want := []string{"a.txt", "b.txt", "c.log", "missing.txt"}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Errorf("sources = %v, want %v", names, want)
+	}
+	if _, err := sources[3].Open(); err == nil {
+		t.Errorf("Open(%s) succeeded", missing)
+	}
+	if _, err := batch.FileSources([]string{"[bad-pattern"}); err == nil {
+		t.Error("malformed pattern accepted")
 	}
 }

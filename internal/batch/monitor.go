@@ -15,7 +15,7 @@ import (
 )
 
 // DefaultTraceRing bounds how many finished document span trees a Monitor
-// retains for /trace/last when Options.TraceRing is zero.
+// retains for /trace/last when Monitor.TraceRing is zero.
 const DefaultTraceRing = 32
 
 // Monitor aggregates the live state of the batch runtime. One Monitor can
@@ -25,25 +25,29 @@ const DefaultTraceRing = 32
 // ready to use; pass it via Options.Monitor and hand the same instance to
 // the admin server. A nil *Monitor is a valid no-op receiver throughout,
 // so the batch hot path carries no conditionals at call sites.
+//
+// The monitor holds liveness and conservation state only; what the run's
+// records were (retries, shortcuts, shard drops) is counted once, into the
+// run Summary and the metrics sink, which the admin server serves at
+// /metrics.
 type Monitor struct {
-	workersAlive     atomic.Int64
-	submitted        atomic.Int64
-	inFlight         atomic.Int64
-	processed        atomic.Int64
-	failed           atomic.Int64
-	retries          atomic.Int64
-	prefilterSkipped atomic.Int64
-	dedupHits        atomic.Int64
-	resumeHits       atomic.Int64
-	shardDropped     atomic.Int64
-	activeRuns       atomic.Int64 // Runs started and not yet drained
-	runs             atomic.Int64 // total Runs ever started
-	started          atomic.Int64 // unix nanos of the first Run start; 0 = never
-	finished         atomic.Int64 // unix nanos of the last drain; 0 = running
+	// TraceRing bounds the finished document span trees retained for
+	// /trace/last; 0 means DefaultTraceRing. Set it before the monitor's
+	// first run.
+	TraceRing int
 
-	mu      sync.Mutex
-	ring    []*trace.Span // finished document root spans, oldest first
-	ringCap int
+	workersAlive atomic.Int64
+	submitted    atomic.Int64
+	inFlight     atomic.Int64
+	processed    atomic.Int64
+	failed       atomic.Int64
+	activeRuns   atomic.Int64 // Runs started and not yet drained
+	runs         atomic.Int64 // total Runs ever started
+	started      atomic.Int64 // unix nanos of the first Run start; 0 = never
+	finished     atomic.Int64 // unix nanos of the last drain; 0 = running
+
+	mu   sync.Mutex
+	ring []*trace.Span // finished document root spans, oldest first
 }
 
 // Health is the point-in-time snapshot served by /healthz.
@@ -61,38 +65,11 @@ type Health struct {
 	Processed int64 `json:"processed"`
 	// Failed is the number of error records among them.
 	Failed int64 `json:"failed"`
-	// Retries is the number of retried document-read attempts.
-	Retries int64 `json:"retries"`
-	// PrefilterSkipped is the number of documents the static admission
-	// test rejected (run short-circuited to the precomputed empty result).
-	PrefilterSkipped int64 `json:"prefilter_skipped"`
-	// DedupHits is the number of documents replayed from an identical
-	// blob already extracted in this run.
-	DedupHits int64 `json:"dedup_hits"`
-	// ResumeHits is the number of documents replayed from the resume
-	// manifest of an earlier run.
-	ResumeHits int64 `json:"resume_hits"`
-	// ShardDropped is the number of documents outside this process's
-	// hash-range shard.
-	ShardDropped int64 `json:"shard_dropped"`
 	// Runs is the number of batch runs this monitor has seen — 1 for a
 	// one-shot batch, one per scan/scan_batch request in the server.
 	Runs int64 `json:"runs"`
 	// UptimeSeconds is the time since the first run started (0 before it).
 	UptimeSeconds float64 `json:"uptime_seconds"`
-}
-
-// setRingCap sets the trace ring bound; values <= 0 select DefaultTraceRing.
-func (m *Monitor) setRingCap(n int) {
-	if m == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultTraceRing
-	}
-	m.mu.Lock()
-	m.ringCap = n
-	m.mu.Unlock()
 }
 
 // runStarted marks the beginning of one batch run. Runs may overlap: the
@@ -147,39 +124,6 @@ func (m *Monitor) docStarted() {
 	}
 }
 
-// addRetries records n retried document-read attempts.
-func (m *Monitor) addRetries(n int64) {
-	if m != nil {
-		m.retries.Add(n)
-	}
-}
-
-// addPrefilterSkipped / addDedupHits / addResumeHits / addShardDropped
-// record the run-path shortcuts of the prefilter and docstore layers.
-func (m *Monitor) addPrefilterSkipped(n int64) {
-	if m != nil {
-		m.prefilterSkipped.Add(n)
-	}
-}
-
-func (m *Monitor) addDedupHits(n int64) {
-	if m != nil {
-		m.dedupHits.Add(n)
-	}
-}
-
-func (m *Monitor) addResumeHits(n int64) {
-	if m != nil {
-		m.resumeHits.Add(n)
-	}
-}
-
-func (m *Monitor) addShardDropped(n int64) {
-	if m != nil {
-		m.shardDropped.Add(n)
-	}
-}
-
 // docFinished marks one document leaving processing and records its
 // outcome and, when tracing was on, its finished root span.
 func (m *Monitor) docFinished(ok bool, root *trace.Span) {
@@ -194,20 +138,22 @@ func (m *Monitor) docFinished(ok bool, root *trace.Span) {
 	m.RecordTrace(root)
 }
 
-// RecordTrace inserts a finished document root span into the bounded
-// trace ring (nil spans are ignored). The batch runtime calls this for
-// every traced document; embedders running documents outside Run can use
-// it to surface their own traces through /trace/last.
+// RecordTrace inserts a finished document root span into the trace ring,
+// which keeps the newest TraceRing trees (nil spans are ignored). The batch
+// runtime calls this for every traced document; embedders running
+// documents outside Run can use it to surface their own traces through
+// /trace/last.
 func (m *Monitor) RecordTrace(root *trace.Span) {
 	if m == nil || root == nil {
 		return
 	}
-	m.mu.Lock()
-	if m.ringCap == 0 {
-		m.ringCap = DefaultTraceRing
+	bound := m.TraceRing
+	if bound <= 0 {
+		bound = DefaultTraceRing
 	}
+	m.mu.Lock()
 	m.ring = append(m.ring, root)
-	if over := len(m.ring) - m.ringCap; over > 0 {
+	if over := len(m.ring) - bound; over > 0 {
 		m.ring = append(m.ring[:0], m.ring[over:]...)
 	}
 	m.mu.Unlock()
@@ -241,17 +187,12 @@ func (m *Monitor) Health() Health {
 		return Health{Status: "idle"}
 	}
 	h := Health{
-		WorkersAlive:     m.workersAlive.Load(),
-		Submitted:        m.submitted.Load(),
-		InFlight:         m.inFlight.Load(),
-		Processed:        m.processed.Load(),
-		Failed:           m.failed.Load(),
-		Retries:          m.retries.Load(),
-		PrefilterSkipped: m.prefilterSkipped.Load(),
-		DedupHits:        m.dedupHits.Load(),
-		ResumeHits:       m.resumeHits.Load(),
-		ShardDropped:     m.shardDropped.Load(),
-		Runs:             m.runs.Load(),
+		WorkersAlive: m.workersAlive.Load(),
+		Submitted:    m.submitted.Load(),
+		InFlight:     m.inFlight.Load(),
+		Processed:    m.processed.Load(),
+		Failed:       m.failed.Load(),
+		Runs:         m.runs.Load(),
 	}
 	started := m.started.Load()
 	finished := m.finished.Load()

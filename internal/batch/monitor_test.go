@@ -78,28 +78,31 @@ func TestMonitorTracksRun(t *testing.T) {
 }
 
 // TestMonitorRingBound asserts the trace ring drops oldest-first at its
-// bound.
+// bound, and that the bound is the monitor's: a second run sharing the
+// monitor, as every request of a server does, keeps it.
 func TestMonitorRingBound(t *testing.T) {
-	mon := &batch.Monitor{}
+	mon := &batch.Monitor{TraceRing: 2}
 	prog := learnTextProgram(t)
-	var sources []batch.Source
-	for _, n := range []string{"1", "2", "3", "4", "5"} {
-		sources = append(sources, batch.StringSource(n, chairDoc("Tulip", "99.99")))
-	}
-	var out bytes.Buffer
-	_, err := batch.Run(context.Background(), batch.Options{
-		Program: prog, DocType: "text", Workers: 1, Ordered: true,
-		Monitor: mon, Trace: true, TraceRing: 2,
-	}, sources, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roots := mon.RecentTraces(0)
-	if len(roots) != 2 {
-		t.Fatalf("ring size = %d, want 2", len(roots))
-	}
-	if roots[0].Name() != "doc:5" || roots[1].Name() != "doc:4" {
-		t.Fatalf("ring = %q, %q, want newest first", roots[0].Name(), roots[1].Name())
+	for _, names := range [][]string{{"1", "2", "3", "4", "5"}, {"6", "7", "8", "9", "10"}} {
+		var sources []batch.Source
+		for _, n := range names {
+			sources = append(sources, batch.StringSource(n, chairDoc("Tulip", "99.99")))
+		}
+		var out bytes.Buffer
+		_, err := batch.Run(context.Background(), batch.Options{
+			Program: prog, DocType: "text", Workers: 1, Ordered: true,
+			Monitor: mon, Trace: true,
+		}, sources, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots := mon.RecentTraces(0)
+		if len(roots) != 2 {
+			t.Fatalf("ring size = %d after %v, want 2", len(roots), names)
+		}
+		if want := []string{"doc:" + names[4], "doc:" + names[3]}; roots[0].Name() != want[0] || roots[1].Name() != want[1] {
+			t.Fatalf("ring = %q, %q, want %q newest first", roots[0].Name(), roots[1].Name(), want)
+		}
 	}
 }
 

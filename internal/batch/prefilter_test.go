@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"flashextract/internal/bench"
 	"flashextract/internal/bench/corpus"
 	"flashextract/internal/faults"
+	"flashextract/internal/metrics"
 )
 
 // domainPrograms learns one schema program per domain (on the first corpus
@@ -230,6 +232,64 @@ func TestShardUnion(t *testing.T) {
 	sort.Strings(want)
 	if !equalStrings(union, want) {
 		t.Fatalf("shard union (%d records) differs from unsharded run (%d records)", len(union), len(want))
+	}
+}
+
+// TestCountersMatchSummary: the collector counts each record once, into
+// the run Summary and the metrics sink alike, so with every shortcut layer
+// on — prefilter, dedup, resume and a shard — under chaos with retries,
+// every batch_* counter equals its Summary field. A run with resume
+// replays an in-run duplicate from the manifest its original was just
+// journaled to, so a second run without resume supplies the dedup hits.
+func TestCountersMatchSummary(t *testing.T) {
+	prog, real := learnDomain(t, "text")
+	sources := paddedSources("text", real, 8)
+	// Copies of the last documents are duplicates, and a source that cannot
+	// be read is an error record.
+	for _, src := range sources[len(sources)-6:] {
+		sources = append(sources, batch.StringSource("copy-"+src.Name, sourceContent(t, src)))
+	}
+	sources = append(sources, batch.Source{Name: "unreadable",
+		Open: func() ([]byte, error) { return nil, os.ErrNotExist }})
+	manifest := filepath.Join(t.TempDir(), "manifest.ndjson")
+	base := batch.Options{Program: prog, DocType: "text", Ordered: true, Workers: 3,
+		Prefilter: true, Dedup: true, ShardIndex: 1, ShardCount: 2}
+	// The first half is journaled, for the resumed run to replay.
+	journal := base
+	journal.Resume = manifest
+	runBatch(t, journal, sources[:len(sources)/2])
+
+	exercised := map[string]bool{}
+	for _, resume := range []string{manifest, ""} {
+		reg := metrics.NewRegistry()
+		opts := base
+		opts.Resume, opts.Metrics, opts.Chaos, opts.SelfCheck = resume, reg, faults.New(3), true
+		_, sum := runBatch(t, opts, sources)
+		want := map[string]int{
+			metrics.BatchDocs:             sum.Docs,
+			metrics.BatchErrors:           sum.Errors,
+			metrics.BatchRetries:          sum.Retries,
+			metrics.BatchPrefilterSkipped: sum.PrefilterSkipped,
+			metrics.BatchDedupHits:        sum.DedupHits,
+			metrics.BatchResumeHits:       sum.ResumeHits,
+			metrics.BatchShardDropped:     sum.ShardDropped,
+		}
+		for name := range reg.Snapshot().Counters {
+			if _, ok := want[name]; strings.HasPrefix(name, "batch_") && !ok {
+				t.Errorf("counter %s has no Summary field to compare with", name)
+			}
+		}
+		for name, w := range want {
+			if got := reg.Counter(name); got != int64(w) {
+				t.Errorf("resume %q: %s = %d, Summary says %d", resume, name, got, w)
+			}
+			exercised[name] = exercised[name] || w > 0
+		}
+	}
+	for name, ok := range exercised {
+		if !ok {
+			t.Errorf("%s is 0 in every run: the test does not exercise it", name)
+		}
 	}
 }
 

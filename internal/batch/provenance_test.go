@@ -39,11 +39,10 @@ func TestProvenanceDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(prov bool, provOut *bytes.Buffer) string {
+			run := func(provOut *bytes.Buffer) string {
 				var out bytes.Buffer
 				opts := batch.Options{
 					Program: prog, DocType: domain, Workers: 4, Ordered: true,
-					Provenance: prov,
 				}
 				if provOut != nil {
 					opts.ProvenanceOut = provOut
@@ -54,8 +53,8 @@ func TestProvenanceDifferential(t *testing.T) {
 				return out.String()
 			}
 			var sidecar bytes.Buffer
-			off := run(false, nil)
-			on := run(true, &sidecar)
+			off := run(nil)
+			on := run(&sidecar)
 			if off != on {
 				t.Errorf("provenance-on output differs from provenance-off:\n--- off ---\n%s--- on ---\n%s", off, on)
 			}
@@ -109,8 +108,7 @@ func TestProvenanceDifferentialUnderChaos(t *testing.T) {
 		var out, sidecar bytes.Buffer
 		if _, err := batch.Run(context.Background(), batch.Options{
 			Program: prog, DocType: "text", Workers: 3, Ordered: true,
-			Provenance: true, ProvenanceOut: &sidecar,
-			Chaos: faults.New(seed), SelfCheck: true,
+			Chaos: faults.New(seed), SelfCheck: true, ProvenanceOut: &sidecar,
 		}, sources, &out); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -135,7 +133,7 @@ func TestProvenanceShortcutFrames(t *testing.T) {
 	var out, sidecar bytes.Buffer
 	sum, err := batch.Run(context.Background(), batch.Options{
 		Program: prog, DocType: "text", Workers: 1, Ordered: true,
-		Dedup: true, Provenance: true, ProvenanceOut: &sidecar,
+		Dedup: true, ProvenanceOut: &sidecar,
 	}, sources, &out)
 	if err != nil {
 		t.Fatal(err)

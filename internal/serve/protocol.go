@@ -210,8 +210,6 @@ func codeForKind(kind string) string {
 		return CodeDeadline
 	case batch.KindCancelled:
 		return CodeCancelled
-	case batch.KindProgram:
-		return CodeInternal
 	default:
 		return "doc_" + kind
 	}

@@ -109,7 +109,7 @@ func newAccessLog(w io.Writer) *accessLog {
 	return &accessLog{w: w}
 }
 
-func (a *accessLog) write(ri *reqInfo, req Request, status string, lat time.Duration, resp *Response) {
+func (a *accessLog) write(ri *reqInfo, status string, lat time.Duration, resp *Response) {
 	if a.w == nil {
 		return
 	}
@@ -120,9 +120,9 @@ func (a *accessLog) write(ri *reqInfo, req Request, status string, lat time.Dura
 	line, err := json.Marshal(accessEntry{
 		Schema:    AccessLogSchema,
 		RequestID: ri.id,
-		ID:        req.ID,
-		Op:        req.Op,
-		Program:   req.Program,
+		ID:        ri.req.ID,
+		Op:        ri.req.Op,
+		Program:   ri.req.Program,
 		Docs:      ri.docs,
 		Status:    status,
 		LatencyMS: float64(lat) / float64(time.Millisecond),

@@ -9,9 +9,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flashextract/internal/batch"
@@ -195,7 +194,9 @@ func (s *Server) prepare(req Request) (*scanWork, Response) {
 			}
 			w.sources = append(w.sources, batch.StringSource(name, d.Content))
 		}
-		files, err := expandGlobs(req.Globs)
+		// Globs expand exactly as the batch CLI's arguments do, so
+		// scan_batch over globs is byte-identical to a one-shot batch.
+		files, err := batch.FileSources(req.Globs)
 		if err != nil {
 			return nil, errorResponse(req.ID, req.Op, CodeBadRequest, err.Error())
 		}
@@ -209,38 +210,6 @@ func (s *Server) prepare(req Request) (*scanWork, Response) {
 			fmt.Sprintf("serve: admitting %d document(s) would exceed the in-flight limit of %d", w.docs, s.opts.MaxInflight))
 	}
 	return w, Response{}
-}
-
-// expandGlobs resolves server-side paths/patterns into a deterministic,
-// de-duplicated list of file sources — the same semantics as the batch
-// CLI's positional arguments, so scan_batch over globs is byte-identical
-// to a one-shot batch over them.
-func expandGlobs(globs []string) ([]batch.Source, error) {
-	seen := map[string]bool{}
-	var paths []string
-	for _, g := range globs {
-		matches, err := filepath.Glob(g)
-		if err != nil {
-			return nil, fmt.Errorf("serve: bad glob %q: %w", g, err)
-		}
-		if matches == nil {
-			// A non-pattern path that doesn't exist fails loudly per
-			// document, not silently: keep it so Open reports the error.
-			matches = []string{g}
-		}
-		for _, m := range matches {
-			if !seen[m] {
-				seen[m] = true
-				paths = append(paths, m)
-			}
-		}
-	}
-	sort.Strings(paths)
-	sources := make([]batch.Source, len(paths))
-	for i, p := range paths {
-		sources[i] = batch.FileSource(p)
-	}
-	return sources, nil
 }
 
 // run executes admitted work through the batch worker pool, capturing the
@@ -272,7 +241,6 @@ func (s *Server) run(ctx context.Context, w *scanWork) Response {
 		Prefilter:  s.opts.Prefilter,
 	}
 	if w.req.Op == OpExplain {
-		opts.Provenance = true
 		opts.ProvenanceOut = &provBuf
 	}
 	sum, err := batch.Run(ctx, opts, w.sources, &buf)
@@ -353,33 +321,58 @@ func scanOp(op string) bool {
 	return op == OpScan || op == OpScanBatch || op == OpExplain
 }
 
-// reqInfo is the per-request observability state minted at frame receipt:
-// the request id, the start time, the admitted document count, and the
-// request root span (tracing on, extraction ops only).
+// reqInfo is one request in progress, minted at frame receipt: the decoded
+// request, its id and request-scoped context, the start time, the
+// admitted extraction with its document count, and the request root span
+// (tracing on, extraction ops only).
 type reqInfo struct {
+	req   Request
 	id    string
+	ctx   context.Context
 	start time.Time
+	work  *scanWork
 	docs  int
 	root  *trace.Span
 }
 
-// startRequest mints a request id, installs it in the context, and — for
-// extraction ops under tracing — starts the request root span that
-// processDoc parents each document's span under.
-func (s *Server) startRequest(ctx context.Context, op string, start time.Time) (context.Context, *reqInfo) {
-	ri := &reqInfo{id: reqid.New(), start: start}
-	ctx = reqid.Into(ctx, ri.id)
-	if s.opts.Trace && scanOp(op) {
-		ctx, ri.root = trace.NewTracer().StartRoot(ctx, "request:"+op)
+// accept decodes one frame and starts its request: it mints the request
+// id, installs it in the context, and — for extraction ops under tracing —
+// starts the request root span that processDoc parents each document's
+// span under. Every frame that runs no extraction is answered on the spot
+// (malformed input, a refused scan, list_programs, reload, an unknown op);
+// the rest is the transport's: an admitted extraction (ri.work set) to
+// run, or close.
+func (s *Server) accept(ctx context.Context, line []byte) (ri *reqInfo, resp Response, answered bool) {
+	start := time.Now()
+	req, ferr := decodeRequest(line)
+	ri = &reqInfo{req: req, id: reqid.New(), start: start}
+	ri.ctx = reqid.Into(ctx, ri.id)
+	if s.opts.Trace && scanOp(req.Op) {
+		ri.ctx, ri.root = trace.NewTracer().StartRoot(ri.ctx, "request:"+req.Op)
 		ri.root.SetString("request_id", ri.id)
 	}
-	return ctx, ri
+	switch {
+	case ferr != nil:
+		return ri, Response{ID: req.ID, Op: req.Op, Error: ferr}, true
+	case scanOp(req.Op):
+		work, eresp := s.prepare(req)
+		if work == nil {
+			return ri, eresp, true
+		}
+		ri.work, ri.docs = work, work.docs
+		return ri, Response{}, false
+	case req.Op == OpClose:
+		return ri, Response{}, false
+	default:
+		return ri, s.handleSync(req), true
+	}
 }
 
 // observe records one handled frame everywhere the request is visible:
 // the serve metrics, the request root span, the slow-request ring, and
 // the access log.
-func (s *Server) observe(req Request, ri *reqInfo, resp *Response) {
+func (s *Server) observe(ri *reqInfo, resp *Response) {
+	req := ri.req
 	lat := time.Since(ri.start)
 	s.opts.Metrics.Count(metrics.ServeRequests, 1)
 	if resp.Error != nil {
@@ -419,7 +412,7 @@ func (s *Server) observe(req Request, ri *reqInfo, resp *Response) {
 			Trace:     node,
 		})
 	}
-	s.access.write(ri, req, status, lat, resp)
+	s.access.write(ri, status, lat, resp)
 }
 
 // RequestsHandler serves the slow-request ring as
@@ -439,38 +432,34 @@ func (s *Server) RequestsHandler() http.HandlerFunc {
 // HandleLine answers one protocol frame synchronously: every input yields
 // exactly one response frame, malformed input included. It backs the HTTP
 // /rpc transport and the protocol fuzzer; the stream transport (Serve)
-// runs the same handlers but overlaps scan/scan_batch requests. close is
-// stream-level flow control and is rejected here.
+// accepts frames the same way but overlaps scan/scan_batch requests. close
+// is stream-level flow control and is rejected here.
 func (s *Server) HandleLine(ctx context.Context, line []byte) Response {
-	start := time.Now()
-	var resp Response
-	req, ferr := decodeRequest(line)
-	ctx, ri := s.startRequest(ctx, req.Op, start)
+	ri, resp, answered := s.accept(ctx, line)
 	switch {
-	case ferr != nil:
-		resp = Response{ID: req.ID, Op: req.Op, Error: ferr}
-	case scanOp(req.Op):
-		work, eresp := s.prepare(req)
-		if work == nil {
-			resp = eresp
-		} else {
-			ri.docs = work.docs
-			resp = s.run(ctx, work)
-		}
-	case req.Op == OpClose:
-		resp = errorResponse(req.ID, req.Op, CodeBadRequest, "serve: close is only valid on the stream transport")
-	default:
-		resp = s.handleSync(req)
+	case answered:
+	case ri.work != nil:
+		resp = s.run(ri.ctx, ri.work)
+	default: // close
+		resp = errorResponse(ri.req.ID, ri.req.Op, CodeBadRequest, "serve: close is only valid on the stream transport")
 	}
-	s.observe(req, ri, &resp)
+	s.observe(ri, &resp)
 	return resp
 }
+
+// maxUnwritten bounds the response frames of one stream that are accepted
+// but not yet written: with this many outstanding, Serve reads no further
+// request until the client reads a response.
+const maxUnwritten = 64
 
 // Serve speaks the NDJSON stream protocol over in/out: the ready frame,
 // then one response frame per request line. scan and scan_batch run
 // concurrently (bounded by the in-flight document limit); list_programs,
 // reload, and close are handled in arrival order, and close drains every
-// in-flight request before its response — the last frame written.
+// in-flight request before its response — the last frame written. A
+// client may send frames before reading any response: one goroutine
+// writes the frames, so intake never waits on a blocked write until
+// maxUnwritten responses are outstanding.
 //
 // Serve returns when the input reaches EOF, a close frame is handled, the
 // context is cancelled (in-flight requests drain with cancelled records),
@@ -478,32 +467,57 @@ func (s *Server) HandleLine(ctx context.Context, line []byte) Response {
 // caller's to unblock (close the input when cancelling the context).
 func (s *Server) Serve(ctx context.Context, in io.Reader, out io.Writer) error {
 	log := logx.From(ctx)
-	var wmu sync.Mutex
-	var werr error
-	write := func(resp Response) {
+	// The writer takes frames from a bounded queue, so a write blocked on a
+	// client that is still sending stalls neither intake nor the scans
+	// finishing behind it. slots holds a token per frame accepted and not
+	// yet written, so the queue never fills. The first failed write sticks,
+	// readable without waiting on the writer; later frames are dropped.
+	slots := make(chan struct{}, maxUnwritten)
+	frames := make(chan []byte, maxUnwritten)
+	written := make(chan struct{})
+	var werr atomic.Pointer[error]
+	go func() {
+		defer close(written)
+		for line := range frames {
+			if werr.Load() == nil {
+				if _, err := out.Write(line); err != nil {
+					err = fmt.Errorf("serve: writing response: %w", err)
+					werr.Store(&err)
+				}
+			}
+			<-slots
+		}
+	}()
+	writeErr := func() error {
+		if p := werr.Load(); p != nil {
+			return *p
+		}
+		return nil
+	}
+	send := func(resp Response) {
 		line, err := json.Marshal(resp)
 		if err != nil {
 			// A response that cannot marshal is a server bug; degrade to a
 			// crafted internal error frame rather than dropping the frame.
 			line, _ = json.Marshal(errorResponse(resp.ID, resp.Op, CodeInternal, "serve: response did not marshal"))
 		}
-		line = append(line, '\n')
-		wmu.Lock()
-		defer wmu.Unlock()
-		if werr != nil {
-			return
-		}
-		_, werr = out.Write(line)
+		frames <- append(line, '\n')
 	}
-	writeErr := func() error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		if werr != nil {
-			return fmt.Errorf("serve: writing response: %w", werr)
-		}
-		return nil
+	reply := func(ri *reqInfo, resp Response) {
+		s.observe(ri, &resp)
+		send(resp)
 	}
-	write(s.Ready())
+	var wg sync.WaitGroup
+	// finish lets the in-flight requests answer and their frames be written
+	// (or dropped), so nothing Serve started outlives it.
+	finish := func() error {
+		wg.Wait()
+		close(frames)
+		<-written
+		return writeErr()
+	}
+	slots <- struct{}{}
+	send(s.Ready())
 	log.Info("serve stream open", "programs", s.opts.Registry.Len(),
 		"max_inflight", s.opts.MaxInflight)
 
@@ -528,67 +542,45 @@ func (s *Server) Serve(ctx context.Context, in io.Reader, out io.Writer) error {
 		readErr <- sc.Err()
 	}()
 
-	var wg sync.WaitGroup
-	defer wg.Wait()
 	for {
 		select {
 		case <-ctx.Done():
-			wg.Wait()
+			finish()
 			log.Info("serve stream cancelled")
 			return ctx.Err()
 		case line, ok := <-lines:
 			if !ok {
-				wg.Wait()
+				err := finish()
 				log.Info("serve stream closed", "reason", "eof")
 				select {
-				case err := <-readErr:
-					if err != nil {
-						return fmt.Errorf("serve: reading input: %w", err)
+				case rerr := <-readErr:
+					if rerr != nil {
+						return fmt.Errorf("serve: reading input: %w", rerr)
 					}
 				default:
 				}
-				return writeErr()
+				return err
 			}
-			start := time.Now()
-			req, ferr := decodeRequest(line)
-			rctx, ri := s.startRequest(ctx, req.Op, start)
+			slots <- struct{}{}
+			ri, resp, answered := s.accept(ctx, line)
 			switch {
-			case ferr != nil:
-				resp := Response{ID: req.ID, Op: req.Op, Error: ferr}
-				s.observe(req, ri, &resp)
-				write(resp)
-			case scanOp(req.Op):
-				// Resolve and admit synchronously — frame order decides which
-				// program version runs and who wins the in-flight budget —
-				// then extract concurrently.
-				work, eresp := s.prepare(req)
-				if work == nil {
-					s.observe(req, ri, &eresp)
-					write(eresp)
-					continue
-				}
-				ri.docs = work.docs
+			case answered:
+				reply(ri, resp)
+			case ri.work != nil:
+				// Resolved and admitted in frame order; extract concurrently.
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					resp := s.run(rctx, work)
-					s.observe(req, ri, &resp)
-					write(resp)
+					reply(ri, s.run(ri.ctx, ri.work))
 				}()
-			case req.Op == OpClose:
+			default: // close
 				wg.Wait()
-				resp := Response{ID: req.ID, Op: OpClose, OK: true}
-				s.observe(req, ri, &resp)
-				write(resp)
+				reply(ri, Response{ID: ri.req.ID, Op: OpClose, OK: true})
 				log.Info("serve stream closed", "reason", "close frame")
-				return writeErr()
-			default:
-				resp := s.handleSync(req)
-				s.observe(req, ri, &resp)
-				write(resp)
+				return finish()
 			}
-			if err := writeErr(); err != nil {
-				return err
+			if writeErr() != nil {
+				return finish()
 			}
 		}
 	}

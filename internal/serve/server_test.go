@@ -1,12 +1,16 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"flashextract/internal/metrics"
 	"flashextract/internal/serve"
@@ -207,5 +211,99 @@ func TestStreamConcurrentScans(t *testing.T) {
 	}
 	if err := ss.close(); err != nil {
 		t.Fatalf("serve returned %v", err)
+	}
+}
+
+// gatedWriter holds every Write until release is closed, like a client
+// that sends all its requests before it reads any response.
+type gatedWriter struct {
+	release chan struct{}
+	mu      sync.Mutex
+	buf     bytes.Buffer
+}
+
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	<-w.release
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.Write(p)
+}
+
+// signalWriter signals one handled frame per access-log line.
+type signalWriter chan struct{}
+
+func (w signalWriter) Write(p []byte) (int, error) {
+	w <- struct{}{}
+	return len(p), nil
+}
+
+// TestStreamIntakeIgnoresBlockedWrites: while every response write blocks,
+// the stream still reads and handles scan, list_programs, scan and close;
+// once the writes go through, exactly their four frames follow the ready
+// frame, close last.
+func TestStreamIntakeIgnoresBlockedWrites(t *testing.T) {
+	handled := make(signalWriter, 4)
+	s := newServer(t, programDir(t), serve.Options{AccessLog: handled})
+	out := &gatedWriter{release: make(chan struct{})}
+	var release sync.Once
+	defer release.Do(func() { close(out.release) })
+	inR, inW := io.Pipe()
+	defer inW.Close()
+	done := make(chan error, 1)
+	go func() {
+		err := s.Serve(context.Background(), inR, out)
+		inR.Close()
+		done <- err
+	}()
+	go func() {
+		for _, line := range []string{
+			`{"id":"a","op":"scan","program":"chairs","content":"inventory\nChair: A (price: $1.00)\n"}`,
+			`{"id":"l","op":"list_programs"}`,
+			`{"id":"b","op":"scan","program":"chairs","content":"inventory\nChair: B (price: $2.00)\n"}`,
+			`{"id":"z","op":"close"}`,
+		} {
+			if _, err := io.WriteString(inW, line+"\n"); err != nil {
+				return
+			}
+		}
+	}()
+	// A frame is logged before its response is queued, so four log lines
+	// mean all four requests were read with no byte written yet.
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < 4; i++ {
+		select {
+		case <-handled:
+		case <-timeout:
+			t.Fatalf("%d of 4 requests handled while the response writer was blocked", i)
+		}
+	}
+	release.Do(func() { close(out.release) })
+	if err := <-done; err != nil {
+		t.Fatalf("serve returned %v", err)
+	}
+	lines := strings.Split(strings.TrimSuffix(out.buf.String(), "\n"), "\n")
+	if len(lines) != 5 {
+		t.Fatalf("%d frames, want ready + 4:\n%s", len(lines), out.buf.String())
+	}
+	got := map[string]bool{}
+	var last serve.Response
+	for i, line := range lines {
+		last = serve.Response{}
+		if err := json.Unmarshal([]byte(line), &last); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if i == 0 {
+			if last.Op != serve.OpReady {
+				t.Fatalf("first frame = %+v, want ready", last)
+			}
+			continue
+		}
+		if !last.OK {
+			t.Fatalf("frame failed: %+v", last)
+		}
+		got[last.ID] = true
+	}
+	if len(got) != 4 || last.Op != serve.OpClose {
+		t.Fatalf("responses %v, last %+v: want a, l, b and close last", got, last)
 	}
 }

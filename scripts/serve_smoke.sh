@@ -6,8 +6,9 @@
 # protocol over stdin/stdout — ready frame, scan, scan_batch, a SIGHUP
 # hot reload picking up a second program version, and error frames for
 # unknown programs. The admin side is checked too (/programs, /rpc,
-# /healthz, /metrics), then the stream is closed and the process must
-# exit cleanly (it self-checks for goroutine leaks on the way out).
+# /healthz, /metrics, and /trace/last holding -trace-ring trees), then the
+# stream is closed and the process must exit cleanly (it self-checks for
+# goroutine leaks on the way out).
 #
 # Usage: scripts/serve_smoke.sh   (from the repository root)
 set -euo pipefail
@@ -44,10 +45,10 @@ mkdir "$workdir/programs"
     -schema "$workdir/schema.fx" -examples "$workdir/examples.fx" \
     -save "$workdir/programs/chairs@1.text.json" > /dev/null
 
-echo "== starting flashextract serve -admin :$admin_port =="
+echo "== starting flashextract serve -admin :$admin_port -trace-ring 2 =="
 mkfifo "$workdir/in"
 "$workdir/flashextract" serve -programs "$workdir/programs" \
-    -admin "127.0.0.1:$admin_port" -log-json \
+    -admin "127.0.0.1:$admin_port" -trace-ring 2 -log-json \
     < "$workdir/in" > "$workdir/out.ndjson" 2> "$workdir/serve.log" &
 pid=$!
 # Hold the request pipe open for the whole session; closing it is EOF.
@@ -117,6 +118,12 @@ echo "$programs" | grep -Eq '"scans": *[1-9]' \
 echo "== admin /rpc =="
 rpc=$(curl -sf -X POST --data '{"id":"r1","op":"scan","program":"chairs@1","content":"inventory\nChair: Q (price: $9.99)\n"}' "$base/rpc")
 echo "$rpc" | grep -q '"ok":true' || { echo "FAIL: /rpc scan failed: $rpc"; exit 1; }
+
+echo "== admin /trace/last holds -trace-ring 2 trees =="
+# Four documents were scanned (scan, a two-document scan_batch, /rpc).
+trees=$(curl -sf "$base/trace/last" | grep -Ec '"name": *"doc:' || true)
+[ "$trees" -eq 2 ] \
+    || { echo "FAIL: /trace/last holds $trees doc: trees, want 2"; exit 1; }
 
 echo "== admin /healthz and /metrics =="
 curl -sf "$base/healthz" | grep -Eq '"processed": *[0-9]+' \
