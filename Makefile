@@ -42,6 +42,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzGridRoundTrip -fuzztime $(FUZZTIME) ./internal/sheet
 	$(GO) test -run NONE -fuzz FuzzPrefilterSound -fuzztime $(FUZZTIME) ./internal/prefilter
 	$(GO) test -run NONE -fuzz FuzzServeRequest -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run NONE -fuzz FuzzHighlighting -fuzztime $(FUZZTIME) ./internal/engine
 
 # check is what the CI test job runs: compile everything, vet, gofmt, the
 # fuzz smoke, and the race-enabled test suite (which subsumes the plain

@@ -12,15 +12,20 @@ import (
 
 	"flashextract/internal/batch"
 	"flashextract/internal/bench"
+	"flashextract/internal/engine"
 	"flashextract/internal/metrics"
+	"flashextract/internal/prefilter"
 )
 
 // batchReport is the machine-readable envelope of -batch-json mode; the
-// schema (flashextract-batch-metrics/v2) is documented in EXPERIMENTS.md.
+// schema (flashextract-batch-metrics/v3) is documented in EXPERIMENTS.md.
 // v2 replaced v1 when the run-path prefilter landed: the corpus gained
 // synthetic non-matching padding and duplicated blobs, runs carry their
 // prefilter/dedup configuration and skip counters, and each domain
-// reports the skip rate and the prefilter's throughput gain.
+// reports the skip rate and the prefilter's throughput gain. v3 replaced
+// v2's skip_rate, which divided the prefilter+dedup run's skips by the
+// padding count, with padding_skipped, real_skipped and
+// padding_skip_rate.
 type batchReport struct {
 	Schema    string           `json:"schema"`
 	GoMaxProc int              `json:"gomaxprocs"`
@@ -53,13 +58,14 @@ type batchDomain struct {
 	// was byte-identical — the determinism and prefilter/dedup soundness
 	// guarantee in one bit.
 	IdenticalOutput bool `json:"identical_output"`
-	// SkipRate is the admission test's rejection count relative to the
-	// synthetic padding count. Real corpus documents the program matches
-	// nothing in are also rejected, so the rate can slightly exceed 1;
-	// a value ≥ 0.8 means at least 80% of the non-matching padding was
-	// skipped (the batch test suite asserts the padding-only bound
-	// directly).
-	SkipRate float64 `json:"skip_rate"`
+	// PaddingSkipped and RealSkipped count the documents the admission
+	// test rejects among the synthetic padding and among the real
+	// documents (duplicates included); their sum is the prefilter-only
+	// run's PrefilterSkipped. PaddingSkipRate is PaddingSkipped over the
+	// padding count, at most 1.
+	PaddingSkipped  int     `json:"padding_skipped"`
+	RealSkipped     int     `json:"real_skipped"`
+	PaddingSkipRate float64 `json:"padding_skip_rate"`
 	// ThroughputGain is best prefiltered throughput over best unfiltered
 	// throughput at the same worker count.
 	ThroughputGain float64 `json:"throughput_gain"`
@@ -101,7 +107,7 @@ func runBatchBench(tasks []*bench.Task, reps, workers int, path string) {
 	}
 	reg := metrics.NewRegistry()
 	report := batchReport{
-		Schema:    "flashextract-batch-metrics/v2",
+		Schema:    "flashextract-batch-metrics/v3",
 		GoMaxProc: runtime.GOMAXPROCS(0),
 		Reps:      reps,
 	}
@@ -133,6 +139,10 @@ func runBatchBench(tasks []*bench.Task, reps, workers int, path string) {
 		}
 		sources, corpusInfo := padCorpus(domain, trainer, real[domain])
 		dom := batchDomain{Domain: domain, Trainer: trainer.Name, Corpus: corpusInfo}
+		dom.PaddingSkipped, dom.RealSkipped = countSkips(prog, domain, sources, corpusInfo)
+		if corpusInfo.Padding > 0 {
+			dom.PaddingSkipRate = float64(dom.PaddingSkipped) / float64(corpusInfo.Padding)
+		}
 
 		configs := []runConfig{
 			{1, false, false},
@@ -176,8 +186,10 @@ func runBatchBench(tasks []*bench.Task, reps, workers int, path string) {
 					offBest = run.BestNs
 				}
 			}
-			if c.prefilter && corpusInfo.Padding > 0 {
-				dom.SkipRate = float64(run.PrefilterSkipped) / float64(corpusInfo.Padding)
+			if c.prefilter && !c.dedup && run.PrefilterSkipped != dom.PaddingSkipped+dom.RealSkipped {
+				fmt.Fprintf(os.Stderr, "flashbench: %s: the prefilter run skipped %d documents, but admission over the corpus rejects %d padding + %d real\n",
+					domain, run.PrefilterSkipped, dom.PaddingSkipped, dom.RealSkipped)
+				os.Exit(1)
 			}
 			dom.Runs = append(dom.Runs, run)
 			fmt.Fprintf(os.Stderr, "%-6s workers=%d prefilter=%-5v dedup=%-5v docs=%d errors=%d skipped=%d dedup_hits=%d  best %12d ns  %8.0f docs/s\n",
@@ -213,7 +225,8 @@ func runBatchBench(tasks []*bench.Task, reps, workers int, path string) {
 
 // padCorpus builds a domain's benchmark corpus: the amplified real
 // documents, paddingFactor times as much synthetic non-matching padding,
-// and one real blob duplicated as many times as there are real documents.
+// and one real blob duplicated as many times as there are real documents,
+// in that order.
 func padCorpus(domain string, trainer *bench.Task, real []batch.Source) ([]batch.Source, batchCorpus) {
 	info := batchCorpus{Real: len(real)}
 	sources := append([]batch.Source{}, real...)
@@ -227,6 +240,47 @@ func padCorpus(domain string, trainer *bench.Task, real []batch.Source) ([]batch
 	}
 	info.Total = len(sources)
 	return sources, info
+}
+
+// countSkips admits every document of a padCorpus corpus through the
+// program's prefilter, as batch.Run with Prefilter does, and counts the
+// rejections among the padding and among the real documents and their
+// duplicates.
+func countSkips(prog []byte, domain string, sources []batch.Source, info batchCorpus) (padding, real int) {
+	lang, err := batch.LanguageFor(domain)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "flashbench: %v\n", err)
+		os.Exit(1)
+	}
+	p, err := engine.LoadSchemaProgram(prog, lang)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "flashbench: %v\n", err)
+		os.Exit(1)
+	}
+	f, err := prefilter.FromSchemaProgram(p, domain)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "flashbench: %v\n", err)
+		os.Exit(1)
+	}
+	if !f.Selective() {
+		return 0, 0 // batch.Run skips admission for a filter that admits everything
+	}
+	for i, src := range sources {
+		data, err := src.Open()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "flashbench: %s: %v\n", src.Name, err)
+			os.Exit(1)
+		}
+		if f.Admit(string(data)) {
+			continue
+		}
+		if i >= info.Real && i < info.Real+info.Padding {
+			padding++
+		} else {
+			real++
+		}
+	}
+	return padding, real
 }
 
 // runConfig is one measured batch configuration.

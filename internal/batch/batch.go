@@ -848,9 +848,6 @@ func shareableOutcome(rec Record) *docstore.Outcome {
 // there are none), so one outcome stands in for every rejected document.
 func emptyOutcome(prog *engine.SchemaProgram, docType string, selfCheck bool) (*docstore.Outcome, error) {
 	cr := engine.Highlighting{}
-	for _, fi := range prog.Schema.Fields() {
-		cr.Add(fi.Color())
-	}
 	if err := cr.ConsistentWith(prog.Schema); err != nil {
 		return &docstore.Outcome{Kind: KindRun,
 			Error: fmt.Sprintf("engine: extraction result inconsistent with schema: %s", err)}, nil

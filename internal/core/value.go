@@ -29,14 +29,19 @@ type Equaler interface {
 // Interval may be implemented by sequence-output values that behave as
 // half-open intervals [start, end) of a shared coordinate space, letting
 // PreferNonOverlapping check a program's n outputs for pairwise overlap in
-// O(n log n) instead of O(n²).
+// O(n log n) instead of O(n²), and the engine run Algorithm 1's
+// bookkeeping (Def. 3 consistency, Fill's subregion lookups, duplicate
+// removal) on regions in O(n log n) instead of O(n²).
 //
 // Implementing it is a semantic contract relative to the overlaps relation
 // the domain passes to PreferNonOverlapping: for any two output values a
 // and b that both implement Interval, overlaps(a, b) must hold exactly
 // when their spaces are identical and their intervals strictly intersect
 // (a.start < b.end && b.start < a.end), and Eq(a, b) must hold exactly
-// when spaces and endpoints all coincide. Values whose overlap relation is
+// when spaces and endpoints all coincide. Regions that implement it must
+// also order and nest as intervals within one space: Less orders by start
+// ascending, then end descending, and a.Contains(b) holds exactly when
+// a.start <= b.start && b.end <= a.end. Values whose overlap relation is
 // richer — e.g. DOM nodes, where distinct nested nodes can share one text
 // range, or 2-D spreadsheet rects — must NOT implement it; they keep the
 // exact pairwise check.

@@ -227,71 +227,106 @@ const rowSchema = `Seq([row] Struct(Name: [a] String, Value: [b] Int))`
 
 // ---- Highlighting tests ----
 
+// Each Highlighting test runs once per region kind (spanKinds): span takes
+// the pairwise reference path, ispan the interval path.
+
 func TestHighlightingAddDedupesAndSorts(t *testing.T) {
-	cr := Highlighting{}
-	a := span{fakeText, 8, 15}
-	b := span{fakeText, 0, 7}
-	cr.Add("x", a, b, a)
-	if len(cr["x"]) != 2 {
-		t.Fatalf("Add kept %d regions, want 2", len(cr["x"]))
-	}
-	if cr["x"][0] != region.Region(b) {
-		t.Fatal("regions not sorted in document order")
+	for _, k := range spanKinds {
+		t.Run(k.name, func(t *testing.T) {
+			cr := Highlighting{}
+			a := k.mk(8, 15)
+			b := k.mk(0, 7)
+			cr.Add("x", a, b, a)
+			if len(cr["x"]) != 2 {
+				t.Fatalf("Add kept %d regions, want 2", len(cr["x"]))
+			}
+			if cr["x"][0] != b {
+				t.Fatal("regions not sorted in document order")
+			}
+			cr.Add("x", k.mk(3, 4), b)
+			if got := fmt.Sprint(cr["x"]); got != "[[0,7) [3,4) [8,15)]" {
+				t.Fatalf("second Add = %s", got)
+			}
+			cr.Add("y")
+			if _, ok := cr["y"]; ok {
+				t.Fatal("Add with no regions created a color")
+			}
+		})
 	}
 }
 
 func TestConsistencyOverlap(t *testing.T) {
 	m := schema.MustParse(rowSchema)
-	cr := Highlighting{}
-	cr.Add("row", span{fakeText, 0, 10})
-	cr.Add("a", span{fakeText, 5, 15}) // overlaps the row without nesting
-	if err := cr.ConsistentWith(m); err == nil {
-		t.Fatal("overlapping non-nested regions accepted")
+	for _, k := range spanKinds {
+		t.Run(k.name, func(t *testing.T) {
+			cr := Highlighting{}
+			cr.Add("row", k.mk(0, 10))
+			cr.Add("a", k.mk(5, 15)) // overlaps the row without nesting
+			if err := cr.ConsistentWith(m); err == nil {
+				t.Fatal("overlapping non-nested regions accepted")
+			}
+		})
 	}
 }
 
 func TestConsistencyAncestorNesting(t *testing.T) {
 	m := schema.MustParse(rowSchema)
-	cr := Highlighting{}
-	cr.Add("row", span{fakeText, 0, 7})
-	cr.Add("a", span{fakeText, 8, 12}) // outside every row region
-	if err := cr.ConsistentWith(m); err == nil {
-		t.Fatal("orphan field region accepted")
+	for _, k := range spanKinds {
+		t.Run(k.name, func(t *testing.T) {
+			cr := Highlighting{}
+			cr.Add("row", k.mk(0, 7))
+			cr.Add("a", k.mk(8, 12)) // outside every row region
+			if err := cr.ConsistentWith(m); err == nil {
+				t.Fatal("orphan field region accepted")
+			}
+		})
 	}
 }
 
 func TestConsistencyStructMultiplicity(t *testing.T) {
 	m := schema.MustParse(rowSchema)
-	cr := Highlighting{}
-	cr.Add("row", span{fakeText, 0, 7})
-	cr.Add("a", span{fakeText, 0, 2}, span{fakeText, 3, 5}) // two a's in one row
-	if err := cr.ConsistentWith(m); err == nil {
-		t.Fatal("two struct-field regions in one ancestor accepted")
+	for _, k := range spanKinds {
+		t.Run(k.name, func(t *testing.T) {
+			cr := Highlighting{}
+			cr.Add("row", k.mk(0, 7))
+			cr.Add("a", k.mk(0, 2), k.mk(3, 5)) // two a's in one row
+			if err := cr.ConsistentWith(m); err == nil {
+				t.Fatal("two struct-field regions in one ancestor accepted")
+			}
+		})
 	}
 }
 
 func TestConsistencyLeafTypes(t *testing.T) {
 	m := schema.MustParse(rowSchema)
-	cr := Highlighting{}
-	cr.Add("row", span{fakeText, 0, 7})
-	cr.Add("b", span{fakeText, 0, 5}) // "alpha" is not an Int
-	if err := cr.ConsistentWith(m); err == nil {
-		t.Fatal("ill-typed leaf value accepted")
-	}
-	cr2 := Highlighting{}
-	cr2.Add("row", span{fakeText, 0, 7})
-	cr2.Add("b", span{fakeText, 6, 7}) // "1"
-	if err := cr2.ConsistentWith(m); err != nil {
-		t.Fatalf("well-typed highlighting rejected: %v", err)
+	for _, k := range spanKinds {
+		t.Run(k.name, func(t *testing.T) {
+			cr := Highlighting{}
+			cr.Add("row", k.mk(0, 7))
+			cr.Add("b", k.mk(0, 5)) // "alpha" is not an Int
+			if err := cr.ConsistentWith(m); err == nil {
+				t.Fatal("ill-typed leaf value accepted")
+			}
+			cr2 := Highlighting{}
+			cr2.Add("row", k.mk(0, 7))
+			cr2.Add("b", k.mk(6, 7)) // "1"
+			if err := cr2.ConsistentWith(m); err != nil {
+				t.Fatalf("well-typed highlighting rejected: %v", err)
+			}
+		})
 	}
 }
 
 func TestConsistencySequenceAllowsMany(t *testing.T) {
 	m := schema.MustParse(rowSchema)
-	cr := Highlighting{}
-	cr.Add("row", span{fakeText, 0, 7}, span{fakeText, 8, 15})
-	if err := cr.ConsistentWith(m); err != nil {
-		t.Fatalf("many sequence regions rejected: %v", err)
+	for _, k := range spanKinds {
+		t.Run(k.name, func(t *testing.T) {
+			cr := Highlighting{}
+			cr.Add("row", k.mk(0, 7), k.mk(8, 15))
+			if err := cr.ConsistentWith(m); err != nil {
+				t.Fatalf("many sequence regions rejected: %v", err)
+			}
+		})
 	}
 }
 
@@ -750,19 +785,23 @@ func TestConsistencyErrorDeterministic(t *testing.T) {
 	// mutually overlapping colors, map-order iteration would make the
 	// message (and therefore batch output records) flip between runs.
 	m := schema.MustParse(rowSchema)
-	errs := map[string]bool{}
-	for i := 0; i < 64; i++ {
-		cr := Highlighting{}
-		cr.Add("row", span{fakeText, 0, 10})
-		cr.Add("a", span{fakeText, 5, 15})
-		cr.Add("b", span{fakeText, 7, 12})
-		err := cr.ConsistentWith(m)
-		if err == nil {
-			t.Fatal("overlapping non-nested regions accepted")
-		}
-		errs[err.Error()] = true
-	}
-	if len(errs) != 1 {
-		t.Fatalf("ConsistentWith produced %d distinct error messages across identical inputs: %v", len(errs), errs)
+	for _, k := range spanKinds {
+		t.Run(k.name, func(t *testing.T) {
+			errs := map[string]bool{}
+			for i := 0; i < 64; i++ {
+				cr := Highlighting{}
+				cr.Add("row", k.mk(0, 10))
+				cr.Add("a", k.mk(5, 15))
+				cr.Add("b", k.mk(7, 12))
+				err := cr.ConsistentWith(m)
+				if err == nil {
+					t.Fatal("overlapping non-nested regions accepted")
+				}
+				errs[err.Error()] = true
+			}
+			if len(errs) != 1 {
+				t.Fatalf("ConsistentWith produced %d distinct error messages across identical inputs: %v", len(errs), errs)
+			}
+		})
 	}
 }

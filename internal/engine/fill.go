@@ -80,13 +80,14 @@ func (in *Instance) write(b *strings.Builder) {
 // Fill generates a schema instance from a highlighting, per the semantics
 // of Fig. 5, starting at the document's whole region.
 func Fill(m *schema.Schema, cr Highlighting, whole region.Region) *Instance {
+	f := &filler{cr: cr}
 	if m.TopSeq != nil {
-		return fillSeq(m.TopSeq, cr, whole)
+		return f.fillSeq(m.TopSeq, whole)
 	}
-	return fillStruct(m.TopStruct, cr, whole)
+	return f.fillStruct(m.TopStruct, whole)
 }
 
-func fillStruct(s *schema.Struct, cr Highlighting, r region.Region) *Instance {
+func (f *filler) fillStruct(s *schema.Struct, r region.Region) *Instance {
 	if r == nil {
 		return &Instance{Kind: NullInstance}
 	}
@@ -94,36 +95,39 @@ func fillStruct(s *schema.Struct, cr Highlighting, r region.Region) *Instance {
 	for _, e := range s.Elements {
 		var v *Instance
 		if e.Seq != nil {
-			v = fillSeq(e.Seq, cr, r)
+			v = f.fillSeq(e.Seq, r)
 		} else {
-			v = fillField(e.Field, cr, r)
+			v = f.fillField(e.Field, r)
 		}
 		out.Elements = append(out.Elements, NamedInstance{Name: e.Name, Value: v})
 	}
 	return out
 }
 
-func fillSeq(s *schema.Seq, cr Highlighting, r region.Region) *Instance {
+func (f *filler) fillSeq(s *schema.Seq, r region.Region) *Instance {
 	if r == nil {
 		return &Instance{Kind: NullInstance}
 	}
 	out := &Instance{Kind: SeqInstance, Items: []*Instance{}}
-	for _, sub := range region.Subregions(r, cr[s.Inner.Color]) {
-		out.Items = append(out.Items, fillField(s.Inner, cr, sub))
+	for _, sub := range f.subregions(r, s.Inner.Color) {
+		out.Items = append(out.Items, f.fillField(s.Inner, sub))
 	}
 	return out
 }
 
-func fillField(f *schema.Field, cr Highlighting, r region.Region) *Instance {
+func (f *filler) fillField(fd *schema.Field, r region.Region) *Instance {
 	if r == nil {
 		return &Instance{Kind: NullInstance}
 	}
-	sub := region.Subregion(r, cr[f.Color])
-	if sub == nil {
+	// Fig. 5's Subregion: the single nested region, or, if the
+	// highlighting is inconsistent and holds several, the first.
+	subs := f.subregions(r, fd.Color)
+	if len(subs) == 0 {
 		return &Instance{Kind: NullInstance}
 	}
-	if f.IsLeaf() {
-		return &Instance{Kind: LeafInstance, Region: sub, Text: sub.Value(), Type: f.Leaf}
+	sub := subs[0]
+	if fd.IsLeaf() {
+		return &Instance{Kind: LeafInstance, Region: sub, Text: sub.Value(), Type: fd.Leaf}
 	}
-	return fillStruct(f.Struct, cr, sub)
+	return f.fillStruct(fd.Struct, sub)
 }

@@ -22,8 +22,13 @@ func (cr Highlighting) Clone() Highlighting {
 }
 
 // Add adds regions of the given color, keeping the color's regions in
-// document order and dropping exact duplicates.
+// document order and dropping exact duplicates. With no regions it adds
+// no color: a present but empty ancestor color would leave every region
+// of its descendants nested in no region (Def. 3 (2)).
 func (cr Highlighting) Add(color string, rs ...region.Region) {
+	if len(rs) > 0 && cr.addIntervals(color, cr[color], rs) {
+		return
+	}
 	for _, r := range rs {
 		if containsRegion(cr[color], r) {
 			continue
@@ -49,7 +54,31 @@ func containsRegion(rs []region.Region, r region.Region) bool {
 // structure-ancestor; (4) leaf region values have the declared leaf type.
 // Colors not present in the highlighting are not constrained (fields may
 // be highlighted in any order).
+//
+// Regions that implement core.Interval in one space are checked on the
+// interval path in O(n log n); when it finds a violation, and for every
+// other region type, the pairwise reference loops decide and name the
+// first offending region or pair.
 func (cr Highlighting) ConsistentWith(m *schema.Schema) error {
+	if ok, applies := cr.intervalConsistent(m); ok && applies {
+		return nil
+	}
+	return cr.checkPairwise(m)
+}
+
+// consistent reports whether ConsistentWith(m) == nil without formatting
+// an error on the interval path: the yes/no decision of candidate
+// validation.
+func (cr Highlighting) consistent(m *schema.Schema) bool {
+	if ok, applies := cr.intervalConsistent(m); applies {
+		return ok
+	}
+	return cr.checkPairwise(m) == nil
+}
+
+// checkPairwise is ConsistentWith's reference path: pairwise loops over
+// the regions, quadratic in their number.
+func (cr Highlighting) checkPairwise(m *schema.Schema) error {
 	// (1) pairwise nesting/disjointness across all colors. Colors are
 	// visited in schema order (then any extras sorted), never in map
 	// order: the first overlapping pair found decides the error message,

@@ -251,7 +251,7 @@ func validatesCandidate(doc Document, m *schema.Schema, cr Highlighting, f *sche
 		}
 	}
 	crNew.Add(f.Color(), extracted...)
-	return crNew.ConsistentWith(m) == nil
+	return crNew.consistent(m)
 }
 
 // synthesizeAgainstAncestor learns and validates candidates relative to

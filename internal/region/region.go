@@ -27,8 +27,10 @@ type Region interface {
 	String() string
 }
 
-// Sort orders regions in document order using insertion sort; region lists
-// during synthesis are short.
+// Sort orders regions in document order using insertion sort. It sorts
+// whole run outputs (every region a field program extracts from a
+// document), and stays linear there only because that input already
+// comes in document order.
 func Sort(rs []Region) {
 	for i := 1; i < len(rs); i++ {
 		for j := i; j > 0 && rs[j].Less(rs[j-1]); j-- {
@@ -48,16 +50,4 @@ func Subregions(r Region, candidates []Region) []Region {
 	}
 	Sort(out)
 	return out
-}
-
-// Subregion returns the single candidate nested inside r, or nil if none
-// exists (the Subregion helper of Fig. 5). When several candidates are
-// nested — possible only if the highlighting is inconsistent with the
-// schema — the first in document order is returned.
-func Subregion(r Region, candidates []Region) Region {
-	subs := Subregions(r, candidates)
-	if len(subs) == 0 {
-		return nil
-	}
-	return subs[0]
 }

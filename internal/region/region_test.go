@@ -60,21 +60,6 @@ func TestSubregions(t *testing.T) {
 	}
 }
 
-func TestSubregion(t *testing.T) {
-	outer := ival{0, 10}
-	if got := Subregion(outer, []Region{ival{11, 12}}); got != nil {
-		t.Fatalf("Subregion = %v, want nil", got)
-	}
-	if got := Subregion(outer, []Region{ival{4, 6}}); got != Region(ival{4, 6}) {
-		t.Fatalf("Subregion = %v", got)
-	}
-	// multiple nested: first in document order
-	got := Subregion(outer, []Region{ival{7, 8}, ival{1, 2}})
-	if got != Region(ival{1, 2}) {
-		t.Fatalf("Subregion = %v", got)
-	}
-}
-
 func TestSortProperty(t *testing.T) {
 	f := func(raw []uint8) bool {
 		var rs []Region

@@ -2,6 +2,7 @@ package textlang
 
 import (
 	"context"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -474,5 +475,38 @@ func TestRegionPairProgRejectsInvertedPositions(t *testing.T) {
 	p := regionPairProg{p1: tokens.AbsPos{K: 2}, p2: tokens.AbsPos{K: 1}}
 	if _, err := p.Exec(st); err == nil {
 		t.Fatal("inverted positions should fail")
+	}
+}
+
+// TestRegionIntervalContract pins the core.Interval contract the engine's
+// interval path relies on: on random pairs of regions, equality, Less,
+// Contains and Overlaps agree with the interval relations of the
+// endpoints Interval reports, and regions of different documents never
+// nest or overlap.
+func TestRegionIntervalContract(t *testing.T) {
+	docs := []*Document{NewDocument(strings.Repeat("ab 12\n", 6)), NewDocument("ab 12")}
+	rng := rand.New(rand.NewSource(1))
+	random := func() Region {
+		d := docs[rng.Intn(4)/3] // mostly the first document
+		s := rng.Intn(len(d.Text) + 1)
+		return d.Region(s, s+rng.Intn(len(d.Text)-s+1))
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := random(), random()
+		as, s1, e1 := a.Interval()
+		bs, s2, e2 := b.Interval()
+		same := as == bs
+		if got, want := a == b, same && s1 == s2 && e1 == e2; got != want {
+			t.Fatalf("%v == %v is %v, want %v", a, b, got, want)
+		}
+		if got, want := a.Contains(b), same && s1 <= s2 && e2 <= e1; got != want {
+			t.Fatalf("%v.Contains(%v) = %v, want %v", a, b, got, want)
+		}
+		if got, want := a.Overlaps(b), same && s1 < e2 && s2 < e1; got != want {
+			t.Fatalf("%v.Overlaps(%v) = %v, want %v", a, b, got, want)
+		}
+		if got, want := a.Less(b), s1 < s2 || s1 == s2 && e1 > e2; same && got != want {
+			t.Fatalf("%v.Less(%v) = %v, want %v", a, b, got, want)
+		}
 	}
 }

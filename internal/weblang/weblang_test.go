@@ -2,6 +2,7 @@ package weblang
 
 import (
 	"context"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -583,5 +584,42 @@ func TestWebSpan(t *testing.T) {
 	other := MustNewDocument("<p>x</p>")
 	if _, err := d.Span(title, other.WholeRegion()); err == nil {
 		t.Fatal("cross-document span accepted")
+	}
+}
+
+// TestSpanRegionIntervalContract pins the core.Interval contract the
+// engine's interval path relies on: on random pairs of spans, equality,
+// Less, Contains and Overlaps agree with the interval relations of the
+// endpoints Interval reports, and spans of different documents never
+// nest or overlap.
+func TestSpanRegionIntervalContract(t *testing.T) {
+	docs := []*Document{MustNewDocument(scholarPage), MustNewDocument(shopPage)}
+	rng := rand.New(rand.NewSource(1))
+	random := func() SpanRegion {
+		d := docs[rng.Intn(4)/3] // mostly the first document
+		s := rng.Intn(len(d.Text) + 1)
+		return SpanRegion{Doc: d, Start: s, End: s + rng.Intn(min(12, len(d.Text)-s)+1)}
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := random(), random()
+		if rng.Intn(2) == 0 { // near pairs, so nesting and overlap occur
+			b.Doc, b.Start = a.Doc, max(0, a.Start-3+rng.Intn(7))
+			b.End = min(len(b.Doc.Text), max(b.Start, a.End-3+rng.Intn(7)))
+		}
+		as, s1, e1 := a.Interval()
+		bs, s2, e2 := b.Interval()
+		same := as == bs
+		if got, want := a == b, same && s1 == s2 && e1 == e2; got != want {
+			t.Fatalf("%v == %v is %v, want %v", a, b, got, want)
+		}
+		if got, want := a.Contains(b), same && s1 <= s2 && e2 <= e1; got != want {
+			t.Fatalf("%v.Contains(%v) = %v, want %v", a, b, got, want)
+		}
+		if got, want := a.Overlaps(b), same && s1 < e2 && s2 < e1; got != want {
+			t.Fatalf("%v.Overlaps(%v) = %v, want %v", a, b, got, want)
+		}
+		if got, want := a.Less(b), s1 < s2 || s1 == s2 && e1 > e2; same && got != want {
+			t.Fatalf("%v.Less(%v) = %v, want %v", a, b, got, want)
+		}
 	}
 }
