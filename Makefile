@@ -43,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzPrefilterSound -fuzztime $(FUZZTIME) ./internal/prefilter
 	$(GO) test -run NONE -fuzz FuzzServeRequest -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzHighlighting -fuzztime $(FUZZTIME) ./internal/engine
+	$(GO) test -run NONE -fuzz FuzzCacheEval -fuzztime $(FUZZTIME) ./internal/tokens
 
 # check is what the CI test job runs: compile everything, vet, gofmt, the
 # fuzz smoke, and the race-enabled test suite (which subsumes the plain

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -116,6 +117,28 @@ func TestLoadSchemaProgramBadBody(t *testing.T) {
 		"fields":[{"color":"x","ancestor":"zzz","kind":"region","body":{}}]}`
 	if _, err := engine.LoadSchemaProgram([]byte(artifact3), doc.Language()); err == nil {
 		t.Fatal("unknown ancestor accepted")
+	}
+}
+
+// TestLoadSchemaProgramRejectsEmptyLiteral replaces one standard token of
+// a saved text program with an empty literal. No matcher can evaluate such
+// a token, so the load must fail instead of handing back a program whose
+// first run would panic.
+func TestLoadSchemaProgramRejectsEmptyLiteral(t *testing.T) {
+	q, doc := learnSimpleProgram(t)
+	data, err := engine.SaveSchemaProgram(q, doc.Language())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Token specs sit JSON-encoded inside program attribute strings.
+	std := regexp.MustCompile(`\{\\"kind\\":\\"std\\",\\"value\\":\\"\w+\\"\}`)
+	loc := std.FindIndex(data)
+	if loc == nil {
+		t.Fatalf("saved program holds no standard token:\n%s", data)
+	}
+	bad := string(data[:loc[0]]) + `{\"kind\":\"lit\",\"value\":\"\"}` + string(data[loc[1]:])
+	if _, err := engine.LoadSchemaProgram([]byte(bad), doc.Language()); err == nil {
+		t.Fatal("program with an empty literal token accepted")
 	}
 }
 

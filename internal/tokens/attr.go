@@ -60,23 +60,20 @@ type RegPos struct {
 	K  int
 }
 
-// Eval resolves the k-th regex-pair position in s. It scans lazily from
-// the appropriate end of the string and stops at the k-th match — map
-// functions evaluate attributes once per sequence element, so
-// materializing the full position sequence would make mapping quadratic
-// in document size.
+// Eval resolves the k-th regex-pair position in s by testing every
+// position from the end the sign of k names, stopping at the k-th match.
+// It is the reference semantics of the attribute: Cache.EvalAttr returns
+// the same answer over a range of a document by walking only the cached
+// boundaries of the pair's anchor token.
 func (a RegPos) Eval(s string) (int, error) {
 	if len(a.RR.Left) == 0 && len(a.RR.Right) == 0 {
 		return 0, errNoRegPosMatch(a)
-	}
-	matches := func(k int) bool {
-		return a.RR.Left.MatchSuffix(s, k) >= 0 && a.RR.Right.MatchPrefix(s, k) >= 0
 	}
 	count := 0
 	switch {
 	case a.K > 0:
 		for k := 0; k <= len(s); k++ {
-			if matches(k) {
+			if a.RR.matchesAt(s, k) {
 				count++
 				if count == a.K {
 					return k, nil
@@ -85,7 +82,7 @@ func (a RegPos) Eval(s string) (int, error) {
 		}
 	case a.K < 0:
 		for k := len(s); k >= 0; k-- {
-			if matches(k) {
+			if a.RR.matchesAt(s, k) {
 				count++
 				if count == -a.K {
 					return k, nil

@@ -1,20 +1,22 @@
 package tokens
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
 
 // Cache is a document-scoped evaluation cache. It is owned by a document
-// (one immutable text) and memoizes the three quantities the synthesis
-// hot loop recomputes most: per-token boundary positions, regex-pair
-// position sequences, and regex match counts. Sequences and counts are
-// keyed on half-open ranges [lo, hi) of the document text, so the same
-// answer is shared across candidate programs, validation runs, and
-// refinement iterations. Token boundaries are held once per token, over
-// the whole document, and every sub-range is clipped from that entry (see
-// Boundaries).
+// (one immutable text) and holds one boundary entry per token over the
+// whole document: the sorted starts and ends of the token's runs (class
+// tokens) or occurrences (literals). Every query over a half-open range
+// [lo, hi) of the text is answered from those entries, by binary-searching
+// them to the window that belongs to the range and walking it in place:
+// EvalAttr walks to the k-th match and stores nothing, while Positions
+// (PosSeq) and CountIn memoize their answers per range and regex, so the
+// same sequence or count is shared across candidate programs, validation
+// runs, and refinement iterations.
 //
 // All methods are safe for concurrent use; returned slices are shared and
 // must be treated as read-only. The backing text never changes, so cached
@@ -136,16 +138,6 @@ const (
 	maxCountEntries = 32768
 )
 
-// smallRange bounds the ranges whose RegPos evaluation materializes and
-// memoizes the full position sequence. Sequence-map functions evaluate one
-// attribute per λ-bound position, each over a different suffix or prefix
-// of the input — materializing every such sequence would make mapping
-// quadratic in document size (see RegPos.Eval), so larger ranges keep the
-// lazy directional scan unless their sequence is already cached. Small
-// ranges (lines, records) repeat across the candidate cross product, where
-// memoization wins.
-const smallRange = 2048
-
 // NewCache creates the evaluation cache of one immutable document text.
 func NewCache(text string) *Cache {
 	return &Cache{
@@ -162,9 +154,10 @@ func (c *Cache) Text() string { return c.text }
 func (c *Cache) pinned(lo, hi int) bool { return lo == 0 && hi == len(c.text) }
 
 // Positions returns the position sequence of rr within text[lo:hi],
-// equivalent to rr.Positions(text[lo:hi]) but memoized and anchored on
-// cached token boundaries: the scan visits only the boundary positions of
-// the pair's most selective edge token instead of every position.
+// equivalent to rr.Positions(text[lo:hi]) but memoized per (range, pair).
+// A miss walks the anchor window of rr (anchorIn), so the scan visits only
+// the boundaries of the pair's most selective edge token instead of every
+// position.
 func (c *Cache) Positions(lo, hi int, rr RegexPair) []int {
 	if len(rr.Left) == 0 && len(rr.Right) == 0 {
 		return nil
@@ -175,27 +168,12 @@ func (c *Cache) Positions(lo, hi int, rr RegexPair) []int {
 	}
 
 	s := c.text[lo:hi]
-	var cands []int
-	haveAnchor := false
-	if len(rr.Left) > 0 {
-		_, ends := c.Boundaries(lo, hi, rr.Left[len(rr.Left)-1])
-		cands, haveAnchor = ends, true
-	}
-	if len(rr.Right) > 0 {
-		starts, _ := c.Boundaries(lo, hi, rr.Right[0])
-		if !haveAnchor || len(starts) < len(cands) {
-			cands = starts
-		}
-	}
+	bs, i, j := c.anchorIn(lo, hi, rr)
 	var out []int
-	for _, k := range cands {
-		if rr.Left.MatchSuffix(s, k) < 0 {
-			continue
+	for ; i < j; i++ {
+		if k := clip(bs[i], lo, hi); rr.matchesAt(s, k) {
+			out = append(out, k)
 		}
-		if rr.Right.MatchPrefix(s, k) < 0 {
-			continue
-		}
-		out = append(out, k)
 	}
 
 	e := seqEntry{rr: rr, ps: out}
@@ -232,89 +210,101 @@ func (c *Cache) seqGet(key seqKey, rr RegexPair) ([]int, bool) {
 // (run ends), relative to lo. Both slices are read-only.
 //
 // The first call for t scans the whole document and caches that one
-// entry; every sub-range is then answered by clipping it (clipBoundaries)
-// rather than rescanning text[lo:hi], and the clipped answer is not
+// entry; every sub-range is then answered by clipping its window of the
+// entry rather than rescanning text[lo:hi], and the clipped answer is not
 // stored, so sub-ranges cost no cache memory.
 func (c *Cache) Boundaries(lo, hi int, t Token) (pre, suf []int) {
+	w := c.entry(t)
+	if c.pinned(lo, hi) {
+		return w.pre, w.suf
+	}
+	i, j := w.window(lo, hi, len(t.lit))
+	n := j - i
+	if n == 0 {
+		return nil, nil
+	}
+	buf := make([]int, 2*n)
+	pre, suf = buf[:n:n], buf[n:]
+	for k := 0; k < n; k++ {
+		pre[k] = clip(w.pre[i+k], lo, hi)
+		suf[k] = clip(w.suf[i+k], lo, hi)
+	}
+	return pre, suf
+}
+
+// entry returns the whole-document boundary entry of t, scanning the
+// document on the first call for t. It records the probe as a cache hit
+// or miss.
+func (c *Cache) entry(t Token) boundEntry {
 	c.mu.RLock()
 	w, ok := c.bounds[t.Name]
 	c.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-		w = scanBoundaries(c.text, t)
-		c.mu.Lock()
-		if _, raced := c.bounds[t.Name]; !raced {
-			c.bounds[t.Name] = w
-			c.bytes += boundSize(w)
-			c.enforceBytesLocked()
-		}
-		c.mu.Unlock()
+		return w
 	}
-	if c.pinned(lo, hi) {
-		return w.pre, w.suf
+	c.misses.Add(1)
+	w = scanBoundaries(c.text, t)
+	c.mu.Lock()
+	if _, raced := c.bounds[t.Name]; !raced {
+		c.bounds[t.Name] = w
+		c.bytes += boundSize(w)
+		c.enforceBytesLocked()
 	}
-	e := clipBoundaries(w, lo, hi, len(t.lit))
-	return e.pre, e.suf
+	c.mu.Unlock()
+	return w
 }
 
-// clipBoundaries derives the boundaries of a token within [lo,hi) from its
-// whole-document entry w, returning exactly what scanBoundaries returns
-// over text[lo:hi]. litLen is the literal length of a dynamic token and 0
-// for a class token. Class runs are maximal and disjoint, so the runs of
-// the sub-range are the whole-document runs that overlap [lo,hi), with the
-// runs cut at lo or hi clipped to it. A literal occurrence belongs to the
-// sub-range only when it lies wholly inside (occurrences may overlap each
-// other). Positions are rebased to lo.
-func clipBoundaries(w boundEntry, lo, hi, litLen int) boundEntry {
+// window returns the index range [i, j) of the runs (class token) or the
+// occurrences (literal of length litLen) of the whole-document entry w
+// that belong to text[lo:hi]. Class runs are maximal and disjoint, so the
+// runs of the sub-range are the whole-document runs that overlap [lo,hi),
+// with a run cut at lo or hi clipped to it. A literal occurrence belongs
+// to the sub-range only when it lies wholly inside (occurrences may
+// overlap each other). Clipped and rebased (clip), the window's starts and
+// ends are exactly what scanBoundaries returns over text[lo:hi].
+func (w boundEntry) window(lo, hi, litLen int) (i, j int) {
 	if lo >= hi {
-		return boundEntry{}
+		return 0, 0
 	}
-	var i, j int
 	if litLen > 0 {
-		i = sort.SearchInts(w.pre, lo)
-		j = sort.SearchInts(w.pre, hi-litLen+1)
-	} else {
-		i = sort.SearchInts(w.suf, lo+1) // first run ending after lo
-		j = sort.SearchInts(w.pre, hi)   // first run starting at or after hi
+		i, _ = slices.BinarySearch(w.pre, lo)
+		j, _ = slices.BinarySearch(w.pre, hi-litLen+1)
+		return i, max(i, j)
 	}
-	n := j - i
-	if n <= 0 {
-		return boundEntry{}
-	}
-	buf := make([]int, 2*n)
-	e := boundEntry{pre: buf[:n:n], suf: buf[n:]}
-	for k := 0; k < n; k++ {
-		e.pre[k] = max(w.pre[i+k], lo) - lo
-		e.suf[k] = min(w.suf[i+k], hi) - lo
-	}
-	return e
+	i, _ = slices.BinarySearch(w.suf, lo+1) // first run ending after lo
+	j, _ = slices.BinarySearch(w.pre, hi)   // first run starting at or after hi
+	return i, j
 }
+
+// clip clamps a whole-document boundary b to [lo, hi] and rebases it to lo.
+func clip(b, lo, hi int) int { return min(max(b, lo), hi) - lo }
 
 // scanBoundaries computes the prefix/suffix boundary positions of one
 // token over s (the per-token body of NewIndex). Class tokens match
 // maximal runs: prefix positions are run starts, suffix positions run
-// ends.
+// ends. Literal occurrences may overlap.
 func scanBoundaries(s string, t Token) boundEntry {
 	var e boundEntry
 	if t.lit != "" {
-		for k := 0; k+len(t.lit) <= len(s); k++ {
-			if s[k:k+len(t.lit)] == t.lit {
-				e.pre = append(e.pre, k)
-				e.suf = append(e.suf, k+len(t.lit))
+		for k := 0; ; k++ {
+			d := strings.Index(s[k:], t.lit)
+			if d < 0 {
+				return e
 			}
+			k += d
+			e.pre = append(e.pre, k)
+			e.suf = append(e.suf, k+len(t.lit))
 		}
-		return e
 	}
 	k := 0
 	for k < len(s) {
-		if !t.class(s[k]) {
+		if !t.class[s[k]] {
 			k++
 			continue
 		}
 		start := k
-		for k < len(s) && t.class(s[k]) {
+		for k < len(s) && t.class[s[k]] {
 			k++
 		}
 		e.pre = append(e.pre, start)
@@ -324,25 +314,43 @@ func scanBoundaries(s string, t Token) boundEntry {
 }
 
 // EvalAttr evaluates a position attribute against text[lo:hi], equivalent
-// to a.Eval(text[lo:hi]). RegPos attributes over small or whole-document
-// ranges resolve against the memoized position sequence of their regex
-// pair, so re-evaluating the same pair over the same range — the common
-// case when attribute candidates are crossed into pair programs — costs
-// one map lookup. Large sub-document ranges keep RegPos's lazy directional
-// scan (consulting the cache first) to avoid quadratic mapping.
+// to a.Eval(text[lo:hi]). A RegPos walks the anchor window of its regex
+// pair (anchorIn) from the end the sign of K names, checks each candidate
+// with the exact matchers on text[lo:hi], and stops at the |K|-th match.
+// It costs a few binary searches plus the candidates it passes, and it
+// neither allocates (on a match) nor stores anything, so evaluating an
+// attribute once per line, or once per λ-bound suffix or prefix, leaves
+// no entry behind.
 func (c *Cache) EvalAttr(lo, hi int, a Attr) (int, error) {
 	v, ok := a.(RegPos)
 	if !ok {
 		return a.Eval(c.text[lo:hi])
 	}
-	if hi-lo <= smallRange || c.pinned(lo, hi) {
-		return v.evalIn(c.Positions(lo, hi, v.RR))
+	rr := v.RR
+	if v.K == 0 || len(rr.Left) == 0 && len(rr.Right) == 0 {
+		return 0, errNoRegPosMatch(v)
 	}
-	key := seqKey{lo: lo, hi: hi, h: pairFingerprint(v.RR)}
-	if ps, hit := c.seqGet(key, v.RR); hit {
-		return v.evalIn(ps)
+	s := c.text[lo:hi]
+	bs, i, j := c.anchorIn(lo, hi, rr)
+	n := 0
+	if v.K > 0 {
+		for ; i < j; i++ {
+			if k := clip(bs[i], lo, hi); rr.matchesAt(s, k) {
+				if n++; n == v.K {
+					return k, nil
+				}
+			}
+		}
+	} else {
+		for j--; j >= i; j-- {
+			if k := clip(bs[j], lo, hi); rr.matchesAt(s, k) {
+				if n++; n == -v.K {
+					return k, nil
+				}
+			}
+		}
 	}
-	return v.Eval(c.text[lo:hi])
+	return 0, errNoRegPosMatch(v)
 }
 
 // CountIn returns CountMatches(r, text[lo:hi]) memoized per (range,
@@ -360,7 +368,7 @@ func (c *Cache) CountIn(lo, hi int, r Regex) int {
 	}
 	c.mu.RUnlock()
 	c.misses.Add(1)
-	n := CountMatches(r, c.text[lo:hi])
+	n := c.countMatches(lo, hi, r)
 	e := countEntry{r: r, n: n}
 	c.mu.Lock()
 	if len(c.counts) >= maxCountEntries && !c.pinned(lo, hi) {
@@ -371,6 +379,56 @@ func (c *Cache) CountIn(lo, hi int, r Regex) int {
 	c.enforceBytesLocked()
 	c.mu.Unlock()
 	return n
+}
+
+// countMatches is CountMatches(r, text[lo:hi]) tested only at the starts
+// of r's first token within the range: every match of r begins at one, so
+// taking them in order and skipping those inside the previous match counts
+// the same greedy non-overlapping matches.
+func (c *Cache) countMatches(lo, hi int, r Regex) int {
+	if len(r) == 0 {
+		return 0
+	}
+	s := c.text[lo:hi]
+	w := c.entry(r[0])
+	i, j := w.window(lo, hi, len(r[0].lit))
+	n, next := 0, 0
+	for ; i < j; i++ {
+		k := clip(w.pre[i], lo, hi)
+		if k < next {
+			continue
+		}
+		if m := r.MatchPrefix(s, k); m > 0 {
+			n++
+			next = k + m
+		}
+	}
+	return n
+}
+
+// anchorIn returns the candidate positions of rr within text[lo:hi] as the
+// window bs[i:j] of one whole-document boundary list: the ends of
+// rr.Left's last token or the starts of rr.Right's first token, whichever
+// window is shorter. Each element, clipped to the range (clip), is one of
+// that token's boundaries over text[lo:hi], in ascending order, so every
+// position of rr is among them. rr must have a non-empty side.
+func (c *Cache) anchorIn(lo, hi int, rr RegexPair) (bs []int, i, j int) {
+	if len(rr.Left) > 0 {
+		t := rr.Left[len(rr.Left)-1]
+		w := c.entry(t)
+		bs = w.suf
+		i, j = w.window(lo, hi, len(t.lit))
+		if len(rr.Right) == 0 || i == j {
+			return bs, i, j
+		}
+	}
+	t := rr.Right[0]
+	w := c.entry(t)
+	ri, rj := w.window(lo, hi, len(t.lit))
+	if len(rr.Left) == 0 || rj-ri < j-i {
+		return w.pre, ri, rj
+	}
+	return bs, i, j
 }
 
 // IndexFor returns the boundary index of text[lo:hi] for a token pool,

@@ -59,13 +59,9 @@ func (ix *Index) Positions(rr RegexPair) []int {
 	}
 	var out []int
 	for _, k := range cands {
-		if rr.Left.MatchSuffix(ix.s, k) < 0 {
-			continue
+		if rr.matchesAt(ix.s, k) {
+			out = append(out, k)
 		}
-		if rr.Right.MatchPrefix(ix.s, k) < 0 {
-			continue
-		}
-		out = append(out, k)
 	}
 	return out
 }

@@ -28,10 +28,15 @@ var standardByName = func() map[string]Token {
 	return out
 }()
 
-// FromSpec reconstructs a token.
+// FromSpec reconstructs a token. An empty literal is an error: it is
+// neither a literal nor a class token, so no matcher can evaluate it (no
+// learner produces one).
 func FromSpec(s TokenSpec) (Token, error) {
 	switch s.Kind {
 	case "lit":
+		if s.Value == "" {
+			return Token{}, fmt.Errorf("tokens: empty literal token")
+		}
 		return Literal(s.Value), nil
 	case "std":
 		t, ok := standardByName[s.Value]

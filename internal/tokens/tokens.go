@@ -16,13 +16,16 @@ import (
 type Token struct {
 	// Name is the token's display name.
 	Name string
-	// class is non-nil for character-class tokens (matched as C+).
-	class func(byte) bool
+	// class is non-nil for character-class tokens (matched as C+): the
+	// byte table of the class, built once per token, so a byte test is
+	// one load rather than a call.
+	class *[256]bool
 	// lit is non-empty for literal (dynamic) tokens.
 	lit string
 }
 
-// Literal returns a dynamic token matching the exact string s.
+// Literal returns a dynamic token matching the exact string s, which must
+// be non-empty.
 func Literal(s string) Token {
 	return Token{Name: fmt.Sprintf("DynamicTok(%s)", s), lit: s}
 }
@@ -37,7 +40,7 @@ func (t Token) Lit() string { return t.lit }
 
 // MatchesByte reports whether a character-class token's class accepts b.
 // It is always false for dynamic literal tokens (use Lit for those).
-func (t Token) MatchesByte(b byte) bool { return t.class != nil && t.class(b) }
+func (t Token) MatchesByte(b byte) bool { return t.class != nil && t.class[b] }
 
 // MatchPrefix returns the length of the match of t starting at s[i:], or
 // -1 when t does not match there. Class tokens match maximal runs (as in
@@ -51,11 +54,11 @@ func (t Token) MatchPrefix(s string, i int) int {
 		}
 		return -1
 	}
-	if i > 0 && t.class(s[i-1]) {
+	if i > 0 && t.class[s[i-1]] {
 		return -1 // not left-maximal
 	}
 	j := i
-	for j < len(s) && t.class(s[j]) {
+	for j < len(s) && t.class[s[j]] {
 		j++
 	}
 	if j == i {
@@ -74,11 +77,11 @@ func (t Token) MatchSuffix(s string, i int) int {
 		}
 		return -1
 	}
-	if i < len(s) && t.class(s[i]) {
+	if i < len(s) && t.class[s[i]] {
 		return -1 // not right-maximal
 	}
 	j := i
-	for j > 0 && t.class(s[j-1]) {
+	for j > 0 && t.class[s[j-1]] {
 		j--
 	}
 	if j == i {
@@ -89,12 +92,17 @@ func (t Token) MatchSuffix(s string, i int) int {
 
 func (t Token) String() string { return t.Name }
 
+// classToken tabulates the class predicate f over all 256 bytes.
 func classToken(name string, f func(byte) bool) Token {
-	return Token{Name: name, class: f}
+	var class [256]bool
+	for b := range class {
+		class[b] = f(byte(b))
+	}
+	return Token{Name: name, class: &class}
 }
 
 func charToken(name string, c byte) Token {
-	return Token{Name: name, class: func(b byte) bool { return b == c }}
+	return classToken(name, func(b byte) bool { return b == c })
 }
 
 // The standard token set (30 tokens, mirroring the paper's instantiation).
@@ -243,15 +251,18 @@ func (rr RegexPair) Positions(s string) []int {
 	}
 	var out []int
 	for k := 0; k <= len(s); k++ {
-		if rr.Left.MatchSuffix(s, k) < 0 {
-			continue
+		if rr.matchesAt(s, k) {
+			out = append(out, k)
 		}
-		if rr.Right.MatchPrefix(s, k) < 0 {
-			continue
-		}
-		out = append(out, k)
 	}
 	return out
+}
+
+// matchesAt reports whether position k of s belongs to rr's position
+// sequence: rr.Left matches a suffix ending at k and rr.Right a prefix
+// starting at k.
+func (rr RegexPair) matchesAt(s string, k int) bool {
+	return rr.Left.MatchSuffix(s, k) >= 0 && rr.Right.MatchPrefix(s, k) >= 0
 }
 
 // CountMatches returns the number of non-overlapping matches of r in s,

@@ -160,15 +160,43 @@ func TestRegexPairPositions(t *testing.T) {
 	}
 }
 
+// TestCountMatches pins the greedy non-overlapping count, and that
+// Cache.CountIn, which tests only the first token's starts, agrees with it
+// over the whole text and over a range cutting its first byte.
 func TestCountMatches(t *testing.T) {
-	if got := CountMatches(Regex{Number}, "1a22b333"); got != 3 {
-		t.Fatalf("CountMatches = %d, want 3", got)
+	cases := []struct {
+		r    Regex
+		s    string
+		want int
+	}{
+		{Regex{Number}, "1a22b333", 3},
+		{Regex{}, "abc", 0},
+		{Regex{Literal("ab")}, "ababab", 3},
+		{Regex{Literal("aa")}, "aaaaa", 2},                    // overlapping occurrences
+		{Regex{Word, Hyphen, Word}, "ab-cd-ef-gh", 2},         // a start inside a match
+		{Regex{Word, Hyphen}, "ab-cd-ef", 2},                  // a start at a match's end
+		{Regex{Number, Space, Number}, "1 2 3 4 5", 2},        // chained matches
+		{Regex{Literal("-"), Lower}, "x-a-b--c", 3},           // literal first token
+		{Regex{Lower, Literal("--")}, "a--b---c----", 3},      // overlapping literal inside
+		{Regex{Upper, Lower}, "AbCDeFgHI", 3},                 // runs cut by other classes
+		{Regex{Colon, Colon}, ":::", 0},                       // class runs are maximal
+		{Regex{Literal(":"), Literal(":")}, ":::::", 2},       // literals are not
+		{Regex{Space, Literal("aa")}, " aaa aa  aa", 3},       // literal after a run
+		{Regex{Alpha, Number, Alpha}, "a1b2c3d", 2},           // chained, alternating
+		{Regex{Literal("ab"), Literal("ba")}, "abbababba", 2}, // literal then literal
 	}
-	if got := CountMatches(Regex{}, "abc"); got != 0 {
-		t.Fatalf("ε CountMatches = %d, want 0", got)
-	}
-	if got := CountMatches(Regex{Literal("ab")}, "ababab"); got != 3 {
-		t.Fatalf("literal CountMatches = %d, want 3", got)
+	for _, c := range cases {
+		if got := CountMatches(c.r, c.s); got != c.want {
+			t.Fatalf("CountMatches(%s, %q) = %d, want %d", c.r, c.s, got, c.want)
+		}
+		text := "#" + c.s
+		cache := NewCache(text)
+		if got := cache.CountIn(1, len(text), c.r); got != c.want {
+			t.Fatalf("CountIn(%s) over %q = %d, want %d", c.r, c.s, got, c.want)
+		}
+		if got, want := cache.CountIn(2, len(text), c.r), CountMatches(c.r, c.s[1:]); got != want {
+			t.Fatalf("CountIn(%s) over %q = %d, want %d", c.r, c.s[1:], got, want)
+		}
 	}
 }
 
@@ -465,6 +493,9 @@ func TestSpecErrors(t *testing.T) {
 	}
 	if _, err := FromSpec(TokenSpec{Kind: "weird"}); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+	if _, err := FromSpec(TokenSpec{Kind: "lit", Value: ""}); err == nil {
+		t.Fatal("empty literal accepted")
 	}
 	if _, err := UnmarshalAttr("not json"); err == nil {
 		t.Fatal("junk attr accepted")
