@@ -4,7 +4,7 @@ GO ?= go
 # run fast and deterministic in duration; use a duration for real fuzzing).
 FUZZTIME ?= 40x
 
-.PHONY: all build vet fmt-check test race check bench bench-synth bench-batch bench-interactive fuzz-smoke trace-smoke chaos-smoke shard-smoke serve-smoke obs-smoke trace
+.PHONY: all build vet fmt-check test race check bench-module bench bench-synth bench-batch bench-interactive fuzz-smoke trace-smoke chaos-smoke shard-smoke serve-smoke obs-smoke trace
 
 all: check
 
@@ -45,10 +45,17 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzHighlighting -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run NONE -fuzz FuzzCacheEval -fuzztime $(FUZZTIME) ./internal/tokens
 
-# check is what the CI test job runs: compile everything, vet, gofmt, the
-# fuzz smoke, and the race-enabled test suite (which subsumes the plain
-# one).
-check: build vet fmt-check fuzz-smoke race
+# bench-module vets the benchmark module and runs its tiny-size smoke test.
+# benchmark/ is a module of its own, so `go test ./...` never compiles it,
+# although it builds against the engine, batch and serve packages.
+bench-module:
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark test .
+
+# check is what the CI test job runs (compile everything, vet, gofmt, the
+# fuzz smoke, and the race-enabled test suite, which subsumes the plain
+# one), plus the benchmark module check of the CI smoke job.
+check: build vet fmt-check fuzz-smoke race bench-module
 
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x ./...

@@ -50,7 +50,6 @@ type serveConfig struct {
 	programs     string
 	admin        string
 	maxInflight  int
-	cache        int
 	workers      int
 	timeout      time.Duration
 	traceRing    int
@@ -73,7 +72,6 @@ func parseServeFlags(args []string) (serveConfig, error) {
 	fs.StringVar(&cfg.programs, "programs", "", "program directory: <name>@<version>.<doctype>.json artifacts (required)")
 	fs.StringVar(&cfg.admin, "admin", "", "serve the admin endpoint on this address (e.g. :8080); empty = off")
 	fs.IntVar(&cfg.maxInflight, "max-inflight", serve.DefaultMaxInflight, "documents admitted across all in-flight requests before overloaded frames")
-	fs.IntVar(&cfg.cache, "cache", serve.DefaultCompiledCap, "compiled program instances pooled across the registry (LRU)")
 	fs.IntVar(&cfg.workers, "workers", 0, "per-scan_batch worker pool size (0 = GOMAXPROCS)")
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "default per-document deadline when a request has no timeout_ms (0 = none)")
 	fs.IntVar(&cfg.traceRing, "trace-ring", 0, "document traces retained for /trace/last (0 = default)")
@@ -143,7 +141,7 @@ func runServe(args []string, stdout io.Writer) error {
 		accessLog = f
 	}
 
-	registry := serve.NewRegistry(cfg.programs, cfg.cache)
+	registry := serve.NewRegistry(cfg.programs, 0)
 	added, _, err := registry.Load()
 	if err != nil {
 		return err

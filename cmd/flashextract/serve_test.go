@@ -19,9 +19,6 @@ func TestParseServeFlagsDefaults(t *testing.T) {
 	if cfg.maxInflight != serve.DefaultMaxInflight {
 		t.Errorf("maxInflight = %d, want %d", cfg.maxInflight, serve.DefaultMaxInflight)
 	}
-	if cfg.cache != serve.DefaultCompiledCap {
-		t.Errorf("cache = %d, want %d", cfg.cache, serve.DefaultCompiledCap)
-	}
 	if cfg.admin != "" || cfg.chaos != "" || cfg.selfCheck || cfg.prefilter {
 		t.Errorf("non-default optional flags: %+v", cfg)
 	}
@@ -36,13 +33,13 @@ func TestParseServeFlagsDefaults(t *testing.T) {
 func TestParseServeFlagsExplicit(t *testing.T) {
 	cfg, err := parseServeFlags([]string{
 		"-programs", "p", "-admin", "127.0.0.1:0", "-max-inflight", "8",
-		"-cache", "3", "-workers", "2", "-timeout", "250ms",
+		"-workers", "2", "-timeout", "250ms",
 		"-chaos", "seed=7", "-prefilter", "-log-level", "debug", "-log-json",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.admin != "127.0.0.1:0" || cfg.maxInflight != 8 || cfg.cache != 3 ||
+	if cfg.admin != "127.0.0.1:0" || cfg.maxInflight != 8 ||
 		cfg.workers != 2 || cfg.timeout != 250*time.Millisecond ||
 		cfg.chaos != "seed=7" || !cfg.prefilter ||
 		cfg.logLevel != "debug" || !cfg.logJSON {

@@ -98,16 +98,14 @@ func StringSource(name, data string) Source {
 	return Source{Name: name, Open: func() ([]byte, error) { return []byte(data), nil }}
 }
 
-// ProgramSource supplies compiled program instances to the worker pool in
-// place of per-worker deserialization of Options.Program. Run acquires one
-// instance per worker before dispatch — an instance no other goroutine
-// holds — and releases each when the run has drained, so instances are
-// reused across runs without ever being shared between concurrently running
-// documents. The long-lived server's program registry implements it to
-// amortize compilation across requests.
+// ProgramSource supplies an already compiled program in place of
+// deserializing Options.Program. Run asks once per run and hands the
+// program to every worker: no method writes a SchemaProgram, and a run's
+// state lives in each document's evaluation cache, highlighting and core
+// state. The long-lived server's program registry implements it, so a
+// program is compiled once per catalog entry rather than once per request.
 type ProgramSource interface {
-	Acquire() (*engine.SchemaProgram, error)
-	Release(*engine.SchemaProgram)
+	Program() *engine.SchemaProgram
 }
 
 // Options configures a batch run: it is the one place for the run-path
@@ -119,8 +117,8 @@ type Options struct {
 	// Programs is set.
 	Program []byte
 	// Programs, when non-nil, supplies the workers' compiled program
-	// instances instead of Program — the learn-once/serve-many seam of the
-	// persistent server.
+	// instead of Program — the learn-once/serve-many seam of the persistent
+	// server.
 	Programs ProgramSource
 	// DocType is the document type the program was learned on: "text",
 	// "web", or "sheet".
@@ -337,44 +335,28 @@ func Run(ctx context.Context, opts Options, sources []Source, out io.Writer) (Su
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, max(len(sources), 1))
-	// One program instance per worker, deserialized or checked out before
-	// dispatch: program state is never shared between concurrent documents,
-	// and a corrupt program fails the run once, up front. Pooled instances
-	// go back when the run has drained or failed.
-	progs := make([]*engine.SchemaProgram, 0, workers)
+	// One program per run, deserialized or supplied before dispatch and
+	// shared by every worker, so a corrupt program fails the run once, up
+	// front.
+	var prog *engine.SchemaProgram
 	if opts.Programs != nil {
-		defer func() {
-			for _, p := range progs {
-				opts.Programs.Release(p)
-			}
-		}()
-	}
-	for len(progs) < workers {
-		var p *engine.SchemaProgram
-		if opts.Programs != nil {
-			p, err = opts.Programs.Acquire()
-		} else {
-			p, err = engine.LoadSchemaProgram(opts.Program, lang)
-		}
-		if err != nil {
-			return Summary{}, err
-		}
-		progs = append(progs, p)
+		prog = opts.Programs.Program()
+	} else if prog, err = engine.LoadSchemaProgram(opts.Program, lang); err != nil {
+		return Summary{}, err
 	}
 	env := &runEnv{shard: docstore.Shard{K: opts.ShardIndex, N: opts.ShardCount}}
 	if err := env.shard.Validate(); err != nil {
 		return Summary{}, err
 	}
 	if opts.Prefilter {
-		// The analysis only reads the program, before any worker runs it.
-		f, err := prefilter.FromSchemaProgram(progs[0], opts.DocType)
+		f, err := prefilter.FromSchemaProgram(prog, opts.DocType)
 		if err != nil {
 			return Summary{}, err
 		}
 		// A non-selective filter admits everything; skip the per-document
 		// admission probe entirely rather than paying it for nothing.
 		if f.Selective() {
-			empty, err := emptyOutcome(progs[0], opts.DocType, opts.SelfCheck)
+			empty, err := emptyOutcome(prog, opts.DocType, opts.SelfCheck)
 			if err != nil {
 				return Summary{}, err
 			}
@@ -424,7 +406,7 @@ func Run(ctx context.Context, opts Options, sources []Source, out io.Writer) (Su
 	}()
 
 	var wg sync.WaitGroup
-	for _, prog := range progs {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

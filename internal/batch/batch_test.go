@@ -11,12 +11,14 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"flashextract/internal/batch"
 	"flashextract/internal/engine"
 	"flashextract/internal/metrics"
+	"flashextract/internal/region"
 	"flashextract/internal/schema"
 	"flashextract/internal/sheetlang"
 	"flashextract/internal/textlang"
@@ -363,79 +365,81 @@ func TestBatchUnorderedCoversAll(t *testing.T) {
 	}
 }
 
-// countingSource is a ProgramSource that deserializes a fresh instance per
-// Acquire and counts the calls; Acquire number failAt (1-based) fails.
+// countingSource is a ProgramSource that counts how often Run asks it.
 type countingSource struct {
-	artifact []byte
-	failAt   int
-
-	mu                 sync.Mutex
-	acquires, releases int
+	prog  *engine.SchemaProgram
+	calls int
 }
 
-var errAcquire = errors.New("acquire failed")
+func (c *countingSource) Program() *engine.SchemaProgram {
+	c.calls++
+	return c.prog
+}
 
-func (c *countingSource) Acquire() (*engine.SchemaProgram, error) {
-	c.mu.Lock()
-	c.acquires++
-	n := c.acquires
-	c.mu.Unlock()
-	if n == c.failAt {
-		return nil, errAcquire
-	}
+// countingSeq wraps a field's sequence program and counts its runs, so a
+// test sees which program the workers ran.
+type countingSeq struct {
+	engine.SeqRegionProgram
+	runs *atomic.Int64
+}
+
+func (c countingSeq) ExtractSeq(r region.Region) ([]region.Region, error) {
+	c.runs.Add(1)
+	return c.SeqRegionProgram.ExtractSeq(r)
+}
+
+// TestProgramSourceOncePerRun: Run asks its source once per run, whatever
+// the worker count and with the prefilter analysis on, and every document
+// runs the one program it returned, with the same records as a run that
+// deserializes Options.Program.
+func TestProgramSourceOncePerRun(t *testing.T) {
+	artifact := learnTextProgram(t)
 	lang, err := batch.LanguageFor("text")
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	return engine.LoadSchemaProgram(c.artifact, lang)
-}
-
-func (c *countingSource) Release(*engine.SchemaProgram) {
-	c.mu.Lock()
-	c.releases++
-	c.mu.Unlock()
-}
-
-// TestProgramSourceOnePerWorker: Run checks out exactly one instance per
-// worker, the prefilter analysis included, and returns each; a failed
-// checkout fails the run before any record and returns what it took.
-func TestProgramSourceOnePerWorker(t *testing.T) {
-	prog := learnTextProgram(t)
-	sources := []batch.Source{
-		batch.StringSource("a.txt", chairDoc("Bistro", "75.40")),
-		batch.StringSource("b.txt", chairDoc("Windsor", "185.00")),
-		batch.StringSource("c.txt", "not a chair document at all"),
+	prog, err := engine.LoadSchemaProgram(artifact, lang)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3} {
-		src := &countingSource{artifact: prog}
+	var runs atomic.Int64
+	wrapped := 0
+	for _, fp := range prog.Fields {
+		if fp.Ancestor == nil && fp.Seq != nil {
+			fp.Seq = countingSeq{fp.Seq, &runs}
+			wrapped++
+		}
+	}
+	if wrapped == 0 {
+		t.Fatal("the program has no top-level sequence field to count")
+	}
+	var sources []batch.Source
+	for i := 0; i < 12; i++ {
+		sources = append(sources, batch.StringSource(fmt.Sprintf("d%02d.txt", i), chairDoc(fmt.Sprint("Chair", i), "75.40")))
+	}
+	sources = append(sources, batch.StringSource("prose.txt", "not a chair document at all"))
+	run := func(opts batch.Options) string {
 		var out bytes.Buffer
-		sum, err := batch.Run(context.Background(), batch.Options{
-			Programs: src, DocType: "text", Workers: workers, Ordered: true, Prefilter: true,
-		}, sources, &out)
-		if err != nil {
-			t.Fatal(err)
+		sum, err := batch.Run(context.Background(), opts, sources, &out)
+		if err != nil || sum.Docs != len(sources) {
+			t.Fatalf("summary = %+v, err = %v", sum, err)
 		}
-		if sum.Docs != len(sources) {
-			t.Fatalf("%d workers: summary = %+v", workers, sum)
+		return out.String()
+	}
+	want := run(batch.Options{Program: artifact, DocType: "text", Ordered: true})
+	for _, workers := range []int{1, 4} {
+		runs.Store(0)
+		src := &countingSource{prog: prog}
+		got := run(batch.Options{Programs: src, DocType: "text", Workers: workers, Ordered: true, Prefilter: true})
+		if src.calls != 1 {
+			t.Errorf("%d workers: Run asked its source %d times, want once", workers, src.calls)
 		}
-		if src.acquires != workers || src.releases != workers {
-			t.Errorf("%d workers: %d acquires, %d releases, want %d each",
-				workers, src.acquires, src.releases, workers)
+		if n := runs.Load(); n != int64(wrapped*len(sources)) {
+			t.Errorf("%d workers: the source's program ran %d field extractions, want %d", workers, n, wrapped*len(sources))
 		}
-	}
-	src := &countingSource{artifact: prog, failAt: 2}
-	var out bytes.Buffer
-	_, err := batch.Run(context.Background(), batch.Options{
-		Programs: src, DocType: "text", Workers: 3, Ordered: true,
-	}, sources, &out)
-	if !errors.Is(err, errAcquire) {
-		t.Fatalf("err = %v, want the Acquire error", err)
-	}
-	if out.Len() != 0 {
-		t.Fatalf("records written after a failed Acquire: %q", out.String())
-	}
-	if src.acquires != 2 || src.releases != 1 {
-		t.Errorf("%d acquires, %d releases, want 2 and 1", src.acquires, src.releases)
+		if got != want {
+			t.Errorf("%d workers: records differ from the deserialized program's:\n%s\nwant:\n%s", workers, got, want)
+		}
 	}
 }
 

@@ -13,8 +13,8 @@
 //
 // Its core is a program registry (see Registry): saved program artifacts
 // loaded from a directory by naming convention, hot-reloadable while
-// requests are in flight, with a size-capped LRU pool of compiled
-// programs so repeated requests do not re-deserialize artifacts.
+// requests are in flight, each compiled once at load and shared by every
+// request that runs it.
 // Extraction itself runs through the same internal/batch worker pool as
 // `flashextract batch`, so scan_batch output is byte-identical to the
 // one-shot path and the chaos, metrics, and trace plumbing of the batch
@@ -22,6 +22,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -217,20 +218,24 @@ func codeForKind(kind string) string {
 
 // decodeRequest parses one frame line into a Request. Failures are
 // reported as crafted messages (never the JSON decoder's own text) so
-// protocol transcripts are stable across toolchain versions.
+// protocol transcripts are stable across toolchain versions. A well-formed
+// request is decoded once; only a frame that does not decode into a
+// Request, or is null, is decoded again generically to tell the failures
+// apart.
 func decodeRequest(line []byte) (Request, *FrameError) {
-	var probe any
-	if err := json.Unmarshal(line, &probe); err != nil {
-		return Request{}, &FrameError{Code: CodeBadRequest, Message: "serve: frame is not valid JSON"}
-	}
-	if _, ok := probe.(map[string]any); !ok {
-		return Request{}, &FrameError{Code: CodeBadRequest, Message: "serve: frame is not a JSON object"}
-	}
 	var req Request
-	if err := json.Unmarshal(line, &req); err != nil {
+	if err := json.Unmarshal(line, &req); err != nil || bytes.Equal(bytes.TrimSpace(line), []byte("null")) {
+		var probe any
+		if json.Unmarshal(line, &probe) != nil {
+			return Request{}, &FrameError{Code: CodeBadRequest, Message: "serve: frame is not valid JSON"}
+		}
+		obj, ok := probe.(map[string]any)
+		if !ok {
+			return Request{}, &FrameError{Code: CodeBadRequest, Message: "serve: frame is not a JSON object"}
+		}
 		// Salvage the id (when it at least is a string) so the error frame
 		// still correlates.
-		if id, ok := probe.(map[string]any)["id"].(string); ok {
+		if id, ok := obj["id"].(string); ok {
 			req.ID = id
 		}
 		return req, &FrameError{Code: CodeBadRequest, Message: "serve: frame fields have the wrong types"}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,10 +15,6 @@ import (
 	"flashextract/internal/engine"
 )
 
-// DefaultCompiledCap bounds the registry's pool of compiled program
-// instances when NewRegistry is given a non-positive cap.
-const DefaultCompiledCap = 16
-
 // Registry is the program catalog of the extraction server: named,
 // versioned saved programs loaded from a directory, the learn-once/
 // serve-many store of §7 of the paper.
@@ -31,33 +26,22 @@ const DefaultCompiledCap = 16
 // e.g. invoices@3.text.json — name [A-Za-z0-9_-]+, version a positive
 // integer, doctype one of text/web/sheet. Load scans the directory and
 // swaps the catalog atomically; entries whose bytes did not change keep
-// their identity (and their compiled-program pool and counters) across
+// their identity (and their compiled program and counters) across
 // reloads, and an entry resolved before a reload stays runnable after it,
 // so in-flight requests always finish on the version they resolved.
 //
-// Compiled programs are pooled per entry under a registry-wide LRU with a
-// size cap: Acquire checks an instance out (compiling only on a pool
-// miss), Release returns it, and the least recently used entries' spare
-// instances are dropped first when the cap is exceeded. Entry implements
-// batch.ProgramSource, so the batch worker pool draws its per-worker
-// programs straight from the pool.
+// Each entry holds the one program Load compiled from its artifact. No
+// method writes a compiled program, so every request and batch worker
+// shares it: Entry implements batch.ProgramSource.
 type Registry struct {
 	dir string
-	cap int
 
 	mu      sync.RWMutex
 	catalog map[string][]*Entry // name → entries, version ascending
-
-	// The compiled-instance pool: entries with spare instances sit in an
-	// LRU list (front = most recently used); cached counts the spare
-	// instances across all entries.
-	pmu    sync.Mutex
-	lru    *list.List
-	cached int
 }
 
-// Entry is one catalog program: an immutable artifact plus its pooled
-// compiled instances and serving counters. Entries remain valid after the
+// Entry is one catalog program: an immutable artifact, its compiled
+// program and its serving counters. Entries remain valid after the
 // catalog drops them — holders finish their runs on the old version.
 type Entry struct {
 	// Name, Version, and DocType come from the filename convention.
@@ -69,17 +53,11 @@ type Entry struct {
 	// Digest is the hex SHA-256 of the artifact bytes.
 	Digest string
 
-	raw []byte
-	reg *Registry
+	raw  []byte
+	prog *engine.SchemaProgram
 
-	// free holds spare compiled instances; elem is the entry's LRU slot
-	// (non-nil iff len(free) > 0). Both are guarded by reg.pmu.
-	free []*engine.SchemaProgram
-	elem *list.Element
-
-	// compiles counts artifact deserializations (pool misses); scans,
-	// docs, and errs are the per-program serving counters surfaced by
-	// /programs.
+	// compiles counts artifact deserializations (Load's one); scans, docs,
+	// and errs are the per-program serving counters surfaced by /programs.
 	compiles atomic.Int64
 	scans    atomic.Int64
 	docs     atomic.Int64
@@ -94,13 +72,9 @@ var (
 )
 
 // NewRegistry creates a registry over a program directory; call Load
-// before serving. cap bounds the pooled compiled instances (<= 0 selects
-// DefaultCompiledCap).
-func NewRegistry(dir string, cap int) *Registry {
-	if cap <= 0 {
-		cap = DefaultCompiledCap
-	}
-	return &Registry{dir: dir, cap: cap, catalog: map[string][]*Entry{}, lru: list.New()}
+// before serving. The second parameter is unused.
+func NewRegistry(dir string, _ int) *Registry {
+	return &Registry{dir: dir, catalog: map[string][]*Entry{}}
 }
 
 // Dir returns the program directory the registry scans.
@@ -110,7 +84,8 @@ func (r *Registry) Dir() string { return r.dir }
 // Every discovered artifact is compiled once up front, so a corrupt file
 // fails the whole load and the previous catalog stays live — a bad deploy
 // never takes down serving. Unchanged entries (same name, version, and
-// digest) keep their identity; Load reports how many entries were added
+// digest) keep their identity, so an unchanged artifact is compiled
+// again only to validate it; Load reports how many entries were added
 // and removed relative to the previous catalog.
 func (r *Registry) Load() (added, removed int, err error) {
 	if _, err := os.Stat(r.dir); err != nil {
@@ -136,15 +111,11 @@ func (r *Registry) Load() (added, removed int, err error) {
 		refs[ref] = path
 	}
 	next := map[string][]*Entry{}
-	seen := map[string]*Entry{}
-	compiled := map[*Entry]*engine.SchemaProgram{}
 	for _, path := range names {
-		e, prog, err := r.loadEntry(path)
+		e, err := loadEntry(path)
 		if err != nil {
 			return 0, 0, err
 		}
-		seen[e.Ref()] = e
-		compiled[e] = prog
 		next[e.Name] = append(next[e.Name], e)
 	}
 	for _, es := range next {
@@ -154,7 +125,7 @@ func (r *Registry) Load() (added, removed int, err error) {
 	r.mu.Lock()
 	prev := r.catalog
 	// Preserve identity for unchanged artifacts (same name, version, and
-	// digest) so their pools and counters survive the reload.
+	// digest) so their programs and counters survive the reload.
 	for name, es := range next {
 		for i, e := range es {
 			for _, old := range prev[name] {
@@ -181,47 +152,38 @@ func (r *Registry) Load() (added, removed int, err error) {
 	for _, es := range prev {
 		prevCount += len(es)
 	}
-	added = len(seen) - (prevCount - removed)
+	added = len(kept) - (prevCount - removed)
 	r.catalog = next
 	r.mu.Unlock()
-	// Seed the pools of the entries that actually entered the catalog with
-	// their validation compiles; instances of entries superseded by an
-	// unchanged predecessor are simply dropped.
-	for e, prog := range compiled {
-		if kept[e] {
-			e.Release(prog)
-		}
-	}
 	return added, removed, nil
 }
 
-// loadEntry parses one artifact file — filename convention, digest, and a
-// validation compile returned alongside the entry so Load can seed the
-// pool of entries that make it into the catalog.
-func (r *Registry) loadEntry(path string) (*Entry, *engine.SchemaProgram, error) {
+// loadEntry parses and compiles one artifact file: filename convention,
+// digest, and the program every run of the entry shares.
+func loadEntry(path string) (*Entry, error) {
 	name, version, docType, err := parseProgramFilename(filepath.Base(path))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	lang, err := batch.LanguageFor(docType)
 	if err != nil {
-		return nil, nil, fmt.Errorf("serve: %s: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("serve: %s: %w", filepath.Base(path), err)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("serve: reading %s: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("serve: reading %s: %w", filepath.Base(path), err)
+	}
+	prog, err := engine.LoadSchemaProgram(raw, lang)
+	if err != nil {
+		return nil, fmt.Errorf("serve: compiling %s: %w", filepath.Base(path), err)
 	}
 	e := &Entry{
 		Name: name, Version: version, DocType: docType, Path: path,
 		Digest: docstore.Hash(raw).String(),
-		raw:    raw, reg: r,
-	}
-	prog, err := engine.LoadSchemaProgram(raw, lang)
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: compiling %s: %w", filepath.Base(path), err)
+		raw:    raw, prog: prog,
 	}
 	e.compiles.Add(1)
-	return e, prog, nil
+	return e, nil
 }
 
 // parseProgramFilename splits "<name>@<version>.<doctype>.json".
@@ -336,10 +298,13 @@ func (e *Entry) Info() ProgramInfo {
 		DocType: e.DocType, Digest: e.Digest}
 }
 
-// Compiles returns how many times the artifact has been deserialized —
-// the pool-miss count the soak test pins down to prove the LRU carries
-// the serving load.
+// Compiles returns how many times the artifact has been deserialized:
+// once, by the Load that created the entry, however many runs share it.
 func (e *Entry) Compiles() int64 { return e.compiles.Load() }
+
+// Program implements batch.ProgramSource: it returns the entry's compiled
+// program, shared by every run of the entry.
+func (e *Entry) Program() *engine.SchemaProgram { return e.prog }
 
 // Scans / Docs / Errors return the entry's serving counters: requests that
 // ran it, documents those runs processed, and error records among them.
@@ -352,91 +317,4 @@ func (e *Entry) noteScan(docs, errs int64) {
 	e.scans.Add(1)
 	e.docs.Add(docs)
 	e.errs.Add(errs)
-}
-
-// Cached reports the entry's spare compiled instances currently pooled.
-func (e *Entry) Cached() int {
-	e.reg.pmu.Lock()
-	defer e.reg.pmu.Unlock()
-	return len(e.free)
-}
-
-// Acquire implements batch.ProgramSource: it checks a compiled instance
-// out of the pool, compiling the artifact only on a miss. The instance is
-// exclusively the caller's until Release.
-func (e *Entry) Acquire() (*engine.SchemaProgram, error) {
-	e.reg.pmu.Lock()
-	if n := len(e.free); n > 0 {
-		prog := e.free[n-1]
-		e.free = e.free[:n-1]
-		e.reg.cached--
-		e.touchLocked()
-		e.reg.pmu.Unlock()
-		return prog, nil
-	}
-	e.reg.pmu.Unlock()
-	lang, err := batch.LanguageFor(e.DocType)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := engine.LoadSchemaProgram(e.raw, lang)
-	if err != nil {
-		return nil, fmt.Errorf("serve: compiling %s: %w", e.Ref(), err)
-	}
-	e.compiles.Add(1)
-	return prog, nil
-}
-
-// Release implements batch.ProgramSource: it returns an instance to the
-// pool and evicts least-recently-used spares beyond the registry cap.
-func (e *Entry) Release(prog *engine.SchemaProgram) {
-	if prog == nil {
-		return
-	}
-	r := e.reg
-	r.pmu.Lock()
-	defer r.pmu.Unlock()
-	e.free = append(e.free, prog)
-	r.cached++
-	e.touchLocked()
-	for r.cached > r.cap {
-		back := r.lru.Back()
-		if back == nil {
-			return
-		}
-		tail := back.Value.(*Entry)
-		n := len(tail.free)
-		tail.free[n-1] = nil
-		tail.free = tail.free[:n-1]
-		r.cached--
-		if len(tail.free) == 0 {
-			r.lru.Remove(back)
-			tail.elem = nil
-		}
-	}
-}
-
-// touchLocked moves the entry to the LRU front (inserting or removing its
-// slot as its spare count crosses zero). Callers hold reg.pmu.
-func (e *Entry) touchLocked() {
-	if len(e.free) == 0 {
-		if e.elem != nil {
-			e.reg.lru.Remove(e.elem)
-			e.elem = nil
-		}
-		return
-	}
-	if e.elem == nil {
-		e.elem = e.reg.lru.PushFront(e)
-		return
-	}
-	e.reg.lru.MoveToFront(e.elem)
-}
-
-// CachedInstances reports the spare compiled instances pooled across the
-// registry (test introspection).
-func (r *Registry) CachedInstances() int {
-	r.pmu.Lock()
-	defer r.pmu.Unlock()
-	return r.cached
 }

@@ -112,7 +112,9 @@ func TestResolve(t *testing.T) {
 }
 
 // TestReloadPreservesIdentity: an unchanged artifact keeps its entry — and
-// with it the compiled-program pool and serving counters — across reloads.
+// with it the compiled program and serving counters — across reloads; a
+// changed artifact gets a new entry compiled once; and scans compile
+// nothing.
 func TestReloadPreservesIdentity(t *testing.T) {
 	dir := programDir(t)
 	r := serve.NewRegistry(dir, 0)
@@ -138,8 +140,47 @@ func TestReloadPreservesIdentity(t *testing.T) {
 	if e1 != e2 {
 		t.Fatal("unchanged artifact did not keep its entry identity across reload")
 	}
-	if e2.Compiles() != compiles {
-		t.Fatalf("reload reset the compile counter: %d -> %d", compiles, e2.Compiles())
+	if compiles != 1 || e2.Compiles() != 1 {
+		t.Fatalf("compiles = %d before the reload, %d after; want 1 and 1", compiles, e2.Compiles())
+	}
+
+	// A changed digest: the same reference gets a new entry, compiled once.
+	writeProgram(t, dir, "chairs@1.text.json", learnNamesProgram(t))
+	if added, removed, err = r.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if added != 1 || removed != 1 {
+		t.Fatalf("changed-digest reload reported added=%d removed=%d, want 1/1", added, removed)
+	}
+	e3, err := r.Resolve("chairs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e3 == e1 || e3.Digest == e1.Digest {
+		t.Fatal("a changed artifact kept the old entry")
+	}
+	if e3.Compiles() != 1 {
+		t.Fatalf("new entry compiled %d times, want once", e3.Compiles())
+	}
+
+	// Scans run the entry's program and compile nothing, on the current
+	// entry and on the one the reload dropped alike.
+	for _, e := range []*serve.Entry{e1, e3} {
+		for _, workers := range []int{1, 3} {
+			var out strings.Builder
+			if _, err := batch.Run(context.Background(), batch.Options{
+				Programs: e, DocType: e.DocType, Workers: workers, Ordered: true,
+			}, []batch.Source{
+				batch.StringSource("a", chairDoc("Bistro", "75.40")),
+				batch.StringSource("b", chairDoc("Windsor", "185.00")),
+				batch.StringSource("c", chairDoc("Eames", "12.00")),
+			}, &out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if e.Compiles() != 1 {
+			t.Fatalf("%s (digest %.8s) compiled %d times after scans, want once", e.Ref(), e.Digest, e.Compiles())
+		}
 	}
 }
 
@@ -184,64 +225,4 @@ func TestEntrySurvivesCatalogDrop(t *testing.T) {
 	if !strings.Contains(out.String(), `"Prices":[75.40]`) {
 		t.Fatalf("dropped entry did not run the old program: %s", out.String())
 	}
-}
-
-// TestCompiledPoolLRU: the registry-wide instance pool respects its cap,
-// reuses instances across acquire/release cycles, and evicts the least
-// recently used entries' spares first.
-func TestCompiledPoolLRU(t *testing.T) {
-	dir := t.TempDir()
-	artifact := learnChairProgram(t)
-	writeProgram(t, dir, "a@1.text.json", artifact)
-	writeProgram(t, dir, "b@1.text.json", artifact)
-	writeProgram(t, dir, "c@1.text.json", artifact)
-	r := serve.NewRegistry(dir, 2)
-	if _, _, err := r.Load(); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.CachedInstances(); got > 2 {
-		t.Fatalf("CachedInstances after load = %d, want <= cap 2", got)
-	}
-	a, _ := r.Resolve("a")
-	b, _ := r.Resolve("b")
-	c, _ := r.Resolve("c")
-
-	// Acquire/release on one entry reuses the pooled instance: no compile.
-	before := a.Compiles()
-	for i := 0; i < 5; i++ {
-		p, err := a.Acquire()
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.Release(p)
-	}
-	if a.Compiles() > before+1 {
-		t.Fatalf("pool did not amortize compiles: %d -> %d", before, a.Compiles())
-	}
-
-	// Filling every pool keeps the global cap: releasing a third entry's
-	// instance evicts the least recently used spare.
-	for _, e := range []*serve.Entry{a, b, c} {
-		p, err := e.Acquire()
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Release(p)
-	}
-	if got := r.CachedInstances(); got != 2 {
-		t.Fatalf("CachedInstances = %d, want exactly cap 2", got)
-	}
-	// a was released first, so its spare was the LRU victim; its next
-	// acquire is a fresh compile, while c (most recent) hits its pool.
-	ac, cc := a.Compiles(), c.Compiles()
-	pa, _ := a.Acquire()
-	pc, _ := c.Acquire()
-	if a.Compiles() != ac+1 {
-		t.Fatalf("LRU victim a should recompile: compiles %d -> %d", ac, a.Compiles())
-	}
-	if c.Compiles() != cc {
-		t.Fatalf("most-recent c should hit its pool: compiles %d -> %d", cc, c.Compiles())
-	}
-	a.Release(pa)
-	c.Release(pc)
 }

@@ -623,9 +623,7 @@ type programsFile struct {
 // programStatus is one catalog entry's live serving state.
 type programStatus struct {
 	ProgramInfo
-	// Cached is the entry's spare compiled instances currently pooled;
-	// Compiles counts artifact deserializations (pool misses).
-	Cached   int   `json:"cached"`
+	// Compiles counts artifact deserializations: 1 per entry, by Load.
 	Compiles int64 `json:"compiles"`
 	// Scans / Docs / Errors are the per-program serving counters.
 	Scans  int64 `json:"scans"`
@@ -644,7 +642,6 @@ func (s *Server) ProgramsHandler() http.HandlerFunc {
 		for _, e := range entries {
 			file.Programs = append(file.Programs, programStatus{
 				ProgramInfo: e.Info(),
-				Cached:      e.Cached(),
 				Compiles:    e.Compiles(),
 				Scans:       e.Scans(),
 				Docs:        e.Docs(),

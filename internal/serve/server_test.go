@@ -154,7 +154,6 @@ func TestProgramsHandler(t *testing.T) {
 			Ref      string `json:"ref"`
 			DocType  string `json:"doc_type"`
 			Digest   string `json:"digest"`
-			Cached   int    `json:"cached"`
 			Compiles int64  `json:"compiles"`
 			Scans    int64  `json:"scans"`
 			Docs     int64  `json:"docs"`
@@ -177,8 +176,11 @@ func TestProgramsHandler(t *testing.T) {
 	if p.Scans != 1 || p.Docs != 1 || p.Errors != 0 {
 		t.Fatalf("serving counters = scans=%d docs=%d errors=%d, want 1/1/0", p.Scans, p.Docs, p.Errors)
 	}
-	if p.Compiles < 1 || p.Cached < 1 {
-		t.Fatalf("pool state = compiles=%d cached=%d", p.Compiles, p.Cached)
+	if p.Compiles != 1 {
+		t.Fatalf("compiles = %d, want the one compile of Load", p.Compiles)
+	}
+	if strings.Contains(rr.Body.String(), `"cached"`) {
+		t.Fatalf("/programs still reports a compiled-program pool: %s", rr.Body.String())
 	}
 }
 

@@ -84,8 +84,9 @@ func positionsIn(d *Document, lo, hi int, rr tokens.RegexPair) []int {
 	return d.cache.Positions(lo, hi, rr)
 }
 
-// countIn memoizes CountMatches over a document range via the evaluation
-// cache; the isolated-substring semantics match CountMatches on the slice.
+// countIn counts the matches of r within Text[lo:hi] through the
+// document's evaluation cache; the isolated-substring semantics match
+// CountMatches on the slice.
 func countIn(d *Document, lo, hi int, r tokens.Regex) int {
 	return d.cache.CountIn(lo, hi, r)
 }

@@ -13,10 +13,10 @@ import (
 // tokens) or occurrences (literals). Every query over a half-open range
 // [lo, hi) of the text is answered from those entries, by binary-searching
 // them to the window that belongs to the range and walking it in place:
-// EvalAttr walks to the k-th match and stores nothing, while Positions
-// (PosSeq) and CountIn memoize their answers per range and regex, so the
-// same sequence or count is shared across candidate programs, validation
-// runs, and refinement iterations.
+// EvalAttr walks to the k-th match and CountIn counts matches, storing
+// nothing, while Positions (PosSeq) memoizes its answer per range and
+// regex pair, so the same sequence is shared across candidate programs,
+// validation runs, and refinement iterations.
 //
 // All methods are safe for concurrent use; returned slices are shared and
 // must be treated as read-only. The backing text never changes, so cached
@@ -35,7 +35,6 @@ type Cache struct {
 	bytes  int64                 // approximate resident bytes of all entries (guarded by mu)
 	bounds map[string]boundEntry // whole-document boundaries by token name
 	seqs   map[seqKey][]seqEntry
-	counts map[countKey][]countEntry
 }
 
 // Stats summarizes the cache: probe hits and misses, entry count,
@@ -52,7 +51,7 @@ type Stats struct {
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
 	c.mu.RLock()
-	entries := int64(len(c.bounds) + len(c.seqs) + len(c.counts))
+	entries := int64(len(c.bounds) + len(c.seqs))
 	bytes := c.bytes
 	c.mu.RUnlock()
 	return Stats{
@@ -84,21 +83,13 @@ func boundSize(e boundEntry) int64 { return 64 + 8*int64(len(e.pre)+len(e.suf)) 
 func seqSize(e seqEntry) int64 {
 	return 96 + 8*int64(len(e.ps)) + 48*int64(len(e.rr.Left)+len(e.rr.Right))
 }
-func countSize(e countEntry) int64 { return 64 + 48*int64(len(e.r)) }
 
-// enforceBytesLocked evicts non-pinned sequence entries, then non-pinned
-// count entries, when the byte cap is exceeded. Requires c.mu held for
-// writing.
+// enforceBytesLocked evicts non-pinned sequence entries when the byte cap
+// is exceeded. Requires c.mu held for writing.
 func (c *Cache) enforceBytesLocked() {
-	limit := c.maxBytes.Load()
-	if limit <= 0 || c.bytes <= limit {
-		return
+	if limit := c.maxBytes.Load(); limit > 0 && c.bytes > limit {
+		c.evictSeqsLocked()
 	}
-	c.evictSeqsLocked()
-	if c.bytes <= limit {
-		return
-	}
-	c.evictCountsLocked()
 }
 
 type boundEntry struct {
@@ -119,24 +110,10 @@ type seqEntry struct {
 	ps []int
 }
 
-// countKey buckets match-count entries by range and regex fingerprint.
-type countKey struct {
-	lo, hi int
-	h      uint64
-}
-
-type countEntry struct {
-	r Regex
-	n int
-}
-
-// Cache size bounds. Sub-document ranges (lines, suffixes, prefixes)
-// repeat heavily but are unbounded in principle; whole-document entries
-// are never evicted.
-const (
-	maxSeqEntries   = 32768
-	maxCountEntries = 32768
-)
+// maxSeqEntries bounds the position-sequence entries. Sub-document ranges
+// (lines, suffixes, prefixes) repeat heavily but are unbounded in
+// principle; whole-document entries are never evicted.
+const maxSeqEntries = 32768
 
 // NewCache creates the evaluation cache of one immutable document text.
 func NewCache(text string) *Cache {
@@ -144,7 +121,6 @@ func NewCache(text string) *Cache {
 		text:   text,
 		bounds: map[string]boundEntry{},
 		seqs:   map[seqKey][]seqEntry{},
-		counts: map[countKey][]countEntry{},
 	}
 }
 
@@ -353,39 +329,12 @@ func (c *Cache) EvalAttr(lo, hi int, a Attr) (int, error) {
 	return 0, errNoRegPosMatch(v)
 }
 
-// CountIn returns CountMatches(r, text[lo:hi]) memoized per (range,
-// regex). Line predicates re-count the same regex over the same line once
-// per candidate program; the count is a pure function of the range.
+// CountIn returns CountMatches(r, text[lo:hi]), testing r only at the
+// starts of its first token within the range: every match of r begins at
+// one, so taking them in order and skipping those inside the previous
+// match counts the same greedy non-overlapping matches. Like EvalAttr it
+// walks the token's whole-document boundary entry and stores nothing.
 func (c *Cache) CountIn(lo, hi int, r Regex) int {
-	key := countKey{lo: lo, hi: hi, h: regexFingerprint(r)}
-	c.mu.RLock()
-	for _, e := range c.counts[key] {
-		if regexEqual(e.r, r) {
-			c.mu.RUnlock()
-			c.hits.Add(1)
-			return e.n
-		}
-	}
-	c.mu.RUnlock()
-	c.misses.Add(1)
-	n := c.countMatches(lo, hi, r)
-	e := countEntry{r: r, n: n}
-	c.mu.Lock()
-	if len(c.counts) >= maxCountEntries && !c.pinned(lo, hi) {
-		c.evictCountsLocked()
-	}
-	c.counts[key] = append(c.counts[key], e)
-	c.bytes += countSize(e)
-	c.enforceBytesLocked()
-	c.mu.Unlock()
-	return n
-}
-
-// countMatches is CountMatches(r, text[lo:hi]) tested only at the starts
-// of r's first token within the range: every match of r begins at one, so
-// taking them in order and skipping those inside the previous match counts
-// the same greedy non-overlapping matches.
-func (c *Cache) countMatches(lo, hi int, r Regex) int {
 	if len(r) == 0 {
 		return 0
 	}
@@ -454,21 +403,7 @@ func (c *Cache) evictSeqsLocked() {
 	}
 }
 
-// evictCountsLocked drops non-pinned match-count entries. Requires c.mu
-// held for writing.
-func (c *Cache) evictCountsLocked() {
-	for k, es := range c.counts {
-		if !c.pinned(k.lo, k.hi) {
-			for _, e := range es {
-				c.bytes -= countSize(e)
-			}
-			c.evictions.Add(1)
-			delete(c.counts, k)
-		}
-	}
-}
-
-// regexFingerprint extends an FNV-1a hash with a regex's token names.
+// regexFingerprintFrom extends an FNV-1a hash with a regex's token names.
 func regexFingerprintFrom(h uint64, r Regex) uint64 {
 	for _, t := range r {
 		for i := 0; i < len(t.Name); i++ {
@@ -479,10 +414,6 @@ func regexFingerprintFrom(h uint64, r Regex) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-func regexFingerprint(r Regex) uint64 {
-	return regexFingerprintFrom(14695981039346656037, r)
 }
 
 // pairFingerprint hashes both sides of a regex pair with a side separator.

@@ -317,23 +317,3 @@ func TestBoundariesMatchesScan(t *testing.T) {
 		}
 	}
 }
-
-// TestCacheEntryCapEvictionsCounted overflows the entry cap of the
-// match-count map and requires Stats.Evictions to record the drops.
-func TestCacheEntryCapEvictionsCounted(t *testing.T) {
-	text := randomText(rand.New(rand.NewSource(11)), 400)
-	c := NewCache(text)
-	r := Regex{Number}
-	n := 0
-	for lo := 0; lo < len(text) && n <= maxCountEntries; lo++ {
-		for hi := lo + 1; hi <= len(text) && n <= maxCountEntries; hi++ {
-			if got, want := c.CountIn(lo, hi, r), CountMatches(r, text[lo:hi]); got != want {
-				t.Fatalf("CountIn(%d,%d) = %d, want %d", lo, hi, got, want)
-			}
-			n++
-		}
-	}
-	if ev := c.Stats().Evictions; ev == 0 {
-		t.Fatalf("overflowing maxCountEntries recorded %d evictions", ev)
-	}
-}
