@@ -44,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzServeRequest -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzHighlighting -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run NONE -fuzz FuzzCacheEval -fuzztime $(FUZZTIME) ./internal/tokens
+	$(GO) test -run NONE -fuzz FuzzLearnPositions -fuzztime $(FUZZTIME) ./internal/tokens
 
 # bench-module vets the benchmark module and runs its tiny-size smoke test.
 # benchmark/ is a module of its own, so `go test ./...` never compiles it,

@@ -144,6 +144,35 @@ func BenchmarkLearnPositionAttrs(b *testing.B) {
 	}
 }
 
+// BenchmarkLearnStartAttrLargeText measures position-attribute learning as
+// textlang's StartSeqMap rule runs it on the largest text document
+// (hadoop-xl): each of two timestamp examples ends at a position of the
+// document suffix that starts where the example does. The examples name
+// those suffixes as ranges of the document's evaluation cache, so every
+// iteration after the first reads its cached whole-document token
+// boundaries.
+func BenchmarkLearnStartAttrLargeText(b *testing.B) {
+	task := corpus.ByName("hadoop-xl")
+	doc := task.Doc.(*textlang.Document)
+	var exs, bounds []tokens.PosExample
+	for _, r := range task.Golden["ts"][:2] {
+		y := r.(textlang.Region)
+		exs = append(exs, tokens.PosExample{S: doc.Text[y.Start:], K: y.End - y.Start, C: doc.EvalCache(), Lo: y.Start})
+		bounds = append(bounds, tokens.PosExample{S: doc.Text, K: y.Start}, tokens.PosExample{S: doc.Text, K: y.End})
+	}
+	// The pool textlang learns with: the standard tokens plus the literals
+	// its discovery parameters promote around the examples.
+	pool := append(append([]tokens.Token(nil), tokens.Standard...),
+		tokens.DiscoverDynamicTokens(doc.Text, bounds, 6, 2, 24)...)
+	b.SetBytes(int64(len(exs[0].S)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := tokens.LearnAttrs(exs, pool); len(got) == 0 {
+			b.Fatal("no attributes")
+		}
+	}
+}
+
 // BenchmarkPosSeq measures regex-pair position scanning over a document.
 func BenchmarkPosSeq(b *testing.B) {
 	task := corpus.ByName("hadoop")

@@ -25,8 +25,8 @@ type Document struct {
 	mu        sync.RWMutex
 	lineCache map[[2]int][]Region
 
-	// cache memoizes token boundaries, regex-pair position sequences, and
-	// learning indexes over ranges of Text; program execution and the
+	// cache holds the whole-document token boundaries and the regex-pair
+	// position sequences over ranges of Text; program execution and the
 	// learners share it across candidates and refinement iterations.
 	cache *tokens.Cache
 }

@@ -38,12 +38,12 @@ const (
 // lang implements engine.Language for text documents.
 type lang struct{}
 
-// learnCtx carries the per-synthesis-call token pool (standard tokens plus
-// dynamic tokens promoted from the neighborhood of the examples) and the
-// document whose evaluation cache serves boundary indexes to the learners.
+// learnCtx carries the per-synthesis-call token pool: standard tokens plus
+// dynamic tokens promoted from the neighborhood of the examples. The
+// learners name each example string as a range of its document's
+// evaluation cache, whose token boundaries they share.
 type learnCtx struct {
 	toks []tokens.Token
-	doc  *Document
 
 	// lsFlight single-flights the LS sub-learn per example fingerprint: all
 	// three SS rules re-learn LS, and their witness sequences coincide
@@ -76,16 +76,7 @@ func newLearnCtx(doc *Document, boundary []Region) *learnCtx {
 	pool := make([]tokens.Token, 0, len(tokens.Standard)+len(dyn))
 	pool = append(pool, tokens.Standard...)
 	pool = append(pool, dyn...)
-	return &learnCtx{toks: pool, doc: doc}
-}
-
-// index returns the boundary index of Text[lo:hi] for the context's token
-// pool, clipped from the document cache's whole-document token entries.
-func (c *learnCtx) index(lo, hi int) *tokens.Index {
-	if c.doc == nil {
-		return nil
-	}
-	return c.doc.cache.IndexFor(lo, hi, c.toks)
+	return &learnCtx{toks: pool}
 }
 
 // SynthesizeSeqRegion learns N1 programs (Fig. 7): a Merge of pair
@@ -151,9 +142,8 @@ func (l *lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample)
 	lc := newLearnCtx(doc, boundary)
 	var sExs, eExs []tokens.PosExample
 	for i, in := range ins {
-		ix := lc.index(in.Start, in.End)
-		sExs = append(sExs, tokens.PosExample{S: in.Value(), K: outs[i].Start - in.Start, Ix: ix})
-		eExs = append(eExs, tokens.PosExample{S: in.Value(), K: outs[i].End - in.Start, Ix: ix})
+		sExs = append(sExs, tokens.PosExample{S: in.Value(), K: outs[i].Start - in.Start, C: in.Doc.cache, Lo: in.Start})
+		eExs = append(eExs, tokens.PosExample{S: in.Value(), K: outs[i].End - in.Start, C: in.Doc.cache, Lo: in.Start})
 	}
 	n2 := func(ctx context.Context, _ []core.Example) (out []core.Program) {
 		ctx, sp := trace.Start(ctx, "pair")
@@ -409,7 +399,7 @@ func (c *learnCtx) learnPosSeq(ctx context.Context, exs []core.SeqExample) []cor
 		if err != nil {
 			return nil
 		}
-		sp := tokens.SeqPosExample{S: r0.Value(), Ix: c.index(r0.Start, r0.End)}
+		sp := tokens.SeqPosExample{S: r0.Value(), C: r0.Doc.cache, Lo: r0.Start}
 		for _, v := range ex.Positive {
 			k, ok := v.(int)
 			if !ok || k < r0.Start || k > r0.End {
@@ -448,9 +438,8 @@ func (c *learnCtx) learnLinePair(ctx context.Context, exs []core.Example) (out [
 		if !ok || !x.Contains(y) {
 			return nil
 		}
-		ix := c.index(x.Start, x.End)
-		sExs = append(sExs, tokens.PosExample{S: x.Value(), K: y.Start - x.Start, Ix: ix})
-		eExs = append(eExs, tokens.PosExample{S: x.Value(), K: y.End - x.Start, Ix: ix})
+		sExs = append(sExs, tokens.PosExample{S: x.Value(), K: y.Start - x.Start, C: x.Doc.cache, Lo: x.Start})
+		eExs = append(eExs, tokens.PosExample{S: x.Value(), K: y.End - x.Start, C: x.Doc.cache, Lo: x.Start})
 	}
 	p1s := capAttrs(tokens.LearnAttrsStop(sExs, c.toks, core.StopFunc(ctx)), attrCap)
 	p2s := capAttrs(tokens.LearnAttrsStop(eExs, c.toks, core.StopFunc(ctx)), attrCap)
@@ -475,7 +464,7 @@ func (c *learnCtx) learnLinePos(ctx context.Context, exs []core.Example) []core.
 		if !ok || k < x.Start || k > x.End {
 			return nil
 		}
-		pexs = append(pexs, tokens.PosExample{S: x.Value(), K: k - x.Start, Ix: c.index(x.Start, x.End)})
+		pexs = append(pexs, tokens.PosExample{S: x.Value(), K: k - x.Start, C: x.Doc.cache, Lo: x.Start})
 	}
 	attrs := capAttrs(tokens.LearnAttrsStop(pexs, c.toks, core.StopFunc(ctx)), attrCap)
 	out := make([]core.Program, len(attrs))
@@ -507,7 +496,7 @@ func (c *learnCtx) learnStartPair(ctx context.Context, exs []core.Example) (out 
 		if !ok || y.Start != x || y.End > r0.End {
 			return nil
 		}
-		pexs = append(pexs, tokens.PosExample{S: r0.Doc.Text[x:r0.End], K: y.End - x, Ix: c.index(x, r0.End)})
+		pexs = append(pexs, tokens.PosExample{S: r0.Doc.Text[x:r0.End], K: y.End - x, C: r0.Doc.cache, Lo: x})
 	}
 	attrs := capAttrs(tokens.LearnAttrsStop(pexs, c.toks, core.StopFunc(ctx)), attrCap)
 	out = make([]core.Program, len(attrs))
@@ -539,7 +528,7 @@ func (c *learnCtx) learnEndPair(ctx context.Context, exs []core.Example) (out []
 		if !ok || y.End != x || y.Start < r0.Start {
 			return nil
 		}
-		pexs = append(pexs, tokens.PosExample{S: r0.Doc.Text[r0.Start:x], K: y.Start - r0.Start, Ix: c.index(r0.Start, x)})
+		pexs = append(pexs, tokens.PosExample{S: r0.Doc.Text[r0.Start:x], K: y.Start - r0.Start, C: r0.Doc.cache, Lo: r0.Start})
 	}
 	attrs := capAttrs(tokens.LearnAttrsStop(pexs, c.toks, core.StopFunc(ctx)), attrCap)
 	out = make([]core.Program, len(attrs))

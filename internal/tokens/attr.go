@@ -118,31 +118,25 @@ const maxSeqsPerSide = 48
 // first.
 func SeqsEndingAt(s string, k int, toks []Token) []Regex {
 	out := []Regex{{}}
-	frontier := []Regex{{}}
-	ends := map[string]int{"": k} // regex key → leftmost end after matching
-	key := func(r Regex) string {
-		str := ""
-		for _, t := range r {
-			str += t.Name + "|"
-		}
-		return str
+	type item struct {
+		r   Regex
+		end int // where the next token to the left must end
 	}
+	frontier := []item{{Regex{}, k}}
 	for depth := 0; depth < MaxRegexTokens; depth++ {
-		var next []Regex
-		for _, r := range frontier {
-			end := ends[key(r)]
+		var next []item
+		for _, it := range frontier {
 			for _, t := range toks {
-				n := t.MatchSuffix(s, end)
+				n := t.MatchSuffix(s, it.end)
 				if n <= 0 {
 					continue
 				}
-				nr := append(Regex{t}, r...)
+				nr := append(Regex{t}, it.r...)
 				if len(out) >= maxSeqsPerSide {
 					return out
 				}
 				out = append(out, nr)
-				next = append(next, nr)
-				ends[key(nr)] = end - n
+				next = append(next, item{nr, it.end - n})
 			}
 		}
 		frontier = next
@@ -186,10 +180,90 @@ func SeqsStartingAt(s string, k int, toks []Token) []Regex {
 type PosExample struct {
 	S string
 	K int
-	// Ix optionally carries a prebuilt boundary index of S (see
-	// Cache.IndexFor); when nil the learner builds one itself. Callers that
-	// learn repeatedly over the same document share the index across calls.
-	Ix *Index
+	// C optionally names the document cache S was cut from, at offset Lo:
+	// S is C.Text()[Lo:Lo+len(S)]. The learners then read C's
+	// whole-document token boundaries, which are shared across calls,
+	// instead of scanning S; when C is nil the learner caches S itself.
+	C  *Cache
+	Lo int
+}
+
+// exampleRange is the range [lo, hi) of a cache's text that holds an
+// example's string.
+type exampleRange struct {
+	c      *Cache
+	lo, hi int
+}
+
+func rangeOf(c *Cache, lo int, s string) exampleRange {
+	if c == nil {
+		return exampleRange{NewCache(s), 0, len(s)}
+	}
+	return exampleRange{c, lo, lo + len(s)}
+}
+
+// matchList returns the ascending positions of the range (relative to lo)
+// where r matches as a suffix (a left regex) or as a prefix (a right
+// regex). It returns nil for ε, which pairSeq reads as "matches
+// everywhere", and a made, non-nil list for any other regex, even an empty
+// one. It walks the window of the whole-document boundary entry of r's
+// edge token: the ends of a left regex's last token, the starts of a right
+// regex's first token. Every match lies on one of those boundaries, and a
+// one-token regex matches on all of them.
+func (x exampleRange) matchList(r Regex, left bool) []int {
+	if len(r) == 0 {
+		return nil
+	}
+	t := r[0]
+	if left {
+		t = r[len(r)-1]
+	}
+	w := x.c.entry(t)
+	bs := w.pre
+	if left {
+		bs = w.suf
+	}
+	i, j := w.window(x.lo, x.hi, len(t.lit))
+	s := x.c.text[x.lo:x.hi]
+	ps := make([]int, 0, j-i)
+	for _, b := range bs[i:j] {
+		k := clip(b, x.lo, x.hi)
+		if len(r) == 1 || left && r.MatchSuffix(s, k) >= 0 || !left && r.MatchPrefix(s, k) >= 0 {
+			ps = append(ps, k)
+		}
+	}
+	return ps
+}
+
+// pairSeq returns the length n of the position sequence of a regex pair
+// whose sides match at the ascending positions xs and ys, the index of k
+// in it (-1 when k is absent) and its hashInt signature, in one two-pointer
+// walk over the intersection that builds nothing. An ε side (nil) matches
+// everywhere, so the sequence is the other list.
+func pairSeq(xs, ys []int, k int) (n, idx int, sig uint64) {
+	if xs == nil {
+		xs = ys
+	} else if ys == nil {
+		ys = xs
+	}
+	idx, sig = -1, fnvOffset
+	for i, j := 0, 0; i < len(xs) && j < len(ys); {
+		switch x, y := xs[i], ys[j]; {
+		case x < y:
+			i++
+		case x > y:
+			j++
+		default:
+			if x == k {
+				idx = n
+			}
+			sig = hashInt(sig, x)
+			n++
+			i++
+			j++
+		}
+	}
+	return n, idx, sig
 }
 
 // maxAttrCandidates bounds the number of candidate attributes generated
@@ -209,85 +283,86 @@ func LearnAttrs(exs []PosExample, toks []Token) []Attr {
 // far are returned. Candidate generation and verification both scan the
 // example strings, so this is where a synthesis deadline must be able to
 // interrupt position learning on large documents.
+//
+// Candidates are the regex pairs around the first example's position,
+// each with the index of that position in the pair's sequence over the
+// first example, counted from either end. The match list of every side
+// regex is built once, so a pair's sequence is one intersection
+// (pairSeq), and pairs yielding a sequence already seen are dropped. Every
+// candidate holds on the first example by construction and is checked on
+// the others with Cache.EvalAttr.
 func LearnAttrsStop(exs []PosExample, toks []Token, stop func() bool) []Attr {
 	if len(exs) == 0 {
 		return nil
 	}
 	first := exs[0]
-	var cands []Attr
-	cands = append(cands, AbsPos{K: first.K}, AbsPos{K: first.K - len(first.S) - 1})
-
-	indexes := make([]*Index, len(exs))
-	for i, ex := range exs {
-		if ex.Ix != nil {
-			indexes[i] = ex.Ix
-		} else {
-			indexes[i] = NewIndex(ex.S, toks)
-		}
+	if first.K < 0 || first.K > len(first.S) {
+		return nil // no attribute yields a position outside the string
 	}
+	cands := []Attr{AbsPos{K: first.K}, AbsPos{K: first.K - len(first.S) - 1}}
+
 	lefts := SeqsEndingAt(first.S, first.K, toks)
 	rights := SeqsStartingAt(first.S, first.K, toks)
+	x0 := rangeOf(first.C, first.Lo, first.S)
+	ls, rs := make([][]int, len(lefts)), make([][]int, len(rights))
+	for a, r1 := range lefts {
+		ls[a] = x0.matchList(r1, true)
+	}
+	for b, r2 := range rights {
+		rs[b] = x0.matchList(r2, false)
+	}
 	seen := map[uint64]bool{}
 gen:
-	for _, r1 := range lefts {
-		for _, r2 := range rights {
+	for a, r1 := range lefts {
+		for b, r2 := range rights {
 			if stop != nil && stop() {
 				break gen
 			}
 			if len(r1) == 0 && len(r2) == 0 {
 				continue
 			}
-			rr := RegexPair{Left: r1, Right: r2}
-			ps := indexes[0].Positions(rr)
-			idx := indexOfInt(ps, first.K)
-			if idx < 0 {
-				continue
-			}
-			// Dedupe regex pairs yielding the same position sequence.
-			sig := hashInts(ps)
-			if seen[sig] {
+			n, idx, sig := pairSeq(ls[a], rs[b], first.K)
+			if idx < 0 || seen[sig] {
 				continue
 			}
 			seen[sig] = true
-			cands = append(cands, RegPos{RR: rr, K: idx + 1}, RegPos{RR: rr, K: idx - len(ps)})
+			rr := RegexPair{Left: r1, Right: r2}
+			cands = append(cands, RegPos{RR: rr, K: idx + 1}, RegPos{RR: rr, K: idx - n})
 			if len(cands) >= maxAttrCandidates {
-				break
+				break gen
 			}
-		}
-		if len(cands) >= maxAttrCandidates {
-			break
 		}
 	}
 
+	rest := make([]exampleRange, len(exs)-1)
+	for i, ex := range exs[1:] {
+		rest[i] = rangeOf(ex.C, ex.Lo, ex.S)
+	}
 	var out []Attr
+verify:
 	for _, a := range cands {
 		if stop != nil && stop() {
 			break // keep the verified prefix
 		}
-		ok := true
-		for i, ex := range exs {
-			k, err := indexes[i].EvalAttr(a)
-			if err != nil || k != ex.K {
-				ok = false
-				break
+		for i, x := range rest {
+			if k, err := x.c.EvalAttr(x.lo, x.hi, a); err != nil || k != exs[i+1].K {
+				continue verify
 			}
 		}
-		if ok {
-			out = append(out, a)
-		}
+		out = append(out, a)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost() < out[j].Cost() })
 	return out
 }
 
 // SeqPosExample is an example for regex-pair (position sequence) learning:
-// Ks are positive position instances, in order, within S.
+// Ks are positive position instances, in order, within S. C and Lo name
+// the cache range of S, as in PosExample.
 type SeqPosExample struct {
 	S  string
 	Ks []int
-	// Ix optionally carries a prebuilt boundary index of S, as in
-	// PosExample.
-	Ix *Index
+	C  *Cache
+	Lo int
 }
 
 // LearnRegexPairs learns the ranked set of regex pairs rr whose position
@@ -301,6 +376,11 @@ func LearnRegexPairs(exs []SeqPosExample, toks []Token) []RegexPair {
 // LearnRegexPairsStop is LearnRegexPairs with a cooperative stop callback
 // polled between candidate pairs; the pairs verified so far are returned
 // when it trips.
+//
+// A pair holds when it matches at every positive (RegexPair.matchesAt).
+// Pairs whose sequence over the first example is one already kept are
+// dropped; that sequence is an intersection of side match lists built once
+// per call (pairSeq).
 func LearnRegexPairsStop(exs []SeqPosExample, toks []Token, stop func() bool) []RegexPair {
 	var first *SeqPosExample
 	for i := range exs {
@@ -312,22 +392,28 @@ func LearnRegexPairsStop(exs []SeqPosExample, toks []Token, stop func() bool) []
 	if first == nil {
 		return nil
 	}
-	k0 := first.Ks[0]
-	indexes := make([]*Index, len(exs))
-	for i, ex := range exs {
-		if ex.Ix != nil {
-			indexes[i] = ex.Ix
-		} else {
-			indexes[i] = NewIndex(ex.S, toks)
+	// An ascending position sequence holds the positives in order only when
+	// they ascend strictly within their string, so a repeated or
+	// out-of-range positive rejects every pair.
+	for _, ex := range exs {
+		for i, k := range ex.Ks {
+			if k < 0 || k > len(ex.S) || i > 0 && k <= ex.Ks[i-1] {
+				return nil
+			}
 		}
 	}
+	k0 := first.Ks[0]
 	lefts := SeqsEndingAt(first.S, k0, toks)
 	rights := SeqsStartingAt(first.S, k0, toks)
+	// The match lists over the first example are built on first use: only
+	// pairs that hold need a signature.
+	x0 := rangeOf(exs[0].C, exs[0].Lo, exs[0].S)
+	ls, rs := make([][]int, len(lefts)), make([][]int, len(rights))
 	var out []RegexPair
 	seen := map[uint64]bool{}
 pairs:
-	for _, r1 := range lefts {
-		for _, r2 := range rights {
+	for a, r1 := range lefts {
+		for b, r2 := range rights {
 			if stop != nil && stop() {
 				break pairs // keep the verified prefix
 			}
@@ -335,72 +421,60 @@ pairs:
 				continue
 			}
 			rr := RegexPair{Left: r1, Right: r2}
-			ok := true
-			var firstSig uint64
-			for i, ex := range exs {
-				ps := indexes[i].Positions(rr)
-				if i == 0 {
-					firstSig = hashInts(ps)
-				}
-				if !containsAllInts(ps, ex.Ks) {
-					ok = false
-					break
-				}
-			}
-			if !ok || seen[firstSig] {
+			if !rr.matchesAll(exs) {
 				continue
 			}
-			seen[firstSig] = true
+			if ls[a] == nil {
+				ls[a] = x0.matchList(r1, true)
+			}
+			if rs[b] == nil {
+				rs[b] = x0.matchList(r2, false)
+			}
+			_, _, sig := pairSeq(ls[a], rs[b], -1)
+			if seen[sig] {
+				continue
+			}
+			seen[sig] = true
 			out = append(out, rr)
 			if len(out) >= maxSeqsPerSide {
-				break
+				break pairs
 			}
-		}
-		if len(out) >= maxSeqsPerSide {
-			break
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost() < out[j].Cost() })
 	return out
 }
 
-// hashInts is an FNV-1a hash over an int slice, used to dedupe candidate
-// position sequences cheaply.
-func hashInts(xs []int) uint64 {
-	h := uint64(14695981039346656037)
-	for _, x := range xs {
-		v := uint64(x)
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
+// matchesAll reports whether rr matches at every positive of every
+// example.
+func (rr RegexPair) matchesAll(exs []SeqPosExample) bool {
+	for _, ex := range exs {
+		for _, k := range ex.Ks {
+			if !rr.matchesAt(ex.S, k) {
+				return false
+			}
 		}
+	}
+	return true
+}
+
+// FNV-1a parameters of hashInt.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// hashInt extends an FNV-1a hash with the eight little-endian bytes of x;
+// folded over a position sequence from fnvOffset, it dedupes candidate
+// sequences cheaply.
+func hashInt(h uint64, x int) uint64 {
+	v := uint64(x)
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime
+		v >>= 8
 	}
 	return h
-}
-
-func indexOfInt(xs []int, v int) int {
-	for i, x := range xs {
-		if x == v {
-			return i
-		}
-	}
-	return -1
-}
-
-// containsAllInts reports whether xs (sorted ascending) contains every
-// element of sub, in order.
-func containsAllInts(xs, sub []int) bool {
-	i := 0
-	for _, x := range xs {
-		if i == len(sub) {
-			return true
-		}
-		if x == sub[i] {
-			i++
-		}
-	}
-	return i == len(sub)
 }
 
 // DiscoverDynamicTokens promotes frequently occurring literals around the

@@ -16,7 +16,9 @@ import (
 // EvalAttr walks to the k-th match and CountIn counts matches, storing
 // nothing, while Positions (PosSeq) memoizes its answer per range and
 // regex pair, so the same sequence is shared across candidate programs,
-// validation runs, and refinement iterations.
+// validation runs, and refinement iterations. The position learners
+// (LearnAttrs, LearnRegexPairs) build their per-regex match lists from
+// the same windows, for examples that name a range of the cache.
 //
 // All methods are safe for concurrent use; returned slices are shared and
 // must be treated as read-only. The backing text never changes, so cached
@@ -181,33 +183,6 @@ func (c *Cache) seqGet(key seqKey, rr RegexPair) ([]int, bool) {
 	return nil, false
 }
 
-// Boundaries returns the boundary positions of token t within text[lo:hi]:
-// the positions where t matches as a prefix (run starts) and as a suffix
-// (run ends), relative to lo. Both slices are read-only.
-//
-// The first call for t scans the whole document and caches that one
-// entry; every sub-range is then answered by clipping its window of the
-// entry rather than rescanning text[lo:hi], and the clipped answer is not
-// stored, so sub-ranges cost no cache memory.
-func (c *Cache) Boundaries(lo, hi int, t Token) (pre, suf []int) {
-	w := c.entry(t)
-	if c.pinned(lo, hi) {
-		return w.pre, w.suf
-	}
-	i, j := w.window(lo, hi, len(t.lit))
-	n := j - i
-	if n == 0 {
-		return nil, nil
-	}
-	buf := make([]int, 2*n)
-	pre, suf = buf[:n:n], buf[n:]
-	for k := 0; k < n; k++ {
-		pre[k] = clip(w.pre[i+k], lo, hi)
-		suf[k] = clip(w.suf[i+k], lo, hi)
-	}
-	return pre, suf
-}
-
 // entry returns the whole-document boundary entry of t, scanning the
 // document on the first call for t. It records the probe as a cache hit
 // or miss.
@@ -257,9 +232,9 @@ func (w boundEntry) window(lo, hi, litLen int) (i, j int) {
 func clip(b, lo, hi int) int { return min(max(b, lo), hi) - lo }
 
 // scanBoundaries computes the prefix/suffix boundary positions of one
-// token over s (the per-token body of NewIndex). Class tokens match
-// maximal runs: prefix positions are run starts, suffix positions run
-// ends. Literal occurrences may overlap.
+// token over s (the body of a boundary entry). Class tokens match maximal
+// runs: prefix positions are run starts, suffix positions run ends.
+// Literal occurrences may overlap.
 func scanBoundaries(s string, t Token) boundEntry {
 	var e boundEntry
 	if t.lit != "" {
@@ -378,15 +353,6 @@ func (c *Cache) anchorIn(lo, hi int, rr RegexPair) (bs []int, i, j int) {
 		return w.pre, ri, rj
 	}
 	return bs, i, j
-}
-
-// IndexFor returns the boundary index of text[lo:hi] for a token pool,
-// built from the per-token whole-document entries of Boundaries, so the
-// token scans are shared with Positions and across calls.
-func (c *Cache) IndexFor(lo, hi int, pool []Token) *Index {
-	return buildIndex(c.text[lo:hi], pool, func(t Token) (pre, suf []int) {
-		return c.Boundaries(lo, hi, t)
-	})
 }
 
 // evictSeqsLocked drops non-pinned position-sequence entries. Requires

@@ -71,56 +71,6 @@ func equalPositions(a, b []int) bool {
 	return true
 }
 
-// TestIndexFallbackOutsidePool pins the fallback path of Index.Positions:
-// a pair whose anchor tokens are outside the indexed pool must still
-// return exactly rr.Positions.
-func TestIndexFallbackOutsidePool(t *testing.T) {
-	ix := NewIndex(cacheSample, []Token{Word}) // Number, Hyphen not indexed
-	rr := RegexPair{Left: Regex{Number}, Right: Regex{Hyphen}}
-	got := ix.Positions(rr)
-	want := rr.Positions(cacheSample)
-	if !equalPositions(got, want) {
-		t.Fatalf("fallback positions = %v, want %v", got, want)
-	}
-	if len(want) == 0 {
-		t.Fatal("test is vacuous: no number positions in sample")
-	}
-	// One side indexed, the other not: the indexed side anchors.
-	rr = RegexPair{Left: Regex{Word}, Right: Regex{Number}}
-	if got, want := ix.Positions(rr), rr.Positions(cacheSample); !equalPositions(got, want) {
-		t.Fatalf("half-indexed positions = %v, want %v", got, want)
-	}
-}
-
-// TestIndexPositionsMatchesRegexPair is the property test behind the
-// anchored fast path: for random texts, pools, and pairs, Index.Positions
-// must agree with the direct scan — both when every pair token is in the
-// pool (anchored) and when the index misses tokens (fallback).
-func TestIndexPositionsMatchesRegexPair(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 400; trial++ {
-		text := randomText(rng, 5+rng.Intn(120))
-		pool := randomPool(rng, text)
-		ix := NewIndex(text, pool)
-		for i := 0; i < 8; i++ {
-			rr := randomPair(rng, pool)
-			got := ix.Positions(rr)
-			want := rr.Positions(text)
-			if !equalPositions(got, want) {
-				t.Fatalf("text %q pool %v pair %s: index %v, direct %v", text, pool, rr, got, want)
-			}
-		}
-		// Pairs over tokens possibly outside the pool exercise the fallback.
-		outside := append(append([]Token(nil), pool...), Standard...)
-		for i := 0; i < 4; i++ {
-			rr := randomPair(rng, outside)
-			if got, want := ix.Positions(rr), rr.Positions(text); !equalPositions(got, want) {
-				t.Fatalf("text %q pair %s: index %v, direct %v", text, rr, got, want)
-			}
-		}
-	}
-}
-
 // TestCachePositionsMatchesRegexPair checks the document-scoped cache
 // against the direct scan over random subranges, twice per key to cover
 // both the miss and the hit path.
@@ -169,30 +119,6 @@ func TestCacheEvalAttrMatchesEval(t *testing.T) {
 				t.Fatalf("EvalAttr(%d,%d,%s) = (%d,%v), Eval = (%d,%v)", lo, hi, a, got, gotErr, want, wantErr)
 			}
 		}
-	}
-}
-
-// TestCacheIndexForMemoizesAndMatches checks that IndexFor agrees with
-// NewIndex over the whole document and over a sub-range, and that its
-// token scans are memoized: once the whole-document index is built, a
-// sub-range index is clipped from the cached entries with no new scan.
-func TestCacheIndexForMemoizesAndMatches(t *testing.T) {
-	text := cacheSample
-	c := NewCache(text)
-	pool := []Token{Number, Word, Space, Literal("WARN")}
-	rr := RegexPair{Left: Regex{Literal("WARN"), Space}, Right: Regex{Number}}
-	ix := c.IndexFor(0, len(text), pool)
-	if ref := NewIndex(text, pool); !equalPositions(ix.Positions(rr), ref.Positions(rr)) {
-		t.Fatalf("cached index disagrees with NewIndex: %v vs %v", ix.Positions(rr), ref.Positions(rr))
-	}
-	misses := c.Stats().Misses
-	lo, hi := 5, len(text)-3
-	sub := c.IndexFor(lo, hi, pool)
-	if got := c.Stats().Misses; got != misses {
-		t.Fatalf("sub-range index rescanned: misses %d -> %d", misses, got)
-	}
-	if ref := NewIndex(text[lo:hi], pool); !equalPositions(sub.Positions(rr), ref.Positions(rr)) {
-		t.Fatalf("sub-range index disagrees with NewIndex: %v vs %v", sub.Positions(rr), ref.Positions(rr))
 	}
 }
 
@@ -257,13 +183,27 @@ func TestCacheEvictionCounter(t *testing.T) {
 	}
 }
 
+// clippedBoundaries derives the boundaries of t over text[lo:hi] the way
+// every range query does: the window of the range in t's whole-document
+// entry, each element clipped and rebased to lo.
+func clippedBoundaries(c *Cache, lo, hi int, t Token) (pre, suf []int) {
+	w := c.entry(t)
+	i, j := w.window(lo, hi, len(t.lit))
+	for ; i < j; i++ {
+		pre = append(pre, clip(w.pre[i], lo, hi))
+		suf = append(suf, clip(w.suf[i], lo, hi))
+	}
+	return pre, suf
+}
+
 // TestBoundariesMatchesScan is the property test behind sub-range
-// derivation: Boundaries(lo, hi, t) must equal scanBoundaries(text[lo:hi],
-// t) both when the whole-document entry was cached up front (warm) and
-// when the first call for t is a sub-range (cold), for every standard
-// token and for self-overlapping literals, over random ranges that include
-// empty ranges and ranges cutting a run at lo or at hi. Either way the
-// cache must end up holding exactly one boundary entry per token.
+// derivation: the clipped window of a whole-document entry
+// (clippedBoundaries) must equal scanBoundaries(text[lo:hi], t) both when
+// the entry was cached up front (warm) and when the first query for t is
+// a sub-range (cold), for every standard token and for self-overlapping
+// literals, over random ranges that include empty ranges and ranges
+// cutting a run at lo or at hi. Either way the cache must end up holding
+// exactly one boundary entry per token.
 func TestBoundariesMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	toks := append(append([]Token(nil), Standard...),
@@ -275,7 +215,7 @@ func TestBoundariesMatchesScan(t *testing.T) {
 		}
 		warm, cold := NewCache(text), NewCache(text)
 		for _, tok := range toks {
-			warm.Boundaries(0, len(text), tok)
+			warm.entry(tok)
 		}
 		for _, tok := range toks {
 			whole := scanBoundaries(text, tok)
@@ -300,7 +240,7 @@ func TestBoundariesMatchesScan(t *testing.T) {
 				lo, hi := rg[0], rg[1]
 				want := scanBoundaries(text[lo:hi], tok)
 				for name, c := range map[string]*Cache{"warm": warm, "cold": cold} {
-					pre, suf := c.Boundaries(lo, hi, tok)
+					pre, suf := clippedBoundaries(c, lo, hi, tok)
 					if !equalPositions(pre, want.pre) || !equalPositions(suf, want.suf) {
 						t.Fatalf("%s: %s over text[%d:%d] of %q: got (%v, %v), scan (%v, %v)",
 							name, tok, lo, hi, text, pre, suf, want.pre, want.suf)

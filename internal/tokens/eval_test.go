@@ -116,7 +116,7 @@ func FuzzCacheEval(f *testing.F) {
 		text := fuzzText(r)
 		warm := NewCache(text)
 		for _, tok := range fuzzToks {
-			warm.Boundaries(0, len(text), tok)
+			warm.entry(tok)
 		}
 		for q := 0; q < 8; q++ {
 			lo, hi := fuzzRange(r, text)
@@ -152,7 +152,7 @@ func TestEvalAttrAllocatesNothing(t *testing.T) {
 	}
 	c := NewCache(text)
 	for _, tok := range []Token{Space, Lower, Number, Literal(", ")} {
-		c.Boundaries(0, len(text), tok)
+		c.entry(tok)
 	}
 	entries := c.Stats().Entries
 

@@ -24,9 +24,9 @@ type Document struct {
 	Text string
 	lang *lang
 
-	// cache memoizes token boundaries, regex-pair position sequences, and
-	// learning indexes over ranges of Text (node text contents are exact
-	// slices of it); program execution and the learners share it.
+	// cache holds the whole-document token boundaries and the regex-pair
+	// position sequences over ranges of Text (a node's text content is
+	// Text[TextStart:TextEnd]); program execution and the learners share it.
 	cache *tokens.Cache
 }
 

@@ -26,11 +26,11 @@ const (
 // lang implements engine.Language for webpages.
 type lang struct{}
 
-// webCtx carries the per-call token pool and the document whose evaluation
-// cache serves boundary indexes to the learners.
+// webCtx carries the per-call token pool. The learners name each example
+// string as a range of its document's evaluation cache, whose token
+// boundaries they share.
 type webCtx struct {
 	toks []tokens.Token
-	doc  *Document
 }
 
 func newWebCtx(doc *Document, boundary []region.Region) *webCtx {
@@ -48,16 +48,7 @@ func newWebCtx(doc *Document, boundary []region.Region) *webCtx {
 	pool := make([]tokens.Token, 0, len(tokens.Standard)+len(dyn))
 	pool = append(pool, tokens.Standard...)
 	pool = append(pool, dyn...)
-	return &webCtx{toks: pool, doc: doc}
-}
-
-// index returns the boundary index of Text[lo:hi] for the context's token
-// pool, clipped from the document cache's whole-document token entries.
-func (c *webCtx) index(lo, hi int) *tokens.Index {
-	if c.doc == nil {
-		return nil
-	}
-	return c.doc.cache.IndexFor(lo, hi, c.toks)
+	return &webCtx{toks: pool}
 }
 
 // SynthesizeSeqRegion learns N1 programs (Fig. 8): a Merge of node
@@ -157,9 +148,8 @@ func synthesizeSpanRegion(ctx context.Context, exs []engine.RegionExample) []eng
 	var sExs, eExs []tokens.PosExample
 	for i, rg := range ranges {
 		lo, hi := rg[0], rg[1]
-		ix := lc.index(lo, hi)
-		sExs = append(sExs, tokens.PosExample{S: doc.Text[lo:hi], K: outs[i].Start - lo, Ix: ix})
-		eExs = append(eExs, tokens.PosExample{S: doc.Text[lo:hi], K: outs[i].End - lo, Ix: ix})
+		sExs = append(sExs, tokens.PosExample{S: doc.Text[lo:hi], K: outs[i].Start - lo, C: doc.cache, Lo: lo})
+		eExs = append(eExs, tokens.PosExample{S: doc.Text[lo:hi], K: outs[i].End - lo, C: doc.cache, Lo: lo})
 	}
 	n2 := func(ctx context.Context, _ []core.Example) []core.Program {
 		p1s := capAttrs(tokens.LearnAttrsStop(sExs, lc.toks, core.StopFunc(ctx)), attrCap)
@@ -306,7 +296,7 @@ func (c *webCtx) learnPosSeq(ctx context.Context, exs []core.SeqExample) []core.
 		if err != nil {
 			return nil
 		}
-		sp := tokens.SeqPosExample{S: doc.Text[lo:hi], Ix: c.index(lo, hi)}
+		sp := tokens.SeqPosExample{S: doc.Text[lo:hi], C: doc.cache, Lo: lo}
 		for _, v := range ex.Positive {
 			k, ok := v.(int)
 			if !ok || k < lo || k > hi {
@@ -339,10 +329,9 @@ func (c *webCtx) learnNodeSpanPair(ctx context.Context, exs []core.Example) []co
 		if !ok || !x.Contains(y) {
 			return nil
 		}
-		text := x.Node.TextContent()
-		ix := c.index(x.Node.TextStart, x.Node.TextEnd)
-		sExs = append(sExs, tokens.PosExample{S: text, K: y.Start - x.Node.TextStart, Ix: ix})
-		eExs = append(eExs, tokens.PosExample{S: text, K: y.End - x.Node.TextStart, Ix: ix})
+		lo, hi := x.Node.TextStart, x.Node.TextEnd
+		sExs = append(sExs, tokens.PosExample{S: x.Doc.Text[lo:hi], K: y.Start - lo, C: x.Doc.cache, Lo: lo})
+		eExs = append(eExs, tokens.PosExample{S: x.Doc.Text[lo:hi], K: y.End - lo, C: x.Doc.cache, Lo: lo})
 	}
 	p1s := capAttrs(tokens.LearnAttrsStop(sExs, c.toks, core.StopFunc(ctx)), attrCap)
 	p2s := capAttrs(tokens.LearnAttrsStop(eExs, c.toks, core.StopFunc(ctx)), attrCap)
@@ -372,7 +361,7 @@ func (c *webCtx) learnStartPair(ctx context.Context, exs []core.Example) []core.
 		if !ok || y.Start != x || y.End > hi {
 			return nil
 		}
-		pexs = append(pexs, tokens.PosExample{S: doc.Text[x:hi], K: y.End - x, Ix: c.index(x, hi)})
+		pexs = append(pexs, tokens.PosExample{S: doc.Text[x:hi], K: y.End - x, C: doc.cache, Lo: x})
 	}
 	attrs := capAttrs(tokens.LearnAttrsStop(pexs, c.toks, core.StopFunc(ctx)), attrCap)
 	out := make([]core.Program, len(attrs))
@@ -399,7 +388,7 @@ func (c *webCtx) learnEndPair(ctx context.Context, exs []core.Example) []core.Pr
 		if !ok || y.End != x || y.Start < lo {
 			return nil
 		}
-		pexs = append(pexs, tokens.PosExample{S: doc.Text[lo:x], K: y.Start - lo, Ix: c.index(lo, x)})
+		pexs = append(pexs, tokens.PosExample{S: doc.Text[lo:x], K: y.Start - lo, C: doc.cache, Lo: lo})
 	}
 	attrs := capAttrs(tokens.LearnAttrsStop(pexs, c.toks, core.StopFunc(ctx)), attrCap)
 	out := make([]core.Program, len(attrs))
