@@ -1,6 +1,8 @@
 package bench_test
 
 import (
+	"encoding/json"
+	"os"
 	"testing"
 
 	"flashextract/internal/bench"
@@ -8,6 +10,42 @@ import (
 	"flashextract/internal/engine"
 	"flashextract/internal/region"
 )
+
+// TestCommittedExploredCounts checks the deterministic half of
+// BENCH_synth.json: every task's committed "explored" count must equal
+// the candidates a fresh synthesis explores, so a change to what cold
+// synthesis explores fails here until the file is regenerated.
+func TestCommittedExploredCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("synthesizes every text task and hadoop-xl")
+	}
+	raw, err := os.ReadFile("../../BENCH_synth.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		Tasks []bench.SynthTiming `json:"tasks"`
+	}
+	if err := json.Unmarshal(raw, &file); err != nil {
+		t.Fatal(err)
+	}
+	if len(file.Tasks) == 0 {
+		t.Fatal("BENCH_synth.json lists no tasks")
+	}
+	for _, want := range file.Tasks {
+		task := corpus.ByName(want.Name)
+		if task == nil {
+			t.Errorf("%s: no such corpus task", want.Name)
+			continue
+		}
+		got, err := bench.MeasureExplored(task)
+		if err != nil {
+			t.Errorf("%s: %v", want.Name, err)
+		} else if got != want.Explored {
+			t.Errorf("%s: explored %d, BENCH_synth.json has %d", want.Name, got, want.Explored)
+		}
+	}
+}
 
 // synthesizeTaskFields runs the Algorithm 2 driver — learning plus the
 // execute-and-check candidate validation loop — for every field of a task,

@@ -73,13 +73,14 @@ func MeasureSynth(task *Task, reps int) (SynthTiming, error) {
 	}
 	st.MeanNs = total.Nanoseconds() / int64(reps)
 	var err error
-	st.Explored, err = measureExplored(task)
+	st.Explored, err = MeasureExplored(task)
 	return st, err
 }
 
-// measureExplored runs one ⊥-relative synthesis pass over every field of
-// the task and reports the candidates-explored counter total.
-func measureExplored(task *Task) (int64, error) {
+// MeasureExplored runs one ⊥-relative synthesis pass over every field of
+// the task, from two golden examples each, and reports the
+// candidates-explored counter total.
+func MeasureExplored(task *Task) (int64, error) {
 	reg := metrics.NewRegistry()
 	ctx := metrics.Into(context.Background(), reg)
 	for _, fi := range task.Schema.Fields() {

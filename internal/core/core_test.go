@@ -282,6 +282,63 @@ func TestFilterBoolProgramRejectsNonBool(t *testing.T) {
 	}
 }
 
+// sweepBody is a SeqBody that counts its ExecSeq calls and evaluates its
+// per-element function over the whole sequence.
+type sweepBody struct {
+	Func
+	calls *int
+}
+
+func (b sweepBody) ExecSeq(st State, v string, xs []Value) ([]Value, error) {
+	*b.calls++
+	return ExecEach(b.Func, st, v, xs)
+}
+
+// TestSeqBodyErrorsInElementOrder checks that Map and FilterBool take a
+// body's ExecSeq when it has one, once per sequence, and report what the
+// per-element loop reports: the first element's failure, whether it is
+// the body's error or, in FilterBool, a value that is not a bool.
+func TestSeqBodyErrorsInElementOrder(t *testing.T) {
+	// byElement returns true, a string or an error per input element.
+	byElement := Func{Name: "ByElement", F: func(st State) (Value, error) {
+		x, _ := st.Lookup("x")
+		switch x.(int) {
+		case 0:
+			return nil, ErrNoMatch
+		case 1:
+			return "one", nil
+		}
+		return x.(int)%2 == 0, nil
+	}}
+	calls := 0
+	bodies := []Program{byElement, sweepBody{byElement, &calls}}
+	for _, in := range [][]int{{2, 3, 4}, {2, 1, 0}, {2, 0, 1}, {0, 1}, {}} {
+		var results []string
+		for _, b := range bodies {
+			for _, p := range []Program{
+				&FilterBoolProgram{Var: "x", B: b, S: inputSeq},
+				&MapProgram{Name: "Map", Var: "x", F: b, S: inputSeq},
+			} {
+				v, err := p.Exec(NewState(seqOf(in...)))
+				results = append(results, fmt.Sprint(v, err))
+			}
+		}
+		if results[0] != results[2] || results[1] != results[3] {
+			t.Fatalf("over %v: per element %q, by sequence %q", in, results[:2], results[2:])
+		}
+	}
+	if calls != 10 {
+		t.Fatalf("ExecSeq ran %d times, want once per program run (10)", calls)
+	}
+	v, err := (&FilterBoolProgram{Var: "x", B: byElement, S: inputSeq}).Exec(NewState(seqOf(2, 1, 0)))
+	if err == nil || !strings.Contains(err.Error(), "returned string, want bool") {
+		t.Fatalf("FilterBool over [2 1 0] = %v, %v; want the non-bool of element 1", v, err)
+	}
+	if _, err := (&FilterBoolProgram{Var: "x", B: byElement, S: inputSeq}).Exec(NewState(seqOf(2, 0, 1))); err != ErrNoMatch {
+		t.Fatalf("FilterBool over [2 0 1] error = %v, want the error of element 1", err)
+	}
+}
+
 func TestFilterIntProgramExec(t *testing.T) {
 	p := &FilterIntProgram{Init: 1, Iter: 2, S: inputSeq}
 	got := mustExecSeq(t, p, NewState(seqOf(10, 11, 12, 13, 14)))

@@ -69,6 +69,40 @@ func execMemoized(p Program, st State) (Value, error) {
 	return v, err
 }
 
+// SeqBody is implemented by a λ-body (the F of a Map, the B of a
+// FilterBool) that evaluates itself over a whole sequence in one call, so
+// the set-up its elements share is done once per sequence rather than once
+// per element.
+type SeqBody interface {
+	// ExecSeq returns, in order, what Exec returns on st with v bound to
+	// each element of xs. It stops at the first error and returns the
+	// values of the elements before it along with it.
+	ExecSeq(st State, v string, xs []Value) ([]Value, error)
+}
+
+// ExecEach is the per-element form of SeqBody.ExecSeq: body.Exec on st
+// with v bound to each element of xs in turn.
+func ExecEach(body Program, st State, v string, xs []Value) ([]Value, error) {
+	out := make([]Value, len(xs))
+	for i, e := range xs {
+		r, err := body.Exec(st.Bind(v, e))
+		if err != nil {
+			return out[:i], err
+		}
+		out[i] = r
+	}
+	return out, nil
+}
+
+// execBody evaluates a λ-body over a sequence, through its own ExecSeq
+// when it has one.
+func execBody(body Program, st State, v string, xs []Value) ([]Value, error) {
+	if b, ok := body.(SeqBody); ok {
+		return b.ExecSeq(st, v, xs)
+	}
+	return ExecEach(body, st, v, xs)
+}
+
 // Exec implements strict Map semantics: an error from F on any element
 // fails the whole Map.
 func (p *MapProgram) Exec(st State) (Value, error) {
@@ -80,13 +114,9 @@ func (p *MapProgram) Exec(st State) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Value, len(seq))
-	for i, e := range seq {
-		r, err := p.F.Exec(st.Bind(p.Var, e))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
+	out, err := execBody(p.F, st, p.Var, seq)
+	if err != nil {
+		return nil, err
 	}
 	if st.cap != nil {
 		for _, r := range out {
@@ -118,19 +148,20 @@ func (p *FilterBoolProgram) Exec(st State) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
+	// B's values come before its error, if any, in element order.
+	bs, err := execBody(p.B, st, p.Var, seq)
 	var out []Value
-	for _, e := range seq {
-		r, err := p.B.Exec(st.Bind(p.Var, e))
-		if err != nil {
-			return nil, err
-		}
+	for i, r := range bs {
 		keep, ok := r.(bool)
 		if !ok {
 			return nil, fmt.Errorf("core: predicate %s returned %T, want bool", p.B, r)
 		}
 		if keep {
-			out = append(out, e)
+			out = append(out, seq[i])
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	if out == nil {
 		out = []Value{}

@@ -33,9 +33,9 @@ func TestCachedExecMatchesDirect(t *testing.T) {
 		hi := lo + rng.Intn(len(text)-lo)
 		for _, a := range attrs {
 			want, wantErr := a.Eval(text[lo:hi])
-			got, gotErr := evalPos(d, lo, hi, a)
+			got, gotErr := d.cache.EvalAttr(lo, hi, a)
 			if (wantErr == nil) != (gotErr == nil) || (wantErr == nil && got != want) {
-				t.Fatalf("evalPos(%d,%d,%s) = (%d,%v), direct (%d,%v)", lo, hi, a, got, gotErr, want, wantErr)
+				t.Fatalf("EvalAttr(%d,%d,%s) = (%d,%v), direct (%d,%v)", lo, hi, a, got, gotErr, want, wantErr)
 			}
 		}
 		for _, rr := range pairs {

@@ -282,19 +282,21 @@ func (c *learnCtx) learnLS() core.SeqLearner {
 		}
 		if e, hit := c.lsFlight[key]; hit {
 			c.lsMu.Unlock()
+			// The replay leaves a marker span where the recomputation's
+			// learner subtree would sit, so traces stay self-explanatory.
 			// The SS rules run concurrently (UnionLearners), so a second
-			// identical sub-learn may still be in flight; wait for it rather
-			// than duplicating its exploration.
+			// identical sub-learn may still be in flight: wait for it rather
+			// than duplicating its exploration, inside the span, so traced
+			// self time charges the wait to the replay and not to the map
+			// rule that asked.
+			_, sp := trace.Start(ctx, "ls_replay")
 			<-e.done
 			if e.ok {
-				// The replay leaves a marker span where the recomputation's
-				// learner subtree would sit, so traces stay self-explanatory.
-				if _, sp := trace.Start(ctx, "ls_replay"); sp != nil {
-					sp.SetInt("programs", int64(len(e.ps)))
-					sp.End()
-				}
+				sp.SetInt("programs", int64(len(e.ps)))
+				sp.End()
 				return e.ps
 			}
+			sp.End()
 			return ls(ctx, exs)
 		}
 		e := &lsEntry{done: make(chan struct{})}

@@ -17,12 +17,35 @@ func inputRegion(st core.State) (Region, error) {
 	return r, nil
 }
 
-// lambdaRegion extracts the λ-bound line variable x from a state.
-func lambdaRegion(st core.State) (Region, error) {
+// lambdaValue extracts the λ-bound variable x from a state.
+func lambdaValue(st core.State) (core.Value, error) {
 	v, ok := st.Lookup(lambdaVar)
 	if !ok {
-		return Region{}, fmt.Errorf("textlang: free variable %s is unbound", lambdaVar)
+		return nil, fmt.Errorf("textlang: free variable %s is unbound", lambdaVar)
 	}
+	return v, nil
+}
+
+// lambdaRegion extracts the λ-bound line variable x from a state.
+func lambdaRegion(st core.State) (Region, error) {
+	v, err := lambdaValue(st)
+	if err != nil {
+		return Region{}, err
+	}
+	return asRegion(v)
+}
+
+// lambdaPos extracts the λ-bound position variable x from a state.
+func lambdaPos(st core.State) (int, error) {
+	v, err := lambdaValue(st)
+	if err != nil {
+		return 0, err
+	}
+	return asPos(v)
+}
+
+// asRegion asserts that a value of x is a text region.
+func asRegion(v core.Value) (Region, error) {
 	r, ok := v.(Region)
 	if !ok {
 		return Region{}, fmt.Errorf("textlang: %s is %T, want a text region", lambdaVar, v)
@@ -30,17 +53,61 @@ func lambdaRegion(st core.State) (Region, error) {
 	return r, nil
 }
 
-// lambdaPos extracts the λ-bound position variable x from a state.
-func lambdaPos(st core.State) (int, error) {
-	v, ok := st.Lookup(lambdaVar)
-	if !ok {
-		return 0, fmt.Errorf("textlang: free variable %s is unbound", lambdaVar)
-	}
+// asPos asserts that a value of x is a position.
+func asPos(v core.Value) (int, error) {
 	k, ok := v.(int)
 	if !ok {
 		return 0, fmt.Errorf("textlang: %s is %T, want a position", lambdaVar, v)
 	}
 	return k, nil
+}
+
+// execOne is the Exec of a λ-body: at, the body's evaluation for one
+// value of x, on the value st binds to x.
+func execOne(st core.State, at func(x core.Value) (core.Value, error)) (core.Value, error) {
+	x, err := lambdaValue(st)
+	if err != nil {
+		return nil, err
+	}
+	return at(x)
+}
+
+// sweep is the ExecSeq of a λ-body: at, the body's evaluation for one
+// value of x, runs on each element of xs in order, stopping at the first
+// error. Each body binds its attributes, regex and R0 once, before the
+// sweep, and at carries them from one element to the next. A Map or
+// Filter that binds another variable than x gets the per-element loop,
+// which is what Exec sees there.
+func sweep(body core.Program, st core.State, v string, xs []core.Value, at func(x core.Value) (core.Value, error)) ([]core.Value, error) {
+	if v != lambdaVar {
+		return core.ExecEach(body, st, v, xs)
+	}
+	out := make([]core.Value, len(xs))
+	for i, x := range xs {
+		r, err := at(x)
+		if err != nil {
+			return out[:i], err
+		}
+		out[i] = r
+	}
+	return out, nil
+}
+
+// input reads R0 from a state on first use, so a sweep reads it once and
+// reports its error on the first element that needs it, as Exec would.
+type input struct {
+	st   core.State
+	read bool
+	r0   Region
+	err  error
+}
+
+func (in *input) region() (Region, error) {
+	if !in.read {
+		in.r0, in.err = inputRegion(in.st)
+		in.read = true
+	}
+	return in.r0, in.err
 }
 
 // lambdaVar is the λ-bound variable name used by all Ltext map and filter
@@ -72,23 +139,10 @@ func (splitLinesProg) String() string { return "split(R0, '\\n')" }
 // Cost makes the fixed expression free for ranking purposes.
 func (splitLinesProg) Cost() int { return 0 }
 
-// evalPos evaluates a position attribute over Text[lo:hi] through the
-// document's evaluation cache.
-func evalPos(d *Document, lo, hi int, a tokens.Attr) (int, error) {
-	return d.cache.EvalAttr(lo, hi, a)
-}
-
 // positionsIn returns the position sequence of rr within Text[lo:hi]
 // through the document's evaluation cache.
 func positionsIn(d *Document, lo, hi int, rr tokens.RegexPair) []int {
 	return d.cache.Positions(lo, hi, rr)
-}
-
-// countIn counts the matches of r within Text[lo:hi] through the
-// document's evaluation cache; the isolated-substring semantics match
-// CountMatches on the slice.
-func countIn(d *Document, lo, hi int, r tokens.Regex) int {
-	return d.cache.CountIn(lo, hi, r)
 }
 
 // posSeqProg is PosSeq(R0, rr): the sequence of absolute positions in R0
@@ -119,15 +173,27 @@ type linePairProg struct {
 }
 
 func (p linePairProg) Exec(st core.State) (core.Value, error) {
-	x, err := lambdaRegion(st)
+	e1, e2 := tokens.NewAttrEval(p.p1), tokens.NewAttrEval(p.p2)
+	return execOne(st, func(x core.Value) (core.Value, error) { return p.at(&e1, &e2, x) })
+}
+
+// ExecSeq binds p1 and p2 once for all the lines.
+func (p linePairProg) ExecSeq(st core.State, v string, xs []core.Value) ([]core.Value, error) {
+	e1, e2 := tokens.NewAttrEval(p.p1), tokens.NewAttrEval(p.p2)
+	return sweep(p, st, v, xs, func(x core.Value) (core.Value, error) { return p.at(&e1, &e2, x) })
+}
+
+// at evaluates the body on the line xv, with p1 and p2 bound in e1, e2.
+func (p linePairProg) at(e1, e2 *tokens.AttrEval, xv core.Value) (core.Value, error) {
+	x, err := asRegion(xv)
 	if err != nil {
 		return nil, err
 	}
-	a, err := evalPos(x.Doc, x.Start, x.End, p.p1)
+	a, err := e1.Eval(x.Doc.cache, x.Start, x.End)
 	if err != nil {
 		return nil, err
 	}
-	b, err := evalPos(x.Doc, x.Start, x.End, p.p2)
+	b, err := e2.Eval(x.Doc.cache, x.Start, x.End)
 	if err != nil {
 		return nil, err
 	}
@@ -148,11 +214,23 @@ type linePosProg struct {
 }
 
 func (p linePosProg) Exec(st core.State) (core.Value, error) {
-	x, err := lambdaRegion(st)
+	e := tokens.NewAttrEval(p.p)
+	return execOne(st, func(x core.Value) (core.Value, error) { return p.at(&e, x) })
+}
+
+// ExecSeq binds p once for all the lines.
+func (p linePosProg) ExecSeq(st core.State, v string, xs []core.Value) ([]core.Value, error) {
+	e := tokens.NewAttrEval(p.p)
+	return sweep(p, st, v, xs, func(x core.Value) (core.Value, error) { return p.at(&e, x) })
+}
+
+// at evaluates the body on the line xv, with p bound in e.
+func (p linePosProg) at(e *tokens.AttrEval, xv core.Value) (core.Value, error) {
+	x, err := asRegion(xv)
 	if err != nil {
 		return nil, err
 	}
-	k, err := evalPos(x.Doc, x.Start, x.End, p.p)
+	k, err := e.Eval(x.Doc.cache, x.Start, x.End)
 	if err != nil {
 		return nil, err
 	}
@@ -169,22 +247,34 @@ type startPairProg struct {
 }
 
 func (p startPairProg) Exec(st core.State) (core.Value, error) {
-	x, err := lambdaPos(st)
+	in, e := input{st: st}, tokens.NewAttrEval(p.p)
+	return execOne(st, func(x core.Value) (core.Value, error) { return p.at(&in, &e, x) })
+}
+
+// ExecSeq reads R0 and binds p once for all the suffixes.
+func (p startPairProg) ExecSeq(st core.State, v string, xs []core.Value) ([]core.Value, error) {
+	in, e := input{st: st}, tokens.NewAttrEval(p.p)
+	return sweep(p, st, v, xs, func(x core.Value) (core.Value, error) { return p.at(&in, &e, x) })
+}
+
+// at evaluates the body on the start position xv, with p bound in e.
+func (p startPairProg) at(in *input, e *tokens.AttrEval, xv core.Value) (core.Value, error) {
+	x, err := asPos(xv)
 	if err != nil {
 		return nil, err
 	}
-	r0, err := inputRegion(st)
+	r0, err := in.region()
 	if err != nil {
 		return nil, err
 	}
 	if x < r0.Start || x > r0.End {
 		return nil, core.ErrNoMatch
 	}
-	e, err := evalPos(r0.Doc, x, r0.End, p.p)
+	k, err := e.Eval(r0.Doc.cache, x, r0.End)
 	if err != nil {
 		return nil, err
 	}
-	return Region{Doc: r0.Doc, Start: x, End: x + e}, nil
+	return Region{Doc: r0.Doc, Start: x, End: x + k}, nil
 }
 
 func (p startPairProg) String() string {
@@ -199,22 +289,34 @@ type endPairProg struct {
 }
 
 func (p endPairProg) Exec(st core.State) (core.Value, error) {
-	x, err := lambdaPos(st)
+	in, e := input{st: st}, tokens.NewAttrEval(p.p)
+	return execOne(st, func(x core.Value) (core.Value, error) { return p.at(&in, &e, x) })
+}
+
+// ExecSeq reads R0 and binds p once for all the prefixes.
+func (p endPairProg) ExecSeq(st core.State, v string, xs []core.Value) ([]core.Value, error) {
+	in, e := input{st: st}, tokens.NewAttrEval(p.p)
+	return sweep(p, st, v, xs, func(x core.Value) (core.Value, error) { return p.at(&in, &e, x) })
+}
+
+// at evaluates the body on the end position xv, with p bound in e.
+func (p endPairProg) at(in *input, e *tokens.AttrEval, xv core.Value) (core.Value, error) {
+	x, err := asPos(xv)
 	if err != nil {
 		return nil, err
 	}
-	r0, err := inputRegion(st)
+	r0, err := in.region()
 	if err != nil {
 		return nil, err
 	}
 	if x < r0.Start || x > r0.End {
 		return nil, core.ErrNoMatch
 	}
-	s, err := evalPos(r0.Doc, r0.Start, x, p.p)
+	k, err := e.Eval(r0.Doc.cache, r0.Start, x)
 	if err != nil {
 		return nil, err
 	}
-	return Region{Doc: r0.Doc, Start: r0.Start + s, End: x}, nil
+	return Region{Doc: r0.Doc, Start: r0.Start + k, End: x}, nil
 }
 
 func (p endPairProg) String() string {
@@ -231,11 +333,11 @@ func (p regionPairProg) Exec(st core.State) (core.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := evalPos(r0.Doc, r0.Start, r0.End, p.p1)
+	a, err := r0.Doc.cache.EvalAttr(r0.Start, r0.End, p.p1)
 	if err != nil {
 		return nil, err
 	}
-	b, err := evalPos(r0.Doc, r0.Start, r0.End, p.p2)
+	b, err := r0.Doc.cache.EvalAttr(r0.Start, r0.End, p.p2)
 	if err != nil {
 		return nil, err
 	}
@@ -291,11 +393,34 @@ func (p linePred) Exec(st core.State) (core.Value, error) {
 	if p.kind == predTrue {
 		return true, nil
 	}
-	x, err := lambdaRegion(st)
+	nb, count := neighbours{in: input{st: st}}, tokens.NewCountEval(p.r)
+	return execOne(st, func(x core.Value) (core.Value, error) { return p.at(&nb, &count, x) })
+}
+
+// ExecSeq binds the Contains regex once, and the neighbour forms read R0's
+// lines once and walk a cursor down them.
+func (p linePred) ExecSeq(st core.State, v string, xs []core.Value) ([]core.Value, error) {
+	nb, count := neighbours{in: input{st: st}}, tokens.NewCountEval(p.r)
+	return sweep(p, st, v, xs, func(x core.Value) (core.Value, error) { return p.at(&nb, &count, x) })
+}
+
+// at evaluates the predicate on the line xv, with R0's lines in nb and the
+// Contains regex bound in count.
+func (p linePred) at(nb *neighbours, count *tokens.CountEval, xv core.Value) (core.Value, error) {
+	if p.kind == predTrue {
+		return true, nil
+	}
+	x, err := asRegion(xv)
 	if err != nil {
 		return nil, err
 	}
-	rx, ok := p.subject(st, x)
+	rx, ok := x, true
+	switch p.kind {
+	case predPredStartsWith, predPredEndsWith, predPredContains:
+		rx, ok = nb.of(x, -1)
+	case predSuccStartsWith, predSuccEndsWith, predSuccContains:
+		rx, ok = nb.of(x, 1)
+	}
 	if !ok {
 		return false, nil
 	}
@@ -306,36 +431,38 @@ func (p linePred) Exec(st core.State) (core.Value, error) {
 		text := rx.Value()
 		return p.r.MatchSuffix(text, len(text)) >= 0, nil
 	default:
-		return countIn(rx.Doc, rx.Start, rx.End, p.r) == p.k, nil
+		return count.Count(rx.Doc.cache, rx.Start, rx.End) == p.k, nil
 	}
 }
 
-// subject resolves the line the predicate inspects: x itself, or its
-// predecessor/successor line within R0.
-func (p linePred) subject(st core.State, x Region) (Region, bool) {
-	switch p.kind {
-	case predStartsWith, predEndsWith, predContains:
-		return x, true
+// neighbours finds the lines next to lines of R0, reading R0's lines on
+// first use. It looks for each line just after the last one found, so
+// lines taken in order cost O(1) each; any other is binary-searched.
+type neighbours struct {
+	in    input
+	lines []Region
+	next  int
+}
+
+// of returns the line d lines away from x within R0 (d is -1 or 1), and
+// false when x is not a line of R0 or has no such neighbour.
+func (nb *neighbours) of(x Region, d int) (Region, bool) {
+	if !nb.in.read {
+		if r0, err := nb.in.region(); err == nil {
+			nb.lines = linesIn(r0)
+		}
 	}
-	r0, err := inputRegion(st)
-	if err != nil {
-		return Region{}, false
-	}
-	lines := linesIn(r0)
-	// Lines are disjoint and sorted by start, so the λ-bound line can be
-	// located by binary search; predicates run once per line per candidate,
-	// and a linear scan here is quadratic in the number of lines.
-	idx := sort.Search(len(lines), func(i int) bool { return lines[i].Start >= x.Start })
+	lines := nb.lines
+	idx := nb.next
 	if idx >= len(lines) || lines[idx] != x {
-		return Region{}, false
+		// Lines are disjoint and sorted by start.
+		idx = sort.Search(len(lines), func(i int) bool { return lines[i].Start >= x.Start })
+		if idx >= len(lines) || lines[idx] != x {
+			return Region{}, false
+		}
 	}
-	switch p.kind {
-	case predPredStartsWith, predPredEndsWith, predPredContains:
-		idx--
-	default:
-		idx++
-	}
-	if idx < 0 || idx >= len(lines) {
+	nb.next = idx + 1
+	if idx += d; idx < 0 || idx >= len(lines) {
 		return Region{}, false
 	}
 	return lines[idx], true

@@ -1,0 +1,158 @@
+package textlang
+
+import (
+	"math/rand"
+	"testing"
+
+	"flashextract/internal/core"
+	"flashextract/internal/tokens"
+)
+
+// perElement hides a λ-body's ExecSeq, so Map and FilterBool evaluate it
+// element by element, each element through Exec on its own binding.
+type perElement struct{ core.Program }
+
+// checkSweep runs a Map (or, with filter, a FilterBool) of body over xs,
+// binding v, once with the body's ExecSeq and once with it hidden, and
+// fails unless both return the same values or the same error string.
+func checkSweep(t *testing.T, st core.State, body core.Program, v string, xs []core.Value, filter bool) {
+	t.Helper()
+	seq := core.Func{Name: "xs", F: func(core.State) (core.Value, error) { return xs, nil }}
+	run := func(b core.Program) (core.Value, error) {
+		if filter {
+			return (&core.FilterBoolProgram{Var: v, B: b, S: seq}).Exec(st)
+		}
+		return (&core.MapProgram{Name: "Map", Var: v, F: b, S: seq}).Exec(st)
+	}
+	got, gotErr := run(body)
+	want, wantErr := run(perElement{body})
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("%s over %d elements: sweep error %v, per-element error %v", body, len(xs), gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	gs, ws := got.([]core.Value), want.([]core.Value)
+	if len(gs) != len(ws) {
+		t.Fatalf("%s over %d elements: sweep %v, per-element %v", body, len(xs), gs, ws)
+	}
+	for i := range gs {
+		if gs[i] != ws[i] {
+			t.Fatalf("%s over %d elements: value %d is %v by sweep, %v per element", body, len(xs), i, gs[i], ws[i])
+		}
+	}
+}
+
+// CheckSweep exports checkSweep to the corpus differential in package
+// textlang_test.
+var CheckSweep = checkSweep
+
+// orders returns xs ascending, descending, shuffled, and with a repeat.
+func orders(rng *rand.Rand, xs []core.Value) [][]core.Value {
+	desc := make([]core.Value, len(xs))
+	for i, x := range xs {
+		desc[len(xs)-1-i] = x
+	}
+	shuffled := append([]core.Value(nil), xs...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	repeat := append(append([]core.Value(nil), xs...), xs[:len(xs)/2]...)
+	return [][]core.Value{xs, desc, shuffled, repeat}
+}
+
+// TestLinePairSweepReportsFirstFailure pins the error a LinesMap body
+// reports: that of its first failing line, and on that line p1's before
+// p2's, even when p2 fails on an earlier line than p1.
+func TestLinePairSweepReportsFirstFailure(t *testing.T) {
+	d := NewDocument("x 1 2\nx 3\nx\n")
+	whole := d.WholeRegion().(Region)
+	st := core.NewState(whole)
+	p1 := tokens.RegPos{RR: tokens.RegexPair{Right: tokens.Regex{tokens.Number}}, K: 1}
+	p2 := tokens.RegPos{RR: tokens.RegexPair{Left: tokens.Regex{tokens.Number}}, K: 2}
+	body := linePairProg{p1: p1, p2: p2}
+	var lines []core.Value
+	for _, l := range linesIn(whole) {
+		lines = append(lines, l)
+	}
+	_, err := (&core.MapProgram{Name: "LinesMap", Var: lambdaVar, F: body, S: splitLines}).Exec(st)
+	_, want := p2.Eval("x 3") // p2 fails on line 1, p1 only on line 2
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("error = %v, want p2's %v", err, want)
+	}
+	checkSweep(t, st, body, lambdaVar, lines, false)
+	reversed := []core.Value{lines[2], lines[1], lines[0]}
+	_, err = (&core.MapProgram{Name: "LinesMap", Var: lambdaVar, F: body, S: core.Func{Name: "rev", F: func(core.State) (core.Value, error) { return reversed, nil }}}).Exec(st)
+	_, want = p1.Eval("x") // line 2 comes first, where both fail
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("reversed error = %v, want p1's %v", err, want)
+	}
+	checkSweep(t, st, body, lambdaVar, reversed, false)
+}
+
+// TestSweepsAnyOrder runs every λ-body form over lines or positions in
+// ascending, descending, shuffled and repeating order, with values of the
+// wrong type and ranges past R0, with its ExecSeq and element by element.
+func TestSweepsAnyOrder(t *testing.T) {
+	d := NewDocument("id 7: a, b\n\nid 12: c\nnote d, e, f\nid 3: g\n  tail 9")
+	whole := d.WholeRegion().(Region)
+	rng := rand.New(rand.NewSource(3))
+	var lines, subs, starts, ends []core.Value
+	for _, l := range linesIn(whole) {
+		lines = append(lines, l)
+		starts, ends = append(starts, l.Start), append(ends, l.End)
+		if l.End > l.Start {
+			subs = append(subs, Region{Doc: d, Start: l.Start + 1, End: l.End})
+		}
+	}
+	ends = append(ends, -1, len(d.Text)+1)
+	num := tokens.RegPos{RR: tokens.RegexPair{Right: tokens.Regex{tokens.Number}}, K: 1}
+	lastComma := tokens.RegPos{RR: tokens.RegexPair{Left: tokens.Regex{tokens.Comma, tokens.Space}}, K: -1}
+	lineEnd := tokens.RegPos{RR: tokens.RegexPair{Left: tokens.Regex{tokens.Lower}}, K: -1}
+	lineBodies := []core.Program{
+		linePairProg{p1: num, p2: tokens.AbsPos{K: -1}},
+		linePairProg{p1: lastComma, p2: num},
+		linePosProg{p: lastComma},
+		linePosProg{p: tokens.AbsPos{K: 3}},
+	}
+	posBodies := []core.Program{
+		startPairProg{p: num},
+		startPairProg{p: lineEnd},
+		endPairProg{p: lastComma},
+		endPairProg{p: tokens.RegPos{RR: tokens.RegexPair{Right: tokens.Regex{tokens.Lower}}, K: 2}},
+	}
+	var preds []core.Program
+	for _, kind := range []predKind{predTrue, predStartsWith, predEndsWith, predContains,
+		predPredStartsWith, predPredEndsWith, predPredContains,
+		predSuccStartsWith, predSuccEndsWith, predSuccContains} {
+		preds = append(preds,
+			linePred{kind: kind, r: tokens.Regex{tokens.Lower}, k: 1},
+			linePred{kind: kind, r: tokens.Regex{tokens.Comma}, k: 2})
+	}
+	st := core.NewState(whole)
+	for _, xs := range orders(rng, lines) {
+		for _, b := range lineBodies {
+			checkSweep(t, st, b, lambdaVar, xs, false)
+			checkSweep(t, st, b, "y", xs, false)
+		}
+		for _, b := range preds {
+			checkSweep(t, st, b, lambdaVar, xs, true)
+			checkSweep(t, st, b, lambdaVar, append(append([]core.Value(nil), subs...), xs...), true)
+		}
+	}
+	for _, xs := range append(orders(rng, starts), orders(rng, ends)...) {
+		for _, b := range posBodies {
+			checkSweep(t, st, b, lambdaVar, xs, false)
+		}
+		for _, b := range []core.Program{lineBodies[0], preds[2]} {
+			checkSweep(t, st, b, lambdaVar, xs, false) // x is not a line
+		}
+	}
+	// R0 that is not a text region fails the position bodies and makes the
+	// neighbour predicates false, on the first element that reads it.
+	bad := core.NewState(7)
+	for _, b := range posBodies {
+		checkSweep(t, bad, b, lambdaVar, starts, false)
+	}
+	for _, b := range preds {
+		checkSweep(t, bad, b, lambdaVar, lines, true)
+	}
+}

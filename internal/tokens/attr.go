@@ -214,16 +214,15 @@ func (x exampleRange) matchList(r Regex, left bool) []int {
 	if len(r) == 0 {
 		return nil
 	}
-	t := r[0]
+	a := anchor{t: r[0]}
 	if left {
-		t = r[len(r)-1]
+		a.t = r[len(r)-1]
 	}
-	w := x.c.entry(t)
-	bs := w.pre
+	i, j := a.window(x.c, x.lo, x.hi)
+	bs := a.e.pre
 	if left {
-		bs = w.suf
+		bs = a.e.suf
 	}
-	i, j := w.window(x.lo, x.hi, len(t.lit))
 	s := x.c.text[x.lo:x.hi]
 	ps := make([]int, 0, j-i)
 	for _, b := range bs[i:j] {

@@ -1,7 +1,6 @@
 package tokens
 
 import (
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,9 +10,9 @@ import (
 // (one immutable text) and holds one boundary entry per token over the
 // whole document: the sorted starts and ends of the token's runs (class
 // tokens) or occurrences (literals). Every query over a half-open range
-// [lo, hi) of the text is answered from those entries, by binary-searching
-// them to the window that belongs to the range and walking it in place:
-// EvalAttr walks to the k-th match and CountIn counts matches, storing
+// [lo, hi) of the text is answered from those entries, by searching them
+// for the window that belongs to the range and walking it in place: an
+// AttrEval walks to the k-th match and a CountEval counts matches, storing
 // nothing, while Positions (PosSeq) memoizes its answer per range and
 // regex pair, so the same sequence is shared across candidate programs,
 // validation runs, and refinement iterations. The position learners
@@ -133,9 +132,9 @@ func (c *Cache) pinned(lo, hi int) bool { return lo == 0 && hi == len(c.text) }
 
 // Positions returns the position sequence of rr within text[lo:hi],
 // equivalent to rr.Positions(text[lo:hi]) but memoized per (range, pair).
-// A miss walks the anchor window of rr (anchorIn), so the scan visits only
-// the boundaries of the pair's most selective edge token instead of every
-// position.
+// A miss walks the anchor window of rr (AttrEval.anchorIn), so the scan
+// visits only the boundaries of the pair's most selective edge token
+// instead of every position.
 func (c *Cache) Positions(lo, hi int, rr RegexPair) []int {
 	if len(rr.Left) == 0 && len(rr.Right) == 0 {
 		return nil
@@ -146,7 +145,8 @@ func (c *Cache) Positions(lo, hi int, rr RegexPair) []int {
 	}
 
 	s := c.text[lo:hi]
-	bs, i, j := c.anchorIn(lo, hi, rr)
+	ev := NewAttrEval(RegPos{RR: rr})
+	bs, i, j := ev.anchorIn(c, lo, hi)
 	var out []int
 	for ; i < j; i++ {
 		if k := clip(bs[i], lo, hi); rr.matchesAt(s, k) {
@@ -206,26 +206,65 @@ func (c *Cache) entry(t Token) boundEntry {
 	return w
 }
 
+// anchor is one token whose whole-document boundary entry an evaluator
+// walks, with the window of the last non-empty range it searched there.
+// The entry is resolved on first use in a cache, so an evaluator probes
+// the cache once per anchor however many ranges it evaluates.
+type anchor struct {
+	t    Token
+	c    *Cache // the cache e belongs to
+	e    boundEntry
+	i, j int // the last window, where the next one is searched from
+}
+
 // window returns the index range [i, j) of the runs (class token) or the
-// occurrences (literal of length litLen) of the whole-document entry w
-// that belong to text[lo:hi]. Class runs are maximal and disjoint, so the
-// runs of the sub-range are the whole-document runs that overlap [lo,hi),
-// with a run cut at lo or hi clipped to it. A literal occurrence belongs
-// to the sub-range only when it lies wholly inside (occurrences may
-// overlap each other). Clipped and rebased (clip), the window's starts and
-// ends are exactly what scanBoundaries returns over text[lo:hi].
-func (w boundEntry) window(lo, hi, litLen int) (i, j int) {
+// occurrences (literal) of the anchor's entry that belong to text[lo:hi],
+// resolving the entry on the first use in c. Class runs are maximal and
+// disjoint, so the runs of the sub-range are the whole-document runs that
+// overlap [lo,hi), with a run cut at lo or hi clipped to it. A literal
+// occurrence belongs to the sub-range only when it lies wholly inside
+// (occurrences may overlap each other). Clipped and rebased (clip), the
+// window's starts and ends are exactly what scanBoundaries returns over
+// text[lo:hi]. Each bound is searched from the previous window's (seek),
+// so ranges taken in ascending order cost amortized O(1) each.
+func (a *anchor) window(c *Cache, lo, hi int) (i, j int) {
+	if a.c != c {
+		*a = anchor{t: a.t, c: c, e: c.entry(a.t)}
+	}
 	if lo >= hi {
 		return 0, 0
 	}
-	if litLen > 0 {
-		i, _ = slices.BinarySearch(w.pre, lo)
-		j, _ = slices.BinarySearch(w.pre, hi-litLen+1)
-		return i, max(i, j)
+	if n := len(a.t.lit); n > 0 {
+		a.i = seek(a.e.pre, lo, a.i)
+		a.j = max(a.i, seek(a.e.pre, hi-n+1, a.j))
+	} else {
+		a.i = seek(a.e.suf, lo+1, a.i) // first run ending after lo
+		a.j = seek(a.e.pre, hi, a.j)   // first run starting at or after hi
 	}
-	i, _ = slices.BinarySearch(w.suf, lo+1) // first run ending after lo
-	j, _ = slices.BinarySearch(w.pre, hi)   // first run starting at or after hi
-	return i, j
+	return a.i, a.j
+}
+
+// seek returns the index of the first element of the ascending list xs
+// that is at least x. It gallops forward from h, the answer for an
+// earlier key, and binary-searches xs[:h] when x lies behind it, so any
+// key order is correct and a key d elements past h costs O(log d).
+func seek(xs []int, x, h int) int {
+	lo, hi := 0, h
+	if h == 0 || xs[h-1] < x {
+		lo = h
+		for step := 1; hi < len(xs) && xs[hi] < x; step *= 2 {
+			lo, hi = hi+1, hi+step
+		}
+		hi = min(hi, len(xs))
+	}
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); xs[m] < x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // clip clamps a whole-document boundary b to [lo, hi] and rebases it to lo.
@@ -265,28 +304,75 @@ func scanBoundaries(s string, t Token) boundEntry {
 }
 
 // EvalAttr evaluates a position attribute against text[lo:hi], equivalent
-// to a.Eval(text[lo:hi]). A RegPos walks the anchor window of its regex
-// pair (anchorIn) from the end the sign of K names, checks each candidate
-// with the exact matchers on text[lo:hi], and stops at the |K|-th match.
-// It costs a few binary searches plus the candidates it passes, and it
-// neither allocates (on a match) nor stores anything, so evaluating an
-// attribute once per line, or once per λ-bound suffix or prefix, leaves
-// no entry behind.
+// to a.Eval(text[lo:hi]): the one-range form of AttrEval.
 func (c *Cache) EvalAttr(lo, hi int, a Attr) (int, error) {
-	v, ok := a.(RegPos)
-	if !ok {
-		return a.Eval(c.text[lo:hi])
+	e := NewAttrEval(a)
+	return e.Eval(c, lo, hi)
+}
+
+// CountIn returns CountMatches(r, text[lo:hi]): the one-range form of
+// CountEval.
+func (c *Cache) CountIn(lo, hi int, r Regex) int {
+	e := NewCountEval(r)
+	return e.Count(c, lo, hi)
+}
+
+// AttrEval evaluates one position attribute over ranges of a cached
+// document, equivalent to a.Eval(text[lo:hi]) on each. A RegPos walks the
+// anchor window of its regex pair (anchorIn) from the end the sign of K
+// names, checks each candidate with the exact matchers on text[lo:hi],
+// and stops at the |K|-th match. Its two anchors — the ends of rr.Left's
+// last token and the starts of rr.Right's first — are resolved once, and
+// each range's window is searched from the previous range's, so
+// evaluating an attribute on every line of a document, or on the
+// suffixes or prefixes of ascending λ-bound positions, costs the
+// candidates walked plus amortized O(1) per range. It neither allocates
+// (on a match) nor stores anything in the cache.
+//
+// An AttrEval is the state of one walk: make one per sequence, never keep
+// it on a program, which may run on many goroutines at once.
+type AttrEval struct {
+	a           Attr
+	v           RegPos
+	reg         bool // a is v
+	left, right anchor
+}
+
+// NewAttrEval returns an evaluator of a, bound to a cache on first use.
+func NewAttrEval(a Attr) AttrEval {
+	e := AttrEval{a: a}
+	if v, ok := a.(RegPos); ok {
+		e.v, e.reg = v, true
+		if len(v.RR.Left) > 0 {
+			e.left.t = v.RR.Left[len(v.RR.Left)-1]
+		}
+		if len(v.RR.Right) > 0 {
+			e.right.t = v.RR.Right[0]
+		}
 	}
-	rr := v.RR
-	if v.K == 0 || len(rr.Left) == 0 && len(rr.Right) == 0 {
-		return 0, errNoRegPosMatch(v)
+	return e
+}
+
+// Eval returns the attribute's position in c's text[lo:hi], relative to
+// lo. Ranges may come in any order and from any cache.
+func (e *AttrEval) Eval(c *Cache, lo, hi int) (int, error) {
+	if !e.reg {
+		return e.a.Eval(c.text[lo:hi])
+	}
+	v := &e.v
+	if v.K == 0 || len(v.RR.Left) == 0 && len(v.RR.Right) == 0 {
+		return 0, errNoRegPosMatch(*v)
+	}
+	bs, i, j := e.anchorIn(c, lo, hi)
+	// Each candidate yields at most one position.
+	if v.K > j-i || -v.K > j-i {
+		return 0, errNoRegPosMatch(*v)
 	}
 	s := c.text[lo:hi]
-	bs, i, j := c.anchorIn(lo, hi, rr)
 	n := 0
 	if v.K > 0 {
 		for ; i < j; i++ {
-			if k := clip(bs[i], lo, hi); rr.matchesAt(s, k) {
+			if k := clip(bs[i], lo, hi); v.RR.matchesAt(s, k) {
 				if n++; n == v.K {
 					return k, nil
 				}
@@ -294,65 +380,79 @@ func (c *Cache) EvalAttr(lo, hi int, a Attr) (int, error) {
 		}
 	} else {
 		for j--; j >= i; j-- {
-			if k := clip(bs[j], lo, hi); rr.matchesAt(s, k) {
+			if k := clip(bs[j], lo, hi); v.RR.matchesAt(s, k) {
 				if n++; n == -v.K {
 					return k, nil
 				}
 			}
 		}
 	}
-	return 0, errNoRegPosMatch(v)
+	return 0, errNoRegPosMatch(*v)
 }
 
-// CountIn returns CountMatches(r, text[lo:hi]), testing r only at the
-// starts of its first token within the range: every match of r begins at
-// one, so taking them in order and skipping those inside the previous
-// match counts the same greedy non-overlapping matches. Like EvalAttr it
-// walks the token's whole-document boundary entry and stores nothing.
-func (c *Cache) CountIn(lo, hi int, r Regex) int {
-	if len(r) == 0 {
+// anchorIn returns the candidate positions of the pair within c's
+// text[lo:hi] as the window bs[i:j] of one whole-document boundary list:
+// the ends of rr.Left's last token or the starts of rr.Right's first
+// token, whichever window is shorter. Each element, clipped to the range
+// (clip), is one of that token's boundaries over text[lo:hi], in
+// ascending order, so every position of rr is among them. The pair must
+// have a non-empty side.
+func (e *AttrEval) anchorIn(c *Cache, lo, hi int) (bs []int, i, j int) {
+	rr := e.v.RR
+	if len(rr.Left) > 0 {
+		i, j = e.left.window(c, lo, hi)
+		bs = e.left.e.suf
+		if len(rr.Right) == 0 || i == j {
+			return bs, i, j
+		}
+	}
+	ri, rj := e.right.window(c, lo, hi)
+	if len(rr.Left) == 0 || rj-ri < j-i {
+		return e.right.e.pre, ri, rj
+	}
+	return bs, i, j
+}
+
+// CountEval counts the matches of one regex over ranges of a cached
+// document, equivalent to CountMatches(r, text[lo:hi]) on each. It tests
+// r only at the starts of its first token within the range: every match
+// of r begins at one, so taking them in order and skipping those inside
+// the previous match counts the same greedy non-overlapping matches. That
+// token's entry is resolved once and its windows are searched as an
+// AttrEval's are; like an AttrEval, a CountEval is the state of one walk.
+type CountEval struct {
+	r     Regex
+	first anchor
+}
+
+// NewCountEval returns a counter of r, bound to a cache on first use.
+func NewCountEval(r Regex) CountEval {
+	e := CountEval{r: r}
+	if len(r) > 0 {
+		e.first.t = r[0]
+	}
+	return e
+}
+
+// Count returns the number of matches of the regex in c's text[lo:hi].
+func (e *CountEval) Count(c *Cache, lo, hi int) int {
+	if len(e.r) == 0 {
 		return 0
 	}
 	s := c.text[lo:hi]
-	w := c.entry(r[0])
-	i, j := w.window(lo, hi, len(r[0].lit))
+	i, j := e.first.window(c, lo, hi)
 	n, next := 0, 0
 	for ; i < j; i++ {
-		k := clip(w.pre[i], lo, hi)
+		k := clip(e.first.e.pre[i], lo, hi)
 		if k < next {
 			continue
 		}
-		if m := r.MatchPrefix(s, k); m > 0 {
+		if m := e.r.MatchPrefix(s, k); m > 0 {
 			n++
 			next = k + m
 		}
 	}
 	return n
-}
-
-// anchorIn returns the candidate positions of rr within text[lo:hi] as the
-// window bs[i:j] of one whole-document boundary list: the ends of
-// rr.Left's last token or the starts of rr.Right's first token, whichever
-// window is shorter. Each element, clipped to the range (clip), is one of
-// that token's boundaries over text[lo:hi], in ascending order, so every
-// position of rr is among them. rr must have a non-empty side.
-func (c *Cache) anchorIn(lo, hi int, rr RegexPair) (bs []int, i, j int) {
-	if len(rr.Left) > 0 {
-		t := rr.Left[len(rr.Left)-1]
-		w := c.entry(t)
-		bs = w.suf
-		i, j = w.window(lo, hi, len(t.lit))
-		if len(rr.Right) == 0 || i == j {
-			return bs, i, j
-		}
-	}
-	t := rr.Right[0]
-	w := c.entry(t)
-	ri, rj := w.window(lo, hi, len(t.lit))
-	if len(rr.Left) == 0 || rj-ri < j-i {
-		return w.pre, ri, rj
-	}
-	return bs, i, j
 }
 
 // evictSeqsLocked drops non-pinned position-sequence entries. Requires

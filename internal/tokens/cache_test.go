@@ -187,11 +187,11 @@ func TestCacheEvictionCounter(t *testing.T) {
 // every range query does: the window of the range in t's whole-document
 // entry, each element clipped and rebased to lo.
 func clippedBoundaries(c *Cache, lo, hi int, t Token) (pre, suf []int) {
-	w := c.entry(t)
-	i, j := w.window(lo, hi, len(t.lit))
+	a := anchor{t: t}
+	i, j := a.window(c, lo, hi)
 	for ; i < j; i++ {
-		pre = append(pre, clip(w.pre[i], lo, hi))
-		suf = append(suf, clip(w.suf[i], lo, hi))
+		pre = append(pre, clip(a.e.pre[i], lo, hi))
+		suf = append(suf, clip(a.e.suf[i], lo, hi))
 	}
 	return pre, suf
 }

@@ -1,8 +1,10 @@
 package tokens
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -99,12 +101,35 @@ func checkCacheEval(t *testing.T, c *Cache, lo, hi int, a RegPos) {
 	}
 }
 
+// checkBoundEval evaluates one AttrEval of a and one CountEval of r over
+// the ranges in the order given, against RegPos.Eval and CountMatches on
+// each slice: whatever the order, the window searched from the previous
+// range must be the range's own.
+func checkBoundEval(t *testing.T, c *Cache, ranges [][2]int, a RegPos, r Regex) {
+	t.Helper()
+	ae, ce := NewAttrEval(a), NewCountEval(r)
+	for _, rg := range ranges {
+		lo, hi := rg[0], rg[1]
+		s := c.Text()[lo:hi]
+		want, wantErr := a.Eval(s)
+		got, gotErr := ae.Eval(c, lo, hi)
+		if (wantErr == nil) != (gotErr == nil) || (wantErr == nil && got != want) {
+			t.Fatalf("bound Eval(%d, %d) of %s over %q in %v = (%d, %v), Eval = (%d, %v)", lo, hi, a, c.Text(), ranges, got, gotErr, want, wantErr)
+		}
+		if got, want := ce.Count(c, lo, hi), CountMatches(r, s); got != want {
+			t.Fatalf("bound Count(%d, %d) of %s over %q in %v = %d, want %d", lo, hi, r, c.Text(), ranges, got, want)
+		}
+	}
+}
+
 // FuzzCacheEval checks the cache's evaluation kernel against the reference
 // semantics on fuzzer-built texts, ranges, regex pairs over fuzzToks and
 // K in [-3, 3], on a cold cache (whose first call for a token may be a
 // sub-range) and on a warm one holding every token's boundary entry and
-// earlier answers. Its 64 random seeds (512 queries) run with the plain
-// test suite too.
+// earlier answers. It then evaluates one bound attribute and one bound
+// count over the input's ranges and the text's lines, in ascending,
+// descending and fuzzer-shuffled order. Its 64 random seeds (512 queries)
+// run with the plain test suite too.
 func FuzzCacheEval(f *testing.F) {
 	for seed := int64(1); seed <= 64; seed++ {
 		b := make([]byte, 160)
@@ -118,14 +143,95 @@ func FuzzCacheEval(f *testing.F) {
 		for _, tok := range fuzzToks {
 			warm.entry(tok)
 		}
+		var ranges [][2]int
+		var attrs []RegPos
 		for q := 0; q < 8; q++ {
 			lo, hi := fuzzRange(r, text)
 			a := RegPos{RR: RegexPair{Left: fuzzRegex(r), Right: fuzzRegex(r)}, K: r.next()%7 - 3}
 			checkCacheEval(t, NewCache(text), lo, hi, a)
 			checkCacheEval(t, warm, lo, hi, a)
 			checkCacheEval(t, warm, lo, hi, a) // memo hits
+			ranges, attrs = append(ranges, [2]int{lo, hi}), append(attrs, a)
+		}
+		for lo := 0; lo <= len(text); {
+			hi := lo + strings.IndexByte(text[lo:]+"\n", '\n')
+			ranges = append(ranges, [2]int{lo, hi})
+			lo = hi + 1
+		}
+		a, re := attrs[r.next()%len(attrs)], fuzzRegex(r)
+		slices.SortFunc(ranges, func(x, y [2]int) int { return cmp.Or(x[0]-y[0], x[1]-y[1]) })
+		desc := slices.Clone(ranges)
+		slices.Reverse(desc)
+		shuffled := slices.Clone(ranges)
+		for i := len(shuffled) - 1; i > 0; i-- {
+			j := r.next() % (i + 1)
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		}
+		for _, order := range [][][2]int{ranges, desc, shuffled} {
+			checkBoundEval(t, NewCache(text), order, a, re)
+			checkBoundEval(t, warm, order, a, re)
 		}
 	})
+}
+
+// TestEvalsAcrossCaches moves one AttrEval and one CountEval back and
+// forth between the lines of two documents: each change of cache must
+// drop the anchors of the other.
+func TestEvalsAcrossCaches(t *testing.T) {
+	texts := []string{"a1 b22 c333\nd4 e55\nf6\n", "x 7, y 8\n\nz 9, 10, 11 w\nv\n"}
+	caches := []*Cache{NewCache(texts[0]), NewCache(texts[1])}
+	lines := make([][][2]int, 2)
+	for d, text := range texts {
+		for lo := 0; lo < len(text); {
+			hi := lo + strings.IndexByte(text[lo:], '\n')
+			lines[d] = append(lines[d], [2]int{lo, hi})
+			lo = hi + 1
+		}
+	}
+	for _, a := range []RegPos{
+		{RR: RegexPair{Left: Regex{Lower}, Right: Regex{Number}}, K: 1},
+		{RR: RegexPair{Left: Regex{Number}}, K: -1},
+		{RR: RegexPair{Right: Regex{Space}}, K: 1},
+	} {
+		ae, ce := NewAttrEval(a), NewCountEval(a.RR.Left)
+		for i := 0; i < 4; i++ {
+			for d := range texts {
+				l := lines[d][i%len(lines[d])]
+				s := texts[d][l[0]:l[1]]
+				want, wantErr := a.Eval(s)
+				got, gotErr := ae.Eval(caches[d], l[0], l[1])
+				if (wantErr == nil) != (gotErr == nil) || (wantErr == nil && got != want) {
+					t.Fatalf("Eval of %s on %q = (%d, %v), want (%d, %v)", a, s, got, gotErr, want, wantErr)
+				}
+				if got, want := ce.Count(caches[d], l[0], l[1]), CountMatches(a.RR.Left, s); got != want {
+					t.Fatalf("Count of %s on %q = %d, want %d", a.RR.Left, s, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSeekMatchesBinarySearch checks the galloping search against a
+// binary search of the whole list, for every key around a sorted list and
+// every hint, including hints past the answer.
+func TestSeekMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		xs := make([]int, rng.Intn(40))
+		for i := range xs {
+			xs[i] = rng.Intn(100)
+		}
+		slices.Sort(xs)
+		xs = slices.Compact(xs)
+		for x := -1; x <= 101; x++ {
+			want, _ := slices.BinarySearch(xs, x)
+			for h := 0; h <= len(xs); h++ {
+				if got := seek(xs, x, h); got != want {
+					t.Fatalf("seek(%v, %d, %d) = %d, want %d", xs, x, h, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestEvalAttrAllocatesNothing pins the run path: once the anchor tokens'
@@ -170,6 +276,35 @@ func TestEvalAttrAllocatesNothing(t *testing.T) {
 	}
 	if got := c.Stats().Entries; got != entries {
 		t.Fatalf("EvalAttr stored entries: %d -> %d", entries, got)
+	}
+
+	// Bound once, the evaluators walk every line without allocating either.
+	evals := make([]AttrEval, len(attrs))
+	for k, a := range attrs {
+		evals[k] = NewAttrEval(a)
+	}
+	i = 0
+	allocs = testing.AllocsPerRun(len(lines)-1, func() {
+		for k := range evals {
+			if _, err := evals[k].Eval(c, lines[i][0], lines[i][1]); err != nil {
+				t.Fatalf("line %d: %v", i, err)
+			}
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("AttrEval.Eval allocated %.2f times per line, want 0", allocs)
+	}
+	for k := range evals {
+		evals[k] = NewAttrEval(attrs[k])
+	}
+	for _, l := range lines {
+		for k, a := range attrs {
+			want, _ := a.Eval(text[l[0]:l[1]])
+			if got, _ := evals[k].Eval(c, l[0], l[1]); got != want {
+				t.Fatalf("bound Eval(%d, %d) of %s = %d, Eval = %d", l[0], l[1], a, got, want)
+			}
+		}
 	}
 	for _, l := range lines {
 		for _, a := range attrs {
