@@ -4,7 +4,7 @@ GO ?= go
 # run fast and deterministic in duration; use a duration for real fuzzing).
 FUZZTIME ?= 40x
 
-.PHONY: all build vet fmt-check test race check bench-module bench bench-synth bench-batch bench-interactive fuzz-smoke trace-smoke chaos-smoke shard-smoke serve-smoke obs-smoke trace
+.PHONY: all build vet fmt-check test race check bench-module bench bench-synth bench-batch bench-interactive program-digests fuzz-smoke trace-smoke chaos-smoke shard-smoke serve-smoke obs-smoke trace
 
 all: check
 
@@ -75,6 +75,14 @@ bench-batch:
 # stress documents, with the incremental contract self-checked.
 bench-interactive:
 	$(GO) run ./cmd/flashbench -interactive-json BENCH_interactive.json
+
+# program-digests regenerates internal/bench/testdata/program_digests.txt:
+# the SHA-256 of the schema program every corpus task and hadoop-xl saves
+# when learned from 1, 2, 3, 5 and all golden instances per field, which
+# TestSavedProgramDigests checks. Regenerate it only with a change that
+# means to alter what synthesis learns.
+program-digests:
+	$(GO) test ./internal/bench -run '^TestSavedProgramDigests$$' -count 1 -update
 
 # trace-smoke stands up `flashextract batch -admin`, curls /healthz,
 # /metrics, /trace/last, and /debug/pprof, regex-asserts the Prometheus

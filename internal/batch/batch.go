@@ -686,13 +686,6 @@ func processDoc(ctx context.Context, prog *engine.SchemaProgram, opts Options, e
 		rec.Error = err.Error()
 		return rec
 	}
-	// Chaos site: force an eviction storm in the document's evaluation
-	// cache. The cache is pure memoization, so output must not change.
-	if inj.Hit(faults.SiteCacheEvict, j.src.Name) {
-		if lc, ok := doc.(interface{ LimitCacheBytes(int64) }); ok {
-			lc.LimitCacheBytes(1)
-		}
-	}
 	dctx := ctx
 	if opts.DocTimeout > 0 {
 		var cancel context.CancelFunc
@@ -781,13 +774,10 @@ func unavailableReason(rec Record) string {
 // first mirroring the chaos and cancellation checkpoints the full path
 // would have hit for this document name, so shortcut paths stay
 // byte-identical to full runs under fault injection. A parse outcome
-// replays as-is: the full path fails at parse before reaching the
-// cache-evict and budget sites, so they must not be consumed here either.
+// replays as-is: the full path fails at parse before reaching the budget
+// site, so it must not be consumed here either.
 func applyOutcome(ctx context.Context, inj *faults.Injector, name string, rec *Record, oc *docstore.Outcome) {
 	if oc.Kind != KindParse {
-		// Parity with the full path's cache-eviction site: there is no cache
-		// to evict on a shortcut, but the injector decision is still drawn.
-		inj.Hit(faults.SiteCacheEvict, name)
 		budget := inj.Hit(faults.SiteBudget, "run:"+name)
 		if err := ctx.Err(); err != nil {
 			rec.Kind = KindCancelled

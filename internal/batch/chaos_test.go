@@ -34,10 +34,9 @@ func chaosSources(n int) []batch.Source {
 // TestChaosDifferential is the core chaos guarantee: a run with the
 // default (transient/output-neutral) fault sites armed produces NDJSON
 // byte-identical to a fault-free run, for several seeds, because every
-// injected read fault is recovered by the bounded retry loop, worker
-// stalls only perturb scheduling, and cache eviction storms only evict a
-// memoization layer. At least one seed must actually exercise the retry
-// path, or the test proves nothing.
+// injected read fault is recovered by the bounded retry loop and worker
+// stalls only perturb scheduling. At least one seed must actually exercise
+// the retry path, or the test proves nothing.
 func TestChaosDifferential(t *testing.T) {
 	prog := learnTextProgram(t)
 	sources := chaosSources(12)

@@ -315,16 +315,16 @@ func equalStrings(a, b []string) bool {
 
 // TestPrefilterChaosDifferential: the shortcut paths mirror the chaos
 // checkpoints of the full path, so even with every output-deterministic
-// fault site armed (reads, corruption, stalls, budget trips, cache
-// evictions), a prefiltered+deduped run is byte-identical to the full one
-// under the same seed.
+// fault site armed (reads, corruption, stalls, budget trips), a
+// prefiltered+deduped run is byte-identical to the full one under the same
+// seed.
 func TestPrefilterChaosDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos differential is not short")
 	}
 	spec := "seed=7,rate=0.4,sites=" + strings.Join([]string{
 		faults.SiteDocRead, faults.SiteDocParse, faults.SiteWorkerSlow,
-		faults.SiteBudget, faults.SiteCacheEvict,
+		faults.SiteBudget,
 	}, ";")
 	for _, domain := range []string{"text", "sheet"} {
 		domain := domain

@@ -136,7 +136,6 @@ func (s *Session) tryIncremental(ctx context.Context, fi *schema.FieldInfo, pos,
 	var fsp *trace.Span // nil (a no-op) until the check starts
 	fallback := func(why string) (*FieldProgram, *PartialResult, bool) {
 		fsp.SetBool("ok", false)
-		s.stats.IncrementalFallbacks++
 		sink.Count(metrics.IncrementalFallbacks, 1)
 		logx.From(ctx).Debug("incremental fallback", "field", fi.Color(), "why", why)
 		return nil, nil, false
@@ -213,7 +212,6 @@ func (s *Session) tryIncremental(ctx context.Context, fi *schema.FieldInfo, pos,
 	sink.Count(metrics.CandidatesExplored, 1)
 	sink.Count(metrics.IncrementalHits, 1)
 	sink.Observe(metrics.PhaseValidate, time.Since(start).Seconds())
-	s.stats.IncrementalHits++
 	fsp.SetInt("candidates", 1)
 	fsp.SetBool("ok", true)
 

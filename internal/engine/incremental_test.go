@@ -448,6 +448,61 @@ func TestLearnCallsCountsFailedLearns(t *testing.T) {
 	}
 }
 
+// TestStatsMatchRegistry drives one session through a failed call, a cold
+// call, an incremental hit, a fallback and a budget-truncated call, and
+// requires every Stats counter to equal the registry's and the sums of the
+// calls' partial results.
+func TestStatsMatchRegistry(t *testing.T) {
+	doc, _ := newCountingDomain(fakeText)
+	s := NewSession(doc, schema.MustParse(`Seq([row] String)`))
+	lines := lineSpans(fakeText)
+
+	var calls, explored, partials int64
+	learn := func(wantErr bool) *PartialResult {
+		t.Helper()
+		_, _, pr, err := s.LearnContext(context.Background(), "row")
+		if (err != nil) != wantErr {
+			t.Fatalf("call %d: err = %v", calls+1, err)
+		}
+		calls++
+		explored += pr.CandidatesExplored
+		if pr.Exhausted {
+			partials++
+		}
+		return pr
+	}
+	learn(true) // no examples: the call fails
+	s.AddPositive("row", lines[0])
+	learn(false) // cold: AllLines
+	s.AddPositive("row", lines[2])
+	learn(false) // AllLines still passes: a hit
+	s.AddNegative("row", lines[1])
+	learn(false) // AllLines fails the negative: a fallback to EvenLines
+	s.SetBudget(core.SynthBudget{MaxCandidates: 1})
+	if pr := learn(true); !pr.Exhausted {
+		t.Fatal("the capped call was not truncated")
+	}
+
+	st := s.Stats()
+	reg := st.Metrics.Counters
+	for _, c := range []struct {
+		name       string
+		stats, reg int64
+		want       int64
+	}{
+		{metrics.LearnCalls, st.LearnCalls, reg[metrics.LearnCalls], calls},
+		{metrics.PartialResults, st.PartialResults, reg[metrics.PartialResults], partials},
+		{metrics.CandidatesExplored, st.CandidatesExplored, reg[metrics.CandidatesExplored], explored},
+		{metrics.IncrementalHits, st.IncrementalHits, reg[metrics.IncrementalHits], 1},
+		{metrics.IncrementalFallbacks, st.IncrementalFallbacks, reg[metrics.IncrementalFallbacks], 2},
+		{metrics.LearnerFanout, st.LearnerFanout, reg[metrics.LearnerFanout], reg[metrics.LearnerFanout]},
+	} {
+		if c.stats != c.reg || c.stats != c.want {
+			t.Errorf("%s: Stats %d, registry %d, want %d", c.name, c.stats, c.reg, c.want)
+		}
+	}
+}
+
 func TestBudgetTrippedCallDoesNotSeedReuse(t *testing.T) {
 	doc, cl := newCountingDomain(fakeText)
 	m := schema.MustParse(`Seq([row] String)`)

@@ -67,8 +67,11 @@ type CacheStats struct {
 	Hits        int64 `json:"hits"`
 	Misses      int64 `json:"misses"`
 	Entries     int64 `json:"entries"`
-	Evictions   int64 `json:"evictions,omitempty"`
 	ApproxBytes int64 `json:"approx_bytes"`
+	// Evictions is always 0: the caches keep whole-document entries only,
+	// which are never evicted (DESIGN.md "Performance architecture"). It
+	// stays so that readers of the stats keep compiling.
+	Evictions int64 `json:"evictions,omitempty"`
 }
 
 // CacheStatser is implemented by documents that expose evaluation-cache

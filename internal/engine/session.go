@@ -30,10 +30,10 @@ type Session struct {
 	programs     map[string]*FieldProgram
 	pos, neg     map[string][]region.Region // examples per color
 
-	budget  core.SynthBudget  // per-Learn budget (zero = unlimited)
-	reg     *metrics.Registry // session-lifetime engine metrics
-	partial map[string]*PartialResult
-	stats   SessionStats
+	budget    core.SynthBudget  // per-Learn budget (zero = unlimited)
+	reg       *metrics.Registry // session-lifetime engine metrics
+	partial   map[string]*PartialResult
+	synthTime time.Duration // wall time inside synthesis calls
 	// learnedEpoch holds, for each color whose current program may be
 	// reused by the next Learn, the commit epoch that program was learned
 	// in. It is empty while incremental reuse is off.
@@ -113,9 +113,16 @@ func (s *Session) SetBudget(b core.SynthBudget) { s.budget = b }
 // reuse outcomes, synthesis wall time, per-phase latency histograms, and
 // the document cache counters.
 func (s *Session) Stats() SessionStats {
-	st := s.stats
-	st.Metrics = s.reg.Snapshot()
-	st.LearnerFanout = s.reg.Counter(metrics.LearnerFanout)
+	st := SessionStats{
+		LearnCalls:           s.reg.Counter(metrics.LearnCalls),
+		PartialResults:       s.reg.Counter(metrics.PartialResults),
+		CandidatesExplored:   s.reg.Counter(metrics.CandidatesExplored),
+		LearnerFanout:        s.reg.Counter(metrics.LearnerFanout),
+		IncrementalHits:      s.reg.Counter(metrics.IncrementalHits),
+		IncrementalFallbacks: s.reg.Counter(metrics.IncrementalFallbacks),
+		SynthTime:            s.synthTime,
+		Metrics:              s.reg.Snapshot(),
+	}
 	if cs, ok := s.doc.(CacheStatser); ok {
 		st.Cache = cs.CacheStats()
 	}
@@ -267,21 +274,12 @@ func (s *Session) synthesize(ctx context.Context, fi *schema.FieldInfo, pos, neg
 	return SynthesizeFieldProgramCtx(ctx, s.doc, s.sch, s.cr, fi, pos, neg, s.materialized)
 }
 
-// record folds one synthesis outcome into the session stats. Every
-// synthesis call is counted, including ones that failed before producing a
-// PartialResult; the per-color partial slot always reflects the latest
-// call.
+// record keeps one synthesis outcome as the color's latest partial result
+// and adds its wall time to the session's. The call's counters went into
+// the session's metric registry, which Stats reads, as it ran.
 func (s *Session) record(color string, pr *PartialResult) {
-	s.stats.LearnCalls++
 	s.partial[color] = pr
-	if pr == nil {
-		return
-	}
-	if pr.Exhausted {
-		s.stats.PartialResults++
-	}
-	s.stats.CandidatesExplored += pr.CandidatesExplored
-	s.stats.SynthTime += pr.Elapsed
+	s.synthTime += pr.Elapsed
 }
 
 // Commit materializes a field: the highlighting inferred by its learned

@@ -94,8 +94,9 @@ func SynthesizeFieldProgramCtx(
 	fsp.SetString("path", f.Path)
 	fsp.SetInt("pos", int64(len(pos)))
 	fsp.SetInt("neg", int64(len(neg)))
+	// Only the traced "cache" child span reads the cache counters.
 	var cacheBefore CacheStats
-	if cs, ok := doc.(CacheStatser); ok {
+	if cs, ok := doc.(CacheStatser); ok && fsp != nil {
 		cacheBefore = cs.CacheStats()
 	}
 

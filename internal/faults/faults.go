@@ -10,10 +10,10 @@
 // transient faults + retries == output without faults) enforceable in CI.
 //
 // Injection sites are compiled into the serving path (batch, engine,
-// tokens, admin) behind nil-safe Injector methods, so the fault layer
-// costs one nil check per site when chaos is off. Arm it via
-// Options/context in code, the `flashextract batch -chaos` flag, or the
-// FLASHEXTRACT_CHAOS environment variable.
+// admin) behind nil-safe Injector methods, so the fault layer costs one
+// nil check per site when chaos is off. Arm it via Options/context in
+// code, the `flashextract batch -chaos` flag, or the FLASHEXTRACT_CHAOS
+// environment variable.
 package faults
 
 import (
@@ -45,10 +45,6 @@ const (
 	// SiteBudget trips the synthesis/run budget mid-learner or mid-run,
 	// exercising the graceful-degradation path. Destructive.
 	SiteBudget = "engine.budget"
-	// SiteCacheEvict caps the document evaluation cache at one byte,
-	// forcing an eviction storm in tokens.Cache. Output-neutral: the
-	// cache is a pure memoization layer.
-	SiteCacheEvict = "tokens.cache_evict"
 	// SiteAdminWrite fails response writes on the admin HTTP endpoints
 	// for the first attempts of each path; the server must survive and
 	// later requests must succeed. Transient.
@@ -58,12 +54,12 @@ const (
 // DefaultSites are the sites armed by a bare "seed=N" spec: exactly the
 // transient/output-neutral set, so a default chaos run must be
 // byte-identical to a fault-free run (the chaos differential).
-var DefaultSites = []string{SiteDocRead, SiteWorkerSlow, SiteCacheEvict}
+var DefaultSites = []string{SiteDocRead, SiteWorkerSlow}
 
 // AllSites lists every known injection site, for spec validation.
 var AllSites = []string{
 	SiteDocRead, SiteDocParse, SiteWorkerSlow,
-	SiteBudget, SiteCacheEvict, SiteAdminWrite,
+	SiteBudget, SiteAdminWrite,
 }
 
 // Fault is an injected failure. It is the error returned by

@@ -119,7 +119,7 @@ func TestParseSpec(t *testing.T) {
 		t.Fatalf("defaults wrong: %s", inj)
 	}
 	got := inj.Sites()
-	want := []string{SiteDocRead, SiteCacheEvict, SiteWorkerSlow}
+	want := []string{SiteDocRead, SiteWorkerSlow}
 	if len(got) != len(want) {
 		t.Fatalf("default sites = %v", got)
 	}
@@ -155,6 +155,7 @@ func TestParseSpec(t *testing.T) {
 	for _, bad := range []string{
 		"", "rate=0.5", "seed=x", "seed=1,rate=2", "seed=1,failures=0",
 		"seed=1,sites=no.such_site", "seed=1,bogus=3", "seed=1,delay=-1s",
+		"seed=1,sites=tokens.cache_evict", // a removed site
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)

@@ -22,12 +22,13 @@ type Document struct {
 	Text string
 	lang *lang
 
-	mu        sync.RWMutex
-	lineCache map[[2]int][]Region
+	// lines holds the whole file's lines (linesIn), split on first use.
+	linesOnce sync.Once
+	lines     []Region
 
-	// cache holds the whole-document token boundaries and the regex-pair
-	// position sequences over ranges of Text; program execution and the
-	// learners share it across candidates and refinement iterations.
+	// cache holds the whole-document token boundaries and regex-pair
+	// position sequences of Text; program execution and the learners share
+	// it across candidates and refinement iterations.
 	cache *tokens.Cache
 }
 
@@ -45,12 +46,8 @@ func (d *Document) EvalCache() *tokens.Cache { return d.cache }
 // CacheStats reports the evaluation cache's counters (engine.CacheStatser).
 func (d *Document) CacheStats() engine.CacheStats {
 	s := d.cache.Stats()
-	return engine.CacheStats{Hits: s.Hits, Misses: s.Misses, Entries: s.Entries, Evictions: s.Evictions, ApproxBytes: s.ApproxBytes}
+	return engine.CacheStats{Hits: s.Hits, Misses: s.Misses, Entries: s.Entries, ApproxBytes: s.ApproxBytes}
 }
-
-// LimitCacheBytes caps the evaluation cache's approximate resident bytes;
-// the batch runtime's cache-eviction chaos site calls it.
-func (d *Document) LimitCacheBytes(n int64) { d.cache.SetMaxBytes(n) }
 
 // WholeRegion returns the region covering the entire file.
 func (d *Document) WholeRegion() region.Region {
@@ -146,27 +143,23 @@ func (r Region) SourceSpan() region.SourceSpan {
 
 func (r Region) String() string { return fmt.Sprintf("[%d,%d)", r.Start, r.End) }
 
-// maxLineCacheEntries bounds the per-document line cache; on overflow
-// only sub-document entries are evicted, so the hot whole-document entry
-// (the input of every ⊥-relative candidate) is never lost.
-const maxLineCacheEntries = 256
-
 // linesIn splits a region into its lines (split(R0, '\n')): the segments
 // between newline characters, clipped to the region. Interior empty lines
-// are kept; the empty segment after a trailing newline is dropped. Line
-// lists are cached on the document — predicates over the preceding and
-// succeeding lines consult them once per evaluation, which would otherwise
-// be quadratic in document size.
+// are kept; the empty segment after a trailing newline is dropped. The
+// whole file's lines, which every ⊥-relative candidate and the Pred*/Succ*
+// predicates read, are split once and shared; any other region is split on
+// each call.
 func linesIn(r Region) []Region {
 	d := r.Doc
-	key := [2]int{r.Start, r.End}
-	d.mu.RLock()
-	lines, ok := d.lineCache[key]
-	d.mu.RUnlock()
-	if ok {
-		return lines
+	if r.Start == 0 && r.End == len(d.Text) {
+		d.linesOnce.Do(func() { d.lines = splitRegion(r) })
+		return d.lines
 	}
+	return splitRegion(r)
+}
 
+// splitRegion splits r into its lines as linesIn describes.
+func splitRegion(r Region) []Region {
 	text := r.Value()
 	var out []Region
 	start := 0
@@ -180,28 +173,13 @@ func linesIn(r Region) []Region {
 		out = append(out, Region{Doc: r.Doc, Start: r.Start + start, End: r.Start + i})
 		start = i + 1
 	}
-
-	whole := [2]int{0, len(d.Text)}
-	d.mu.Lock()
-	if d.lineCache == nil {
-		d.lineCache = map[[2]int][]Region{}
-	}
-	if len(d.lineCache) >= maxLineCacheEntries && key != whole {
-		for k := range d.lineCache {
-			if k != whole {
-				delete(d.lineCache, k)
-			}
-		}
-	}
-	d.lineCache[key] = out
-	d.mu.Unlock()
 	return out
 }
 
-// lineContaining returns the line of r that fully contains [start, end),
-// or ok=false (e.g. for multi-line subregions).
-func lineContaining(r Region, start, end int) (Region, bool) {
-	for _, l := range linesIn(r) {
+// lineContaining returns the line among lines that fully contains
+// [start, end), or ok=false (e.g. for multi-line subregions).
+func lineContaining(lines []Region, start, end int) (Region, bool) {
+	for _, l := range lines {
 		if l.Start <= start && end <= l.End {
 			return l, true
 		}

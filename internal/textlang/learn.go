@@ -197,13 +197,14 @@ func (c *learnCtx) linesMapOp() core.MapOp {
 			if err != nil {
 				return nil, err
 			}
+			lines := linesIn(r0)
 			out := make([]core.Value, len(y))
 			for i, v := range y {
 				yr, ok := v.(Region)
 				if !ok {
 					return nil, fmt.Errorf("textlang: LinesMap output is %T, want region", v)
 				}
-				line, ok := lineContaining(r0, yr.Start, yr.End)
+				line, ok := lineContaining(lines, yr.Start, yr.End)
 				if !ok {
 					return nil, core.ErrNoMatch
 				}
@@ -373,13 +374,14 @@ func (c *learnCtx) learnPS() core.SeqLearner {
 			if err != nil {
 				return nil, err
 			}
+			lines := linesIn(r0)
 			out := make([]core.Value, len(y))
 			for i, v := range y {
 				k, ok := v.(int)
 				if !ok {
 					return nil, fmt.Errorf("textlang: position sequence output is %T, want int", v)
 				}
-				line, ok := lineContaining(r0, k, k)
+				line, ok := lineContaining(lines, k, k)
 				if !ok {
 					return nil, core.ErrNoMatch
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"flashextract/internal/core"
@@ -49,7 +50,7 @@ func lineRegion(t *testing.T, d *Document, sub string, n int) Region {
 	t.Helper()
 	r := mustFind(t, d, sub, n)
 	whole := d.WholeRegion().(Region)
-	l, ok := lineContaining(whole, r.Start, r.End)
+	l, ok := lineContaining(linesIn(whole), r.Start, r.End)
 	if !ok {
 		t.Fatalf("no line contains %q", sub)
 	}
@@ -122,6 +123,73 @@ func TestLinesIn(t *testing.T) {
 	linesMid := linesIn(mid)
 	if len(linesMid) != 2 || linesMid[0].Value() != "" || linesMid[1].Value() != "y" {
 		t.Fatalf("clipped lines = %v", linesMid)
+	}
+
+	// The whole file is split once, also when goroutines ask at once: every
+	// call shares one backing array.
+	d3 := NewDocument(analyteText)
+	firsts := make([]*Region, 4)
+	var wg sync.WaitGroup
+	for g := range firsts {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			firsts[g] = &linesIn(d3.WholeRegion().(Region))[0]
+		}(g)
+	}
+	wg.Wait()
+	for _, f := range firsts {
+		if f != firsts[0] {
+			t.Fatal("concurrent calls split the whole file more than once")
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		b := make([]byte, rng.Intn(40))
+		for i := range b {
+			b[i] = "ab\n"[rng.Intn(3)]
+		}
+		d := NewDocument(string(b))
+		first, second := linesIn(d.WholeRegion().(Region)), linesIn(d.WholeRegion().(Region))
+		if &first[0] != &second[0] {
+			t.Fatalf("%q: the whole file was split twice", d.Text)
+		}
+		assertFreshSplit(t, d, 0, len(d.Text))
+		// Random sub-ranges, and ranges that start or end on a newline.
+		var ranges [][2]int
+		for i := 0; i < 8; i++ {
+			lo := rng.Intn(len(d.Text) + 1)
+			ranges = append(ranges, [2]int{lo, lo + rng.Intn(len(d.Text)-lo+1)})
+		}
+		for i := 0; i < len(d.Text); i++ {
+			if d.Text[i] == '\n' {
+				ranges = append(ranges, [2]int{i, len(d.Text)}, [2]int{0, i}, [2]int{0, i + 1}, [2]int{i, i + 1})
+			}
+		}
+		for _, rg := range ranges {
+			assertFreshSplit(t, d, rg[0], rg[1])
+		}
+	}
+}
+
+// assertFreshSplit checks linesIn over Text[lo:hi] against a split of the
+// substring on '\n' that drops the empty segment after a trailing newline.
+func assertFreshSplit(t *testing.T, d *Document, lo, hi int) {
+	t.Helper()
+	parts := strings.Split(d.Text[lo:hi], "\n")
+	if n := len(parts); n > 1 && parts[n-1] == "" {
+		parts = parts[:n-1]
+	}
+	got := linesIn(d.Region(lo, hi))
+	if len(got) != len(parts) {
+		t.Fatalf("%q[%d:%d]: %d lines, want %d", d.Text, lo, hi, len(got), len(parts))
+	}
+	at := lo
+	for i, p := range parts {
+		if want := d.Region(at, at+len(p)); got[i] != want {
+			t.Fatalf("%q[%d:%d]: line %d is %v, want %v", d.Text, lo, hi, i, got[i], want)
+		}
+		at += len(p) + 1
 	}
 }
 

@@ -7,45 +7,42 @@ import (
 )
 
 // Cache is a document-scoped evaluation cache. It is owned by a document
-// (one immutable text) and holds one boundary entry per token over the
-// whole document: the sorted starts and ends of the token's runs (class
-// tokens) or occurrences (literals). Every query over a half-open range
-// [lo, hi) of the text is answered from those entries, by searching them
-// for the window that belongs to the range and walking it in place: an
-// AttrEval walks to the k-th match and a CountEval counts matches, storing
-// nothing, while Positions (PosSeq) memoizes its answer per range and
-// regex pair, so the same sequence is shared across candidate programs,
-// validation runs, and refinement iterations. The position learners
-// (LearnAttrs, LearnRegexPairs) build their per-regex match lists from
-// the same windows, for examples that name a range of the cache.
+// (one immutable text) and memoizes whole-document answers only: one
+// boundary entry per token, the sorted starts and ends of the token's runs
+// (class tokens) or occurrences (literals), and one position sequence per
+// regex pair. Every query over another half-open range [lo, hi) of the
+// text is answered from the boundary entries, by searching them for the
+// window that belongs to the range and walking it in place, and stores
+// nothing: an AttrEval walks to the k-th match, a CountEval counts
+// matches, and Positions (PosSeq) collects the pair's positions. Over the
+// whole document, where every ⊥-relative candidate evaluates, Positions
+// shares one sequence per pair across candidate programs, validation runs
+// and refinement iterations. The position learners (LearnAttrs,
+// LearnRegexPairs) build their per-regex match lists from the same
+// windows, for examples that name a range of the cache.
 //
 // All methods are safe for concurrent use; returned slices are shared and
 // must be treated as read-only. The backing text never changes, so cached
-// entries are valid forever — eviction exists only to bound memory, and
-// whole-document entries (the hottest: every ⊥-relative candidate
-// evaluates against the whole region) are pinned.
+// entries are valid forever and none is evicted: the cache holds one entry
+// per token and per regex pair the document is queried with.
 type Cache struct {
 	text string
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64 // entries dropped by any eviction path
-	maxBytes  atomic.Int64 // 0 = no byte cap
+	hits   atomic.Int64
+	misses atomic.Int64
 
 	mu     sync.RWMutex
 	bytes  int64                 // approximate resident bytes of all entries (guarded by mu)
 	bounds map[string]boundEntry // whole-document boundaries by token name
-	seqs   map[seqKey][]seqEntry
+	seqs   map[uint64][]seqEntry // whole-document position sequences by pair fingerprint
 }
 
-// Stats summarizes the cache: probe hits and misses, entry count,
-// entries evicted over the cache's lifetime, and approximate resident
-// bytes.
+// Stats summarizes the cache: probe hits and misses, entry count, and
+// approximate resident bytes.
 type Stats struct {
 	Hits        int64
 	Misses      int64
 	Entries     int64
-	Evictions   int64
 	ApproxBytes int64
 }
 
@@ -59,89 +56,60 @@ func (c *Cache) Stats() Stats {
 		Hits:        c.hits.Load(),
 		Misses:      c.misses.Load(),
 		Entries:     entries,
-		Evictions:   c.evictions.Load(),
 		ApproxBytes: bytes,
 	}
 }
 
-// SetMaxBytes caps the cache's approximate resident bytes (0 removes the
-// cap). When the cache is already over the new cap, non-pinned entries are
-// evicted immediately.
-func (c *Cache) SetMaxBytes(n int64) {
-	c.maxBytes.Store(n)
-	if n <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.enforceBytesLocked()
-	c.mu.Unlock()
-}
-
 // Per-entry approximate sizes: slice headers, map-key overhead, and 8
-// bytes per cached position. These are estimates, not allocations counts —
-// the cap is a soft bound on resident memory.
+// bytes per cached position. These are estimates of resident memory, not
+// allocation counts.
 func boundSize(e boundEntry) int64 { return 64 + 8*int64(len(e.pre)+len(e.suf)) }
 func seqSize(e seqEntry) int64 {
 	return 96 + 8*int64(len(e.ps)) + 48*int64(len(e.rr.Left)+len(e.rr.Right))
-}
-
-// enforceBytesLocked evicts non-pinned sequence entries when the byte cap
-// is exceeded. Requires c.mu held for writing.
-func (c *Cache) enforceBytesLocked() {
-	if limit := c.maxBytes.Load(); limit > 0 && c.bytes > limit {
-		c.evictSeqsLocked()
-	}
 }
 
 type boundEntry struct {
 	pre, suf []int
 }
 
-// seqKey buckets position-sequence entries by range and regex-pair
-// fingerprint; the entry list resolves fingerprint collisions by exact
-// pair comparison. Hashing token names directly is far cheaper than
+// seqEntry is one memoized position sequence. Entries are bucketed by
+// regex-pair fingerprint, and a bucket resolves fingerprint collisions by
+// exact pair comparison: hashing token names directly is far cheaper than
 // materializing RegexPair.String() on every probe of the hot loop.
-type seqKey struct {
-	lo, hi int
-	h      uint64
-}
-
 type seqEntry struct {
 	rr RegexPair
 	ps []int
 }
-
-// maxSeqEntries bounds the position-sequence entries. Sub-document ranges
-// (lines, suffixes, prefixes) repeat heavily but are unbounded in
-// principle; whole-document entries are never evicted.
-const maxSeqEntries = 32768
 
 // NewCache creates the evaluation cache of one immutable document text.
 func NewCache(text string) *Cache {
 	return &Cache{
 		text:   text,
 		bounds: map[string]boundEntry{},
-		seqs:   map[seqKey][]seqEntry{},
+		seqs:   map[uint64][]seqEntry{},
 	}
 }
 
 // Text returns the cached document text.
 func (c *Cache) Text() string { return c.text }
 
-func (c *Cache) pinned(lo, hi int) bool { return lo == 0 && hi == len(c.text) }
-
 // Positions returns the position sequence of rr within text[lo:hi],
-// equivalent to rr.Positions(text[lo:hi]) but memoized per (range, pair).
-// A miss walks the anchor window of rr (AttrEval.anchorIn), so the scan
-// visits only the boundaries of the pair's most selective edge token
-// instead of every position.
+// equivalent to rr.Positions(text[lo:hi]). Over the whole document the
+// sequence is memoized per regex pair; over any other range it is computed
+// afresh and not stored. The scan walks the anchor window of rr
+// (AttrEval.anchorIn), so it visits only the boundaries of the pair's most
+// selective edge token instead of every position.
 func (c *Cache) Positions(lo, hi int, rr RegexPair) []int {
 	if len(rr.Left) == 0 && len(rr.Right) == 0 {
 		return nil
 	}
-	key := seqKey{lo: lo, hi: hi, h: pairFingerprint(rr)}
-	if ps, ok := c.seqGet(key, rr); ok {
-		return ps
+	whole := lo == 0 && hi == len(c.text)
+	var h uint64
+	if whole {
+		h = pairFingerprint(rr)
+		if ps, ok := c.seqGet(h, rr); ok {
+			return ps
+		}
 	}
 
 	s := c.text[lo:hi]
@@ -154,32 +122,44 @@ func (c *Cache) Positions(lo, hi int, rr RegexPair) []int {
 		}
 	}
 
-	e := seqEntry{rr: rr, ps: out}
-	c.mu.Lock()
-	if len(c.seqs) >= maxSeqEntries && !c.pinned(lo, hi) {
-		c.evictSeqsLocked()
+	if whole {
+		c.mu.Lock()
+		// Concurrent misses on one pair store its sequence once.
+		if ps, ok := c.seqIn(h, rr); ok {
+			out = ps
+		} else {
+			e := seqEntry{rr: rr, ps: out}
+			c.seqs[h] = append(c.seqs[h], e)
+			c.bytes += seqSize(e)
+		}
+		c.mu.Unlock()
 	}
-	c.seqs[key] = append(c.seqs[key], e)
-	c.bytes += seqSize(e)
-	c.enforceBytesLocked()
-	c.mu.Unlock()
 	return out
 }
 
-// seqGet looks up a memoized position sequence, resolving fingerprint
-// collisions by exact pair comparison. It records the probe as a cache hit
-// or miss.
-func (c *Cache) seqGet(key seqKey, rr RegexPair) ([]int, bool) {
+// seqGet looks up a memoized position sequence by its pair fingerprint h
+// and records the probe as a cache hit or miss.
+func (c *Cache) seqGet(h uint64, rr RegexPair) ([]int, bool) {
 	c.mu.RLock()
-	for _, e := range c.seqs[key] {
+	ps, ok := c.seqIn(h, rr)
+	c.mu.RUnlock()
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return ps, ok
+}
+
+// seqIn returns the sequence stored for rr in the bucket of its
+// fingerprint h, resolving fingerprint collisions by exact pair
+// comparison. Requires c.mu held.
+func (c *Cache) seqIn(h uint64, rr RegexPair) ([]int, bool) {
+	for _, e := range c.seqs[h] {
 		if pairEqual(e.rr, rr) {
-			c.mu.RUnlock()
-			c.hits.Add(1)
 			return e.ps, true
 		}
 	}
-	c.mu.RUnlock()
-	c.misses.Add(1)
 	return nil, false
 }
 
@@ -200,7 +180,6 @@ func (c *Cache) entry(t Token) boundEntry {
 	if _, raced := c.bounds[t.Name]; !raced {
 		c.bounds[t.Name] = w
 		c.bytes += boundSize(w)
-		c.enforceBytesLocked()
 	}
 	c.mu.Unlock()
 	return w
@@ -453,20 +432,6 @@ func (e *CountEval) Count(c *Cache, lo, hi int) int {
 		}
 	}
 	return n
-}
-
-// evictSeqsLocked drops non-pinned position-sequence entries. Requires
-// c.mu held for writing.
-func (c *Cache) evictSeqsLocked() {
-	for k, es := range c.seqs {
-		if !c.pinned(k.lo, k.hi) {
-			for _, e := range es {
-				c.bytes -= seqSize(e)
-			}
-			c.evictions.Add(1)
-			delete(c.seqs, k)
-		}
-	}
 }
 
 // regexFingerprintFrom extends an FNV-1a hash with a regex's token names.

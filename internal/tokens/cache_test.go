@@ -2,6 +2,7 @@ package tokens
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -122,64 +123,86 @@ func TestCacheEvalAttrMatchesEval(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionKeepsPinnedEntries floods the cache with sub-range
-// entries past every bound and requires the whole-document entries to
-// survive eviction.
-func TestCacheEvictionKeepsPinnedEntries(t *testing.T) {
-	text := randomText(rand.New(rand.NewSource(3)), 400)
+// TestPositionsMemoizesWholeDocumentOnly pins what Positions stores: with
+// the pair's boundary entries resolved, a call on any sub-range (cut at
+// one end, at the other, at both, or empty) answers what the direct scan
+// does while leaving the entry count, the resident bytes and the miss
+// counter as they were, and a repeated whole-document call is one hit that
+// returns the stored sequence.
+func TestPositionsMemoizesWholeDocumentOnly(t *testing.T) {
+	text := cacheSample
 	c := NewCache(text)
-	rr := RegexPair{Left: Regex{Number}}
-
-	wholeSeq := c.Positions(0, len(text), rr)
-
-	// Flood: distinct (lo,hi) keys well past maxSeqEntries.
-	n := 0
-	for lo := 0; lo < len(text) && n < maxSeqEntries+100; lo++ {
-		for hi := lo; hi <= len(text) && n < maxSeqEntries+100; hi += 7 {
-			c.Positions(lo, hi, rr)
-			n++
+	rr := RegexPair{Left: Regex{Word}, Right: Regex{Space}}
+	whole := c.Positions(0, len(text), rr)
+	if len(whole) == 0 {
+		t.Fatal("the pair has no position in the sample")
+	}
+	before := c.Stats()
+	ranges := [][2]int{{0, len(text) - 1}, {1, len(text)}, {5, 40}, {12, 12}}
+	for _, rg := range ranges {
+		lo, hi := rg[0], rg[1]
+		if got, want := c.Positions(lo, hi, rr), rr.Positions(text[lo:hi]); !equalPositions(got, want) {
+			t.Fatalf("Positions(%d, %d) = %v, direct %v", lo, hi, got, want)
+		}
+		st := c.Stats()
+		if st.Entries != before.Entries || st.ApproxBytes != before.ApproxBytes || st.Misses != before.Misses {
+			t.Fatalf("Positions(%d, %d) changed the cache: %+v, was %+v", lo, hi, st, before)
 		}
 	}
-
-	c.mu.RLock()
-	_, seqOK := c.seqs[seqKey{lo: 0, hi: len(text), h: pairFingerprint(rr)}]
-	_, boundOK := c.bounds[Number.Name]
-	c.mu.RUnlock()
-	if !seqOK {
-		t.Fatal("whole-document position sequence was evicted")
+	before = c.Stats()
+	again := c.Positions(0, len(text), rr)
+	st := c.Stats()
+	if st.Hits != before.Hits+1 || st.Misses != before.Misses {
+		t.Fatalf("repeated whole-document call: %+v, was %+v; want one hit", st, before)
 	}
-	if !boundOK {
-		t.Fatal("whole-document token boundaries were evicted")
-	}
-	if got := c.Positions(0, len(text), rr); !equalPositions(got, wholeSeq) {
-		t.Fatalf("pinned sequence changed: %v vs %v", got, wholeSeq)
+	if &again[0] != &whole[0] || len(again) != len(whole) {
+		t.Fatalf("repeated whole-document call returned %v, not the stored %v", again, whole)
 	}
 }
 
-// TestCacheEvictionCounter asserts Stats.Evictions counts dropped entries
-// when a byte cap forces an eviction storm, and that evicted answers are
-// recomputed identically — the cache is pure memoization, so an eviction
-// storm (e.g. injected by the chaos layer) must never change results.
-func TestCacheEvictionCounter(t *testing.T) {
-	text := randomText(rand.New(rand.NewSource(9)), 400)
-	c := NewCache(text)
-	rr := RegexPair{Left: Regex{Number}}
-	before := map[int][]int{}
-	for lo := 1; lo < 40; lo++ {
-		before[lo] = c.Positions(lo, len(text), rr)
+// TestCacheConcurrentPositions shares one cache among goroutines that ask
+// for the same whole-document and sub-range sequences at once, as the
+// union fan-out's learners do; every answer must equal the direct scan
+// (run it under -race), and misses that race on one pair must store its
+// sequence once: the cache ends as large as one filled serially.
+func TestCacheConcurrentPositions(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	text := randomText(rng, 300)
+	pool := randomPool(rng, text)
+	type query struct {
+		lo, hi int
+		rr     RegexPair
 	}
-	if c.Stats().Evictions != 0 {
-		t.Fatalf("evictions before cap = %d", c.Stats().Evictions)
-	}
-	c.SetMaxBytes(1)
-	st := c.Stats()
-	if st.Evictions == 0 {
-		t.Fatal("byte cap of 1 evicted nothing")
-	}
-	for lo := 1; lo < 40; lo++ {
-		if got := c.Positions(lo, len(text), rr); !equalPositions(got, before[lo]) {
-			t.Fatalf("positions at lo=%d changed after eviction storm: %v vs %v", lo, got, before[lo])
+	var qs []query
+	for i := 0; i < 40; i++ {
+		lo, hi := 0, len(text)
+		if i%2 == 1 {
+			lo = rng.Intn(len(text))
+			hi = lo + rng.Intn(len(text)-lo)
 		}
+		qs = append(qs, query{lo, hi, randomPair(rng, pool)})
+	}
+	c := NewCache(text)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range qs {
+				q := qs[(i+g*7)%len(qs)]
+				if got, want := c.Positions(q.lo, q.hi, q.rr), q.rr.Positions(text[q.lo:q.hi]); !equalPositions(got, want) {
+					t.Errorf("Positions(%d, %d, %s) = %v, direct %v", q.lo, q.hi, q.rr, got, want)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	serial := NewCache(text)
+	for _, q := range qs {
+		serial.Positions(q.lo, q.hi, q.rr)
+	}
+	if got, want := c.Stats().ApproxBytes, serial.Stats().ApproxBytes; got != want {
+		t.Errorf("concurrent cache holds %d bytes, a serial one %d", got, want)
 	}
 }
 

@@ -24,9 +24,10 @@ type Document struct {
 	Text string
 	lang *lang
 
-	// cache holds the whole-document token boundaries and the regex-pair
-	// position sequences over ranges of Text (a node's text content is
-	// Text[TextStart:TextEnd]); program execution and the learners share it.
+	// cache holds the whole-document token boundaries and regex-pair
+	// position sequences of Text, from which queries over a node's text
+	// content (Text[TextStart:TextEnd]) are answered; program execution and
+	// the learners share it.
 	cache *tokens.Cache
 }
 
@@ -48,12 +49,8 @@ func (d *Document) EvalCache() *tokens.Cache { return d.cache }
 // CacheStats reports the evaluation cache's counters (engine.CacheStatser).
 func (d *Document) CacheStats() engine.CacheStats {
 	s := d.cache.Stats()
-	return engine.CacheStats{Hits: s.Hits, Misses: s.Misses, Entries: s.Entries, Evictions: s.Evictions, ApproxBytes: s.ApproxBytes}
+	return engine.CacheStats{Hits: s.Hits, Misses: s.Misses, Entries: s.Entries, ApproxBytes: s.ApproxBytes}
 }
-
-// LimitCacheBytes caps the evaluation cache's approximate resident bytes;
-// the batch runtime's cache-eviction chaos site calls it.
-func (d *Document) LimitCacheBytes(n int64) { d.cache.SetMaxBytes(n) }
 
 // MustNewDocument is NewDocument for statically known pages.
 func MustNewDocument(html string) *Document {
