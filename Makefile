@@ -79,10 +79,13 @@ bench-interactive:
 # program-digests regenerates internal/bench/testdata/program_digests.txt:
 # the SHA-256 of the schema program every corpus task and hadoop-xl saves
 # when learned from 1, 2, 3, 5 and all golden instances per field, which
-# TestSavedProgramDigests checks. Regenerate it only with a change that
-# means to alter what synthesis learns.
+# TestSavedProgramDigests checks. It also regenerates record_digests.txt
+# beside it: the SHA-256 of the batch records and provenance sidecar of
+# every corpus task's all-golden program over its domain's corpus, which
+# TestBatchRecordDigests checks. Regenerate them only with a change that
+# means to alter what synthesis learns or what a program extracts.
 program-digests:
-	$(GO) test ./internal/bench -run '^TestSavedProgramDigests$$' -count 1 -update
+	$(GO) test ./internal/bench -run '^(TestSavedProgramDigests|TestBatchRecordDigests)$$' -count 1 -update
 
 # trace-smoke stands up `flashextract batch -admin`, curls /healthz,
 # /metrics, /trace/last, and /debug/pprof, regex-asserts the Prometheus

@@ -41,11 +41,10 @@ stream, mapping every extracted leaf to its source byte range and the
 combinator path that produced it. The record stream itself is
 byte-identical to a run without -provenance.
 
-With -chaos "seed=N[,rate=F][,failures=K][,delay=D][,sites=a;b;c]" (or the
-FLASHEXTRACT_CHAOS environment variable) the run injects deterministic,
-seed-reproducible faults at named sites in the serving stack, enables the
-per-document invariant self-checks, and appends a one-line
-flashextract-chaos/v1 JSON report to stderr. A bare seed arms only
+With -chaos "seed=N[,rate=F][,failures=K][,delay=D][,sites=a;b;c]" the run
+injects deterministic, seed-reproducible faults at named sites in the
+serving stack, enables the per-document invariant self-checks, and appends
+a one-line flashextract-chaos/v1 JSON report to stderr. A bare seed arms only
 transient/output-neutral sites, so the NDJSON output must be byte-identical
 to a fault-free run. Flags:
 `
@@ -89,7 +88,7 @@ func parseBatchFlags(args []string) (batchConfig, error) {
 	fs.IntVar(&cfg.traceRing, "trace-ring", 0, "document traces retained for /trace/last (0 = default)")
 	fs.StringVar(&cfg.logLevel, "log-level", "info", "structured log level: debug, info, warn, or error")
 	fs.BoolVar(&cfg.logJSON, "log-json", false, "emit structured logs as JSON instead of text")
-	fs.StringVar(&cfg.chaos, "chaos", "", "arm deterministic fault injection: seed=N[,rate=F][,failures=K][,delay=D][,sites=a;b;c] ("+faults.EnvVar+" env var is the fallback)")
+	fs.StringVar(&cfg.chaos, "chaos", "", "arm deterministic fault injection: seed=N[,rate=F][,failures=K][,delay=D][,sites=a;b;c]")
 	fs.BoolVar(&cfg.selfCheck, "selfcheck", false, "verify instance well-formedness invariants per document (implied by -chaos)")
 	fs.BoolVar(&cfg.prefilter, "prefilter", false, "statically analyze the program and skip documents that provably yield zero matches")
 	fs.BoolVar(&cfg.dedup, "dedup", false, "extract documents with identical content once and replay the result for duplicates")
@@ -180,19 +179,14 @@ func runBatch(args []string, stdout io.Writer) error {
 		ProvenanceOut: provOut,
 	}
 
-	// Chaos mode: the -chaos spec (or the env var when the flag is empty)
-	// arms deterministic fault injection, and self-checks come on with it —
-	// the point of injecting faults is to catch the invariant they break.
+	// Chaos mode: the -chaos spec arms deterministic fault injection, and
+	// self-checks come on with it — the point of injecting faults is to
+	// catch the invariant they break.
 	var inj *faults.Injector
 	if cfg.chaos != "" {
-		inj, err = faults.ParseSpec(cfg.chaos)
-		if err != nil {
+		if inj, err = faults.ParseSpec(cfg.chaos); err != nil {
 			return err
 		}
-	} else if inj, err = faults.FromEnv(); err != nil {
-		return err
-	}
-	if inj != nil {
 		opts.Chaos = inj
 		opts.SelfCheck = true
 		logger.Info("chaos armed", "spec", inj.String())

@@ -79,7 +79,7 @@ func parseServeFlags(args []string) (serveConfig, error) {
 	fs.IntVar(&cfg.slowRequests, "slow-requests", 0, "slowest requests retained for /requests (0 = default)")
 	fs.StringVar(&cfg.logLevel, "log-level", "info", "structured log level: debug, info, warn, or error")
 	fs.BoolVar(&cfg.logJSON, "log-json", false, "emit structured logs as JSON instead of text")
-	fs.StringVar(&cfg.chaos, "chaos", "", "arm deterministic fault injection: seed=N[,rate=F][,failures=K][,delay=D][,sites=a;b;c] ("+faults.EnvVar+" env var is the fallback)")
+	fs.StringVar(&cfg.chaos, "chaos", "", "arm deterministic fault injection: seed=N[,rate=F][,failures=K][,delay=D][,sites=a;b;c]")
 	fs.BoolVar(&cfg.selfCheck, "selfcheck", false, "verify instance well-formedness invariants per document (implied by -chaos)")
 	fs.BoolVar(&cfg.prefilter, "prefilter", false, "statically analyze programs and skip documents that provably yield zero matches")
 	if err := fs.Parse(args); err != nil {
@@ -111,14 +111,9 @@ func runServe(args []string, stdout io.Writer) error {
 
 	var inj *faults.Injector
 	if cfg.chaos != "" {
-		inj, err = faults.ParseSpec(cfg.chaos)
-		if err != nil {
+		if inj, err = faults.ParseSpec(cfg.chaos); err != nil {
 			return err
 		}
-	} else if inj, err = faults.FromEnv(); err != nil {
-		return err
-	}
-	if inj != nil {
 		cfg.selfCheck = true
 		logger.Info("chaos armed", "spec", inj.String())
 	}

@@ -16,9 +16,9 @@ import (
 	"time"
 
 	"flashextract/internal/batch"
+	"flashextract/internal/core"
 	"flashextract/internal/engine"
 	"flashextract/internal/metrics"
-	"flashextract/internal/region"
 	"flashextract/internal/schema"
 	"flashextract/internal/sheetlang"
 	"flashextract/internal/textlang"
@@ -379,13 +379,13 @@ func (c *countingSource) Program() *engine.SchemaProgram {
 // countingSeq wraps a field's sequence program and counts its runs, so a
 // test sees which program the workers ran.
 type countingSeq struct {
-	engine.SeqRegionProgram
+	core.Program
 	runs *atomic.Int64
 }
 
-func (c countingSeq) ExtractSeq(r region.Region) ([]region.Region, error) {
+func (c countingSeq) Exec(st core.State) (core.Value, error) {
 	c.runs.Add(1)
-	return c.SeqRegionProgram.ExtractSeq(r)
+	return c.Program.Exec(st)
 }
 
 // TestProgramSourceOncePerRun: Run asks its source once per run, whatever
@@ -405,8 +405,8 @@ func TestProgramSourceOncePerRun(t *testing.T) {
 	var runs atomic.Int64
 	wrapped := 0
 	for _, fp := range prog.Fields {
-		if fp.Ancestor == nil && fp.Seq != nil {
-			fp.Seq = countingSeq{fp.Seq, &runs}
+		if fp.Ancestor == nil && fp.IsSeq() {
+			fp.P = countingSeq{fp.P, &runs}
 			wrapped++
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"time"
 
+	"flashextract/internal/core"
 	"flashextract/internal/engine"
 	"flashextract/internal/region"
 	"flashextract/internal/schema"
@@ -47,9 +48,10 @@ type FieldResult struct {
 	Succeeded bool
 	// FailReason describes why the simulation failed, if it did.
 	FailReason string
-	// Program is the final learned program when the simulation succeeded
-	// (⊥-relative simulations only); it enables transfer evaluation.
-	Program engine.SeqRegionProgram
+	// Program is the final learned SeqRegion program when the simulation
+	// succeeded (⊥-relative simulations only); it enables transfer
+	// evaluation.
+	Program core.Program
 }
 
 // Examples returns the total number of examples given.
@@ -133,7 +135,7 @@ func SimulateField(doc engine.Document, golden []region.Region) FieldResult {
 			fr.FailReason = "synthesis failed"
 			return fr
 		}
-		out, err := progs[0].ExtractSeq(doc.WholeRegion())
+		out, err := engine.ExtractSeq(progs[0], doc.WholeRegion())
 		if err != nil {
 			fr.FailReason = fmt.Sprintf("execution failed: %v", err)
 			return fr

@@ -32,16 +32,9 @@ func fieldPrograms(t *testing.T, task *bench.Task, procs int) map[string]string 
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d field %s: %v", procs, fi.Color(), err)
 		}
-		out[fi.Color()] = fieldProgramString(fp)
+		out[fi.Color()] = fp.P.String()
 	}
 	return out
-}
-
-func fieldProgramString(fp *engine.FieldProgram) string {
-	if fp.Seq != nil {
-		return fp.Seq.String()
-	}
-	return fp.Reg.String()
 }
 
 // TestDifferentialParallelValidation is the differential harness for the

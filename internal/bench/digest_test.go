@@ -2,6 +2,7 @@ package bench_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -11,11 +12,12 @@ import (
 	"strings"
 	"testing"
 
+	"flashextract/internal/batch"
 	"flashextract/internal/bench"
 	"flashextract/internal/bench/corpus"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/program_digests.txt (make program-digests)")
+var update = flag.Bool("update", false, "rewrite the checked files under testdata instead of comparing with them")
 
 // raceBuild is set by race_test.go in builds with the race detector.
 var raceBuild bool
@@ -61,18 +63,76 @@ func TestSavedProgramDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("learns 380 schema programs")
 	}
-	path := filepath.Join("testdata", "program_digests.txt")
-	tasks := corpus.AllWithLarge()
-	if raceBuild && !*update {
-		var subset []*bench.Task
-		for _, task := range tasks {
-			if raceDigestDomains[task.Domain] && task.Name != "hadoop-xl" {
-				subset = append(subset, task)
-			}
-		}
-		tasks = subset
+	tasks := digestTasks(corpus.AllWithLarge())
+	checkDigests(t, filepath.Join("testdata", "program_digests.txt"), tasks, programDigests(tasks))
+}
+
+// digestTasks returns tasks, or in a race build that checks rather than
+// regenerates, only the tasks of raceDigestDomains other than hadoop-xl.
+func digestTasks(tasks []*bench.Task) []*bench.Task {
+	if !raceBuild || *update {
+		return tasks
 	}
-	got := programDigests(tasks)
+	var subset []*bench.Task
+	for _, task := range tasks {
+		if raceDigestDomains[task.Domain] && task.Name != "hadoop-xl" {
+			subset = append(subset, task)
+		}
+	}
+	return subset
+}
+
+// recordDigests runs the schema program each task learns from all its
+// golden instances over every corpus document of the task's domain, with
+// batch.Run (ordered, one worker, with a provenance sidecar), and renders
+// two lines per task: the SHA-256 of the NDJSON record stream and of the
+// sidecar.
+func recordDigests(t *testing.T, tasks []*bench.Task) []byte {
+	sources := map[string][]batch.Source{}
+	for _, task := range corpus.All() {
+		sources[task.Domain] = append(sources[task.Domain], batch.StringSource(task.Name, task.Source))
+	}
+	var b bytes.Buffer
+	for _, task := range tasks {
+		prog, err := bench.LearnSchemaProgram(task, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var records, sidecar bytes.Buffer
+		sum, err := batch.Run(context.Background(), batch.Options{
+			Program: prog, DocType: task.Domain, Workers: 1, Ordered: true, ProvenanceOut: &sidecar,
+		}, sources[task.Domain], &records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Docs != len(sources[task.Domain]) {
+			t.Fatalf("%s: ran %d of %d documents", task.Name, sum.Docs, len(sources[task.Domain]))
+		}
+		fmt.Fprintf(&b, "%s\trecords\t%x\n", task.Name, sha256.Sum256(records.Bytes()))
+		fmt.Fprintf(&b, "%s\tprovenance\t%x\n", task.Name, sha256.Sum256(sidecar.Bytes()))
+	}
+	return b.Bytes()
+}
+
+// TestBatchRecordDigests pins what learned programs extract across
+// commits: for every corpus task, the batch records and provenance sidecar
+// of its all-golden program over its domain's corpus must hash to the
+// digests in testdata/record_digests.txt. A change that alters a record or
+// a sidecar frame fails here until the file is regenerated with
+// `make program-digests`.
+func TestBatchRecordDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 75 programs over their domains' corpora")
+	}
+	tasks := digestTasks(corpus.All())
+	checkDigests(t, filepath.Join("testdata", "record_digests.txt"), tasks, recordDigests(t, tasks))
+}
+
+// checkDigests compares the digest lines got, rendered for tasks, with the
+// lines of the file at path that name those tasks, or rewrites the file
+// under -update.
+func checkDigests(t *testing.T, path string, tasks []*bench.Task, got []byte) {
+	t.Helper()
 	if *update {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)

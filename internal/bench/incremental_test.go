@@ -140,7 +140,7 @@ func TestDifferentialIncrementalUnderBudget(t *testing.T) {
 				if cerr != nil {
 					break
 				}
-				if got, want := fieldProgramString(ifp), fieldProgramString(cfp); got != want {
+				if got, want := ifp.P.String(), cfp.P.String(); got != want {
 					t.Errorf("cap=%d field %s k=%d program:\n  cold:        %s\n  incremental: %s",
 						budget.MaxCandidates, color, k, want, got)
 				}

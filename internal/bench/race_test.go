@@ -3,5 +3,5 @@
 package bench_test
 
 // The race detector slows synthesis about sixfold, so under it the
-// program-digest test checks a named subset (raceDigestDomains).
+// digest tests check a named subset (raceDigestDomains).
 func init() { raceBuild = true }

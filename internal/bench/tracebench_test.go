@@ -129,7 +129,7 @@ func TestTraceHadoopXLSpans(t *testing.T) {
 // (names and nesting only — durations and attrs carry no structure) against
 // testdata/hadoop_xl_trace.golden. Regenerate with:
 //
-//	UPDATE_TRACE_GOLDEN=1 go test ./internal/bench/ -run GoldenStructure
+//	go test ./internal/bench/ -run GoldenStructure -update
 func TestTraceHadoopXLGoldenStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hadoop-xl synthesis is seconds-long; skipped in -short")
@@ -140,7 +140,7 @@ func TestTraceHadoopXLGoldenStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenPath := filepath.Join("testdata", "hadoop_xl_trace.golden")
-	if os.Getenv("UPDATE_TRACE_GOLDEN") != "" {
+	if *update {
 		if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestTraceHadoopXLGoldenStructure(t *testing.T) {
 	}
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
-		t.Fatalf("reading golden (regenerate with UPDATE_TRACE_GOLDEN=1): %v", err)
+		t.Fatalf("reading golden (regenerate with -update): %v", err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("trace structure drifted from golden:\ngot:\n%s\nwant:\n%s", buf.String(), want)

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"flashextract/internal/engine"
 	"flashextract/internal/region"
 )
 
@@ -35,7 +36,7 @@ func RunTransfer(train, test *Task) []TransferResult {
 			continue
 		}
 		tr.Learned = true
-		got, err := fr.Program.ExtractSeq(test.Doc.WholeRegion())
+		got, err := engine.ExtractSeq(fr.Program, test.Doc.WholeRegion())
 		if err != nil {
 			tr.Detail = fmt.Sprintf("execution on test document failed: %v", err)
 			out = append(out, tr)

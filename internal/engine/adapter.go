@@ -7,46 +7,19 @@ import (
 	"flashextract/internal/region"
 )
 
-// CoreSeq adapts a core-algebra program (§4) to SeqRegionProgram. Every
-// DSL built from the core algebra returns its ranked sequence programs in
-// it, so the engine runs, captures, serializes and analyzes them without
-// looking inside the DSL: the ancestor region is bound to R0 and P's
-// output sequence is read back as regions.
-type CoreSeq struct{ P core.Program }
-
-// CoreRegion is the RegionProgram counterpart of CoreSeq. A failing P
-// denotes the null instance ⊥.
-type CoreRegion struct{ P core.Program }
-
-// CoreSeqs wraps ranked core programs in CoreSeq, keeping their order.
-func CoreSeqs(ps []core.Program) []SeqRegionProgram {
-	out := make([]SeqRegionProgram, len(ps))
-	for i, p := range ps {
-		out[i] = CoreSeq{p}
-	}
-	return out
+// ExtractSeq runs the SeqRegion program p (Def. 4) on the ancestor region
+// r: r is bound to R0 and p's output sequence is read back as regions.
+// Every DSL built from the core algebra (§4) returns its ranked programs
+// as core programs, so the engine runs, captures, serializes and analyzes
+// them without looking inside the DSL.
+func ExtractSeq(p core.Program, r region.Region) ([]region.Region, error) {
+	return extractSeq(p, r, nil)
 }
 
-// CoreRegions wraps ranked core programs in CoreRegion, keeping their
-// order.
-func CoreRegions(ps []core.Program) []RegionProgram {
-	out := make([]RegionProgram, len(ps))
-	for i, p := range ps {
-		out[i] = CoreRegion{p}
-	}
-	return out
-}
-
-// ExtractSeq implements SeqRegionProgram.
-func (sp CoreSeq) ExtractSeq(r region.Region) ([]region.Region, error) {
-	return sp.extract(r, nil)
-}
-
-func (sp CoreSeq) String() string { return sp.P.String() }
-
-// extract runs P on r, recording execution provenance in c when non-nil.
-func (sp CoreSeq) extract(r region.Region, c *core.ExecCapture) ([]region.Region, error) {
-	v, err := sp.P.Exec(coreState(r, c))
+// extractSeq is ExtractSeq recording execution provenance in c when
+// non-nil.
+func extractSeq(p core.Program, r region.Region, c *core.ExecCapture) ([]region.Region, error) {
+	v, err := p.Exec(coreState(r, c))
 	if err != nil {
 		return nil, err
 	}
@@ -65,16 +38,15 @@ func (sp CoreSeq) extract(r region.Region, c *core.ExecCapture) ([]region.Region
 	return out, nil
 }
 
-// Extract implements RegionProgram.
-func (rp CoreRegion) Extract(r region.Region) (region.Region, error) {
-	return rp.extract(r, nil)
+// Extract runs the Region program p on the ancestor region r. A failing p
+// denotes the null instance ⊥: a nil region with a nil error.
+func Extract(p core.Program, r region.Region) (region.Region, error) {
+	return extract(p, r, nil)
 }
 
-func (rp CoreRegion) String() string { return rp.P.String() }
-
-// extract runs P on r, recording execution provenance in c when non-nil.
-func (rp CoreRegion) extract(r region.Region, c *core.ExecCapture) (region.Region, error) {
-	v, err := rp.P.Exec(coreState(r, c))
+// extract is Extract recording execution provenance in c when non-nil.
+func extract(p core.Program, r region.Region, c *core.ExecCapture) (region.Region, error) {
+	v, err := p.Exec(coreState(r, c))
 	if err != nil {
 		return nil, nil // null instance
 	}

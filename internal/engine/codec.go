@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"flashextract/internal/core"
 	"flashextract/internal/schema"
@@ -17,8 +18,7 @@ type ProgramCodec interface {
 	DecodeLeaf(spec core.ProgramSpec) (core.Program, error)
 }
 
-// decodeContext reconstructs the programs of a language's CoreSeq and
-// CoreRegion adapters.
+// decodeContext reconstructs the field programs of a language.
 func decodeContext(codec ProgramCodec) core.DecodeContext {
 	return core.DecodeContext{Leaf: codec.DecodeLeaf, Less: RegionLess}
 }
@@ -27,7 +27,7 @@ func decodeContext(codec ProgramCodec) core.DecodeContext {
 type fieldProgramSpec struct {
 	Color    string          `json:"color"`
 	Ancestor string          `json:"ancestor,omitempty"` // empty means ⊥
-	Kind     string          `json:"kind"`               // "seq" or "region"
+	Kind     string          `json:"kind"`               // "seq" or "region", fixed by the schema
 	Body     json.RawMessage `json:"body"`
 }
 
@@ -43,8 +43,8 @@ const schemaProgramFormat = "flashextract-program/1"
 
 // SaveSchemaProgram serializes a complete schema extraction program. The
 // language of the document it was learned on must implement ProgramCodec,
-// and every field program must be a CoreSeq or CoreRegion whose body that
-// language can decode back: a program of another language is refused.
+// and every field program's body must decode back in that language: a
+// program of another language is refused.
 func SaveSchemaProgram(q *SchemaProgram, lang Language) ([]byte, error) {
 	codec, ok := lang.(ProgramCodec)
 	if !ok {
@@ -57,18 +57,11 @@ func SaveSchemaProgram(q *SchemaProgram, lang Language) ([]byte, error) {
 	spec := schemaProgramSpec{Format: schemaProgramFormat, Schema: q.Schema.String()}
 	for _, fi := range q.Schema.Fields() {
 		fp := q.Fields[fi.Color()]
-		fs := fieldProgramSpec{Color: fi.Color(), Kind: "region"}
+		fs := fieldProgramSpec{Color: fi.Color(), Kind: fieldKind(fp)}
 		if fp.Ancestor != nil {
 			fs.Ancestor = fp.Ancestor.Color()
 		}
-		if fp.Seq != nil {
-			fs.Kind = "seq"
-		}
-		p := fp.CoreProgram()
-		if p == nil {
-			return nil, fmt.Errorf("engine: serializing field %s: not a core-algebra program", fi.Color())
-		}
-		body, err := core.MarshalProgram(p)
+		body, err := core.MarshalProgram(fp.P)
 		if err == nil {
 			_, err = dc.UnmarshalProgram(body)
 		}
@@ -82,7 +75,9 @@ func SaveSchemaProgram(q *SchemaProgram, lang Language) ([]byte, error) {
 }
 
 // LoadSchemaProgram reconstructs a schema extraction program from its
-// serialized form, ready to Run on any document of the language.
+// serialized form, ready to Run on any document of the language. Each
+// field's ancestor must be one of its ancestors in the embedded schema, and
+// its kind the one the schema fixes for that ancestor.
 func LoadSchemaProgram(data []byte, lang Language) (*SchemaProgram, error) {
 	codec, ok := lang.(ProgramCodec)
 	if !ok {
@@ -112,18 +107,18 @@ func LoadSchemaProgram(data []byte, lang Language) (*SchemaProgram, error) {
 			if fp.Ancestor == nil {
 				return nil, fmt.Errorf("engine: program references unknown ancestor %q", fs.Ancestor)
 			}
+			if !slices.Contains(fi.Ancestors(), fp.Ancestor) {
+				return nil, fmt.Errorf("engine: field %s: %s is not one of its ancestors", fs.Color, fs.Ancestor)
+			}
 		}
 		if fs.Kind != "seq" && fs.Kind != "region" {
 			return nil, fmt.Errorf("engine: unknown field program kind %q", fs.Kind)
 		}
-		p, err := dc.UnmarshalProgram(fs.Body)
-		if err != nil {
-			return nil, fmt.Errorf("engine: loading field %s: %w", fs.Color, err)
+		if want := fieldKind(fp); fs.Kind != want {
+			return nil, fmt.Errorf("engine: field %s: kind %q relative to %s, want %q", fs.Color, fs.Kind, ancName(fp.Ancestor), want)
 		}
-		if fs.Kind == "seq" {
-			fp.Seq = CoreSeq{p}
-		} else {
-			fp.Reg = CoreRegion{p}
+		if fp.P, err = dc.UnmarshalProgram(fs.Body); err != nil {
+			return nil, fmt.Errorf("engine: loading field %s: %w", fs.Color, err)
 		}
 		q.Fields[fs.Color] = fp
 	}
@@ -131,4 +126,13 @@ func LoadSchemaProgram(data []byte, lang Language) (*SchemaProgram, error) {
 		return nil, err
 	}
 	return q, nil
+}
+
+// fieldKind is the serialized kind of fp: "seq" for a SeqRegion program,
+// "region" for a Region program.
+func fieldKind(fp *FieldProgram) string {
+	if fp.IsSeq() {
+		return "seq"
+	}
+	return "region"
 }

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"encoding/json"
 	"regexp"
 	"strings"
 	"testing"
@@ -139,6 +140,43 @@ func TestLoadSchemaProgramRejectsEmptyLiteral(t *testing.T) {
 	bad := string(data[:loc[0]]) + `{\"kind\":\"lit\",\"value\":\"\"}` + string(data[loc[1]:])
 	if _, err := engine.LoadSchemaProgram([]byte(bad), doc.Language()); err == nil {
 		t.Fatal("program with an empty literal token accepted")
+	}
+}
+
+// TestLoadSchemaProgramRejectsSchemaMismatch edits a saved program so that
+// a field's kind, or its ancestor, disagrees with the schema. Either
+// program would load and then extract the field as null on every
+// document, so the load must fail.
+func TestLoadSchemaProgramRejectsSchemaMismatch(t *testing.T) {
+	q, doc := learnSimpleProgram(t)
+	data, err := engine.SaveSchemaProgram(q, doc.Language())
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits := []struct{ color, key, value string }{
+		{"k", "kind", `"seq"`},     // rec is a structure-ancestor of k
+		{"v", "ancestor", `"k"`},   // k is v's sibling
+		{"rec", "ancestor", `"v"`}, // v is rec's descendant
+	}
+	for _, e := range edits {
+		var spec map[string]json.RawMessage
+		var fields []map[string]json.RawMessage
+		if err := json.Unmarshal(data, &spec); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(spec["fields"], &fields); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fields {
+			if string(f["color"]) == `"`+e.color+`"` {
+				f[e.key] = json.RawMessage(e.value)
+			}
+		}
+		spec["fields"], _ = json.Marshal(fields)
+		bad, _ := json.Marshal(spec)
+		if _, err := engine.LoadSchemaProgram(bad, doc.Language()); err == nil {
+			t.Errorf("program with %s's %s set to %s accepted", e.color, e.key, e.value)
+		}
 	}
 }
 

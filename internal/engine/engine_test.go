@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"flashextract/internal/core"
 	"flashextract/internal/region"
 	"flashextract/internal/schema"
 )
@@ -52,10 +53,9 @@ type seqProg struct {
 	f    func(in span) []span
 }
 
-func (p seqProg) ExtractSeq(r region.Region) ([]region.Region, error) {
-	in := r.(span)
-	var out []region.Region
-	for _, s := range p.f(in) {
+func (p seqProg) Exec(st core.State) (core.Value, error) {
+	var out []core.Value
+	for _, s := range p.f(st.Input().(span)) {
 		out = append(out, s)
 	}
 	return out, nil
@@ -67,10 +67,10 @@ type regProg struct {
 	f    func(in span) (span, bool)
 }
 
-func (p regProg) Extract(r region.Region) (region.Region, error) {
-	s, ok := p.f(r.(span))
+func (p regProg) Exec(st core.State) (core.Value, error) {
+	s, ok := p.f(st.Input().(span))
 	if !ok {
-		return nil, nil
+		return nil, core.ErrNoMatch
 	}
 	return s, nil
 }
@@ -82,12 +82,12 @@ type fakeLang struct {
 	regCandidates []regProg
 }
 
-func (l *fakeLang) SynthesizeSeqRegion(_ context.Context, exs []SeqRegionExample) []SeqRegionProgram {
-	var out []SeqRegionProgram
+func (l *fakeLang) SynthesizeSeqRegion(_ context.Context, exs []SeqRegionExample) []core.Program {
+	var out []core.Program
 	for _, p := range l.seqCandidates {
 		ok := true
 		for _, ex := range exs {
-			got, _ := p.ExtractSeq(ex.Input)
+			got, _ := ExtractSeq(p, ex.Input)
 			if !isSubseq(ex.Positive, got) {
 				ok = false
 				break
@@ -110,12 +110,12 @@ func (l *fakeLang) SynthesizeSeqRegion(_ context.Context, exs []SeqRegionExample
 	return out
 }
 
-func (l *fakeLang) SynthesizeRegion(_ context.Context, exs []RegionExample) []RegionProgram {
-	var out []RegionProgram
+func (l *fakeLang) SynthesizeRegion(_ context.Context, exs []RegionExample) []core.Program {
+	var out []core.Program
 	for _, p := range l.regCandidates {
 		ok := true
 		for _, ex := range exs {
-			got, err := p.Extract(ex.Input)
+			got, err := Extract(p, ex.Input)
 			if err != nil || got != ex.Output {
 				ok = false
 				break
@@ -347,7 +347,7 @@ func TestSessionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp.Ancestor != nil || fp.Seq == nil {
+	if fp.Ancestor != nil || !fp.IsSeq() {
 		t.Fatalf("row program: %s", fp)
 	}
 	if len(inferred) != 2 { // EvenLines is tighter and ranked consistent
@@ -385,7 +385,7 @@ func TestSessionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fpA.Ancestor == nil || fpA.Ancestor.Color() != "row" || fpA.Reg == nil {
+	if fpA.Ancestor == nil || fpA.Ancestor.Color() != "row" || fpA.IsSeq() {
 		t.Fatalf("field a should learn relative to row: %s", fpA)
 	}
 	if len(inferredA) != 3 {
@@ -453,8 +453,8 @@ func TestSessionNegativeExamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp.Seq.String() != "EvenLines" {
-		t.Fatalf("learned %s, want EvenLines", fp.Seq)
+	if fp.P.String() != "EvenLines" {
+		t.Fatalf("learned %s, want EvenLines", fp.P)
 	}
 	if len(inferred) != 2 {
 		t.Fatalf("inferred %d regions, want 2", len(inferred))
@@ -607,9 +607,9 @@ func TestSchemaProgramRunInconsistent(t *testing.T) {
 		return []span{{in.doc, 0, 10}, {in.doc, 5, 14}}
 	}}
 	q := &SchemaProgram{Schema: m, Fields: map[string]*FieldProgram{
-		"row": {Field: m.FieldByColor("row"), Seq: badSeq},
-		"a":   {Field: m.FieldByColor("a"), Ancestor: m.FieldByColor("row"), Reg: regProg{"none", func(in span) (span, bool) { return span{}, false }}},
-		"b":   {Field: m.FieldByColor("b"), Ancestor: m.FieldByColor("row"), Reg: regProg{"none", func(in span) (span, bool) { return span{}, false }}},
+		"row": {Field: m.FieldByColor("row"), P: badSeq},
+		"a":   {Field: m.FieldByColor("a"), Ancestor: m.FieldByColor("row"), P: regProg{"none", func(in span) (span, bool) { return span{}, false }}},
+		"b":   {Field: m.FieldByColor("b"), Ancestor: m.FieldByColor("row"), P: regProg{"none", func(in span) (span, bool) { return span{}, false }}},
 	}}
 	if _, _, err := q.Run(doc); err == nil {
 		t.Fatal("inconsistent run result accepted")
@@ -653,7 +653,7 @@ func TestSchemaProgramString(t *testing.T) {
 func TestFieldProgramString(t *testing.T) {
 	m := schema.MustParse(rowSchema)
 	fp := &FieldProgram{Field: m.FieldByColor("a"), Ancestor: m.FieldByColor("row"),
-		Reg: regProg{"WordInLine", nil}}
+		P: regProg{"WordInLine", nil}}
 	if got := fp.String(); got != "(row, WordInLine)" {
 		t.Fatalf("String = %q", got)
 	}
@@ -759,8 +759,8 @@ func TestSynthesizeFieldProgramRegionNegatives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp.Reg.String() != "WordInLine" {
-		t.Fatalf("learned %s", fp.Reg)
+	if fp.P.String() != "WordInLine" {
+		t.Fatalf("learned %s", fp.P)
 	}
 	// Striking the word of line 1 kills WordInLine; nothing else extracts
 	// w0, so synthesis must fail rather than return a violating program.
@@ -775,8 +775,8 @@ func TestSynthesizeFieldProgramRegionNegatives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp.Reg.String() != "WordInLine" {
-		t.Fatalf("learned %s", fp.Reg)
+	if fp.P.String() != "WordInLine" {
+		t.Fatalf("learned %s", fp.P)
 	}
 }
 

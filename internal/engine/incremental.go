@@ -72,9 +72,9 @@ func (s *Session) Incremental() bool { return s.incremental }
 // subsequence of its output and no output region equals or overlaps a
 // negative — the same consistency notion the DSL learners enforce
 // (core.ConsistentSeq plus the overlap conflict predicate).
-func consistentSeqCandidate(p SeqRegionProgram, exs []SeqRegionExample) bool {
+func consistentSeqCandidate(p core.Program, exs []SeqRegionExample) bool {
 	for _, ex := range exs {
-		out, err := p.ExtractSeq(ex.Input)
+		out, err := ExtractSeq(p, ex.Input)
 		if err != nil {
 			return false
 		}
@@ -94,9 +94,9 @@ func consistentSeqCandidate(p SeqRegionProgram, exs []SeqRegionExample) bool {
 
 // consistentRegCandidate reports whether a region program still extracts
 // exactly the positive example of every input that has one.
-func consistentRegCandidate(p RegionProgram, exs []RegionExample) bool {
+func consistentRegCandidate(p core.Program, exs []RegionExample) bool {
 	for _, ex := range exs {
-		out, err := p.Extract(ex.Input)
+		out, err := Extract(p, ex.Input)
 		if err != nil || out == nil || out != ex.Output {
 			return false
 		}
@@ -177,18 +177,18 @@ func (s *Session) tryIncremental(ctx context.Context, fi *schema.FieldInfo, pos,
 	// positives in one structure region) means this ancestor can no longer
 	// explain the spec and the cold driver must re-run its ancestor loop.
 	var consistent func() bool
-	if fp.Seq != nil {
+	if fp.IsSeq() {
 		exs, err := seqExamplesFor(fi, fp.Ancestor, inputs, pos, neg)
 		if err != nil {
 			return fallback("example_split")
 		}
-		consistent = func() bool { return consistentSeqCandidate(fp.Seq, exs) }
+		consistent = func() bool { return consistentSeqCandidate(fp.P, exs) }
 	} else {
 		exs, err := regExamplesFor(fi, fp.Ancestor, inputs, pos)
 		if err != nil {
 			return fallback("example_split")
 		}
-		consistent = func() bool { return consistentRegCandidate(fp.Reg, exs) }
+		consistent = func() bool { return consistentRegCandidate(fp.P, exs) }
 	}
 
 	// Candidates are NOT counted against the budget unless the program

@@ -21,12 +21,12 @@ type countingLang struct {
 	regCalls int
 }
 
-func (l *countingLang) SynthesizeSeqRegion(ctx context.Context, exs []SeqRegionExample) []SeqRegionProgram {
+func (l *countingLang) SynthesizeSeqRegion(ctx context.Context, exs []SeqRegionExample) []core.Program {
 	l.seqCalls++
 	return l.inner.SynthesizeSeqRegion(ctx, exs)
 }
 
-func (l *countingLang) SynthesizeRegion(ctx context.Context, exs []RegionExample) []RegionProgram {
+func (l *countingLang) SynthesizeRegion(ctx context.Context, exs []RegionExample) []core.Program {
 	l.regCalls++
 	return l.inner.SynthesizeRegion(ctx, exs)
 }
@@ -111,8 +111,8 @@ func TestIncrementalFallbackOnContradictingExample(t *testing.T) {
 
 	s.AddPositive("row", lines[0])
 	fp, _ := mustLearn(t, s, "row")
-	if fp.Seq.String() != "AllLines" {
-		t.Fatalf("first winner = %s, want AllLines", fp.Seq)
+	if fp.P.String() != "AllLines" {
+		t.Fatalf("first winner = %s, want AllLines", fp.P)
 	}
 	// Striking lines[1] contradicts AllLines: the current program fails
 	// the re-check, and the session must fall back to a cold re-learn,
@@ -124,8 +124,8 @@ func TestIncrementalFallbackOnContradictingExample(t *testing.T) {
 	if cl.seqCalls != 2 {
 		t.Fatalf("fallback should re-run the learner (calls=%d, want 2)", cl.seqCalls)
 	}
-	if fp.Seq.String() != "EvenLines" || len(out) != 2 {
-		t.Fatalf("after negative: %s with %d regions", fp.Seq, len(out))
+	if fp.P.String() != "EvenLines" || len(out) != 2 {
+		t.Fatalf("after negative: %s with %d regions", fp.P, len(out))
 	}
 	st := s.Stats()
 	if st.IncrementalHits != 0 || st.IncrementalFallbacks != 1 {
@@ -203,8 +203,8 @@ func TestIncrementalHitRunsOnlyCurrentProgram(t *testing.T) {
 
 	s.AddPositive("b", n0)
 	fp, _ := mustLearn(t, s, "b")
-	if fp.Seq.String() != "AllNumbers" {
-		t.Fatalf("cold winner = %s, want AllNumbers", fp.Seq)
+	if fp.P.String() != "AllNumbers" {
+		t.Fatalf("cold winner = %s, want AllNumbers", fp.P)
 	}
 
 	// n1 confirms AllNumbers: the hit re-checks that one program and never
@@ -213,7 +213,7 @@ func TestIncrementalHitRunsOnlyCurrentProgram(t *testing.T) {
 	s.AddPositive("b", n1)
 	fp2, _ := mustLearn(t, s, "b")
 	if fp2 != fp {
-		t.Fatalf("hit returned %s, want the current program %s", fp2.Seq, fp.Seq)
+		t.Fatalf("hit returned %s, want the current program %s", fp2.P, fp.P)
 	}
 	if cl.seqCalls != 1 {
 		t.Fatalf("learner ran %d times, want 1", cl.seqCalls)

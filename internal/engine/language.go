@@ -12,6 +12,7 @@ package engine
 import (
 	"context"
 
+	"flashextract/internal/core"
 	"flashextract/internal/region"
 )
 
@@ -31,32 +32,18 @@ type RegionExample struct {
 	Output region.Region
 }
 
-// SeqRegionProgram extracts a sequence of regions from an ancestor region.
-// Languages return CoreSeq; tests plug in hand-written programs.
-type SeqRegionProgram interface {
-	ExtractSeq(r region.Region) ([]region.Region, error)
-	String() string
-}
-
-// RegionProgram extracts a single region from an ancestor region. A nil
-// region with a nil error denotes the null instance ⊥. Languages return
-// CoreRegion; tests plug in hand-written programs.
-type RegionProgram interface {
-	Extract(r region.Region) (region.Region, error)
-	String() string
-}
-
 // Language is a data-extraction DSL instantiation: it provides the two
-// synthesis APIs of the framework (§4.3). Both return ranked lists of
-// programs consistent with the examples; an empty list means no program in
-// the DSL is consistent. The context carries cancellation and the call's
-// synthesis budget (core.WithBudget): implementations stop exploring
-// cooperatively when it expires and return the consistent programs found
-// so far, so an empty list under an exhausted budget means "none found in
-// time", not "none exists".
+// synthesis APIs of the framework (§4.3). Both return ranked lists of core
+// programs consistent with the examples: SeqRegion programs, which
+// ExtractSeq runs, and Region programs, which Extract runs. An empty list
+// means no program in the DSL is consistent. The context carries
+// cancellation and the call's synthesis budget (core.WithBudget):
+// implementations stop exploring cooperatively when it expires and return
+// the consistent programs found so far, so an empty list under an
+// exhausted budget means "none found in time", not "none exists".
 type Language interface {
-	SynthesizeSeqRegion(ctx context.Context, exs []SeqRegionExample) []SeqRegionProgram
-	SynthesizeRegion(ctx context.Context, exs []RegionExample) []RegionProgram
+	SynthesizeSeqRegion(ctx context.Context, exs []SeqRegionExample) []core.Program
+	SynthesizeRegion(ctx context.Context, exs []RegionExample) []core.Program
 }
 
 // CacheStats summarizes a document's evaluation cache: probe hits and

@@ -11,28 +11,26 @@ import (
 )
 
 // FieldProgram is a field extraction program (Def. 4): a pair of an
-// ancestor field f′ (nil meaning ⊥) and either a SeqRegion program (when
-// f′ is a sequence-ancestor of the field) or a Region program (when f′ is
-// a structure-ancestor).
+// ancestor field f′ (nil meaning ⊥) and a core-algebra program P. The
+// schema fixes P's kind: P is a SeqRegion program when f′ is a
+// sequence-ancestor of the field, and a Region program when f′ is a
+// structure-ancestor (IsSeq).
 type FieldProgram struct {
 	Field    *schema.FieldInfo
 	Ancestor *schema.FieldInfo // nil = ⊥
-	Seq      SeqRegionProgram  // non-nil iff Ancestor is a sequence-ancestor
-	Reg      RegionProgram     // non-nil iff Ancestor is a structure-ancestor
+	P        core.Program
 }
+
+// IsSeq reports whether P is a SeqRegion program: whether Ancestor is a
+// sequence-ancestor of Field.
+func (fp *FieldProgram) IsSeq() bool { return fp.Field.IsSequenceAncestor(fp.Ancestor) }
 
 func (fp *FieldProgram) String() string {
 	anc := "⊥"
 	if fp.Ancestor != nil {
 		anc = fp.Ancestor.Color()
 	}
-	body := ""
-	if fp.Seq != nil {
-		body = fp.Seq.String()
-	} else if fp.Reg != nil {
-		body = fp.Reg.String()
-	}
-	return fmt.Sprintf("(%s, %s)", anc, body)
+	return fmt.Sprintf("(%s, %s)", anc, fp.P)
 }
 
 // run executes the field extraction program against the highlighting built
@@ -47,8 +45,7 @@ func (fp *FieldProgram) run(doc Document, cr Highlighting) []region.Region {
 
 // runCtx is run under a context: cancellation (or a tripped budget) aborts
 // between ancestor regions with the context's error. A non-nil cap records
-// execution provenance for the emitted regions of CoreSeq and CoreRegion
-// programs; other programs run uncaptured.
+// execution provenance for the emitted regions.
 func (fp *FieldProgram) runCtx(ctx context.Context, doc Document, cr Highlighting, cap *core.ExecCapture) ([]region.Region, error) {
 	var inputs []region.Region
 	if fp.Ancestor == nil {
@@ -56,50 +53,23 @@ func (fp *FieldProgram) runCtx(ctx context.Context, doc Document, cr Highlightin
 	} else {
 		inputs = cr[fp.Ancestor.Color()]
 	}
+	isSeq := fp.IsSeq()
 	bud := core.BudgetFrom(ctx)
 	var out []region.Region
 	for _, in := range inputs {
 		if err := runErr(ctx, bud); err != nil {
 			return nil, err
 		}
-		if fp.Seq != nil {
-			var rs []region.Region
-			var err error
-			if cs, ok := fp.Seq.(CoreSeq); ok {
-				rs, err = cs.extract(in, cap)
-			} else {
-				rs, err = fp.Seq.ExtractSeq(in)
-			}
-			if err == nil {
+		if isSeq {
+			if rs, err := extractSeq(fp.P, in, cap); err == nil {
 				out = append(out, rs...)
 			}
-		} else {
-			var r region.Region
-			var err error
-			if rp, ok := fp.Reg.(CoreRegion); ok {
-				r, err = rp.extract(in, cap)
-			} else {
-				r, err = fp.Reg.Extract(in)
-			}
-			if err == nil && r != nil {
-				out = append(out, r)
-			}
+		} else if r, err := extract(fp.P, in, cap); err == nil && r != nil {
+			out = append(out, r)
 		}
 	}
 	region.Sort(out)
 	return out, nil
-}
-
-// CoreProgram returns the core-algebra program behind the field's CoreSeq
-// or CoreRegion adapter, or nil for any other program.
-func (fp *FieldProgram) CoreProgram() core.Program {
-	if cs, ok := fp.Seq.(CoreSeq); ok {
-		return cs.P
-	}
-	if rp, ok := fp.Reg.(CoreRegion); ok {
-		return rp.P
-	}
-	return nil
 }
 
 // runErr reports why an execution context no longer permits work: the

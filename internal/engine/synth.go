@@ -270,68 +270,51 @@ func synthesizeAgainstAncestor(
 ) (*FieldProgram, error) {
 	sink := metrics.From(ctx)
 	isSeq := f.IsSequenceAncestor(anc)
-	var seqProgs []SeqRegionProgram
-	var regProgs []RegionProgram
 	learnStart := time.Now()
+	var learn func(context.Context) []core.Program
+	kind := "region"
 	if isSeq {
 		exs, err := seqExamplesFor(f, anc, inputs, pos, neg)
 		if err != nil {
 			return nil, err
 		}
-		lctx, lsp := trace.Start(ctx, "learn")
-		lsp.SetBool("sequence", true)
-		seqProgs = lang.SynthesizeSeqRegion(lctx, exs)
-		lsp.SetInt("programs", int64(len(seqProgs)))
-		lsp.End()
-		sink.Observe(metrics.PhaseLearn, time.Since(learnStart).Seconds())
-		if len(seqProgs) == 0 {
-			return nil, fmt.Errorf("engine: field %s: no consistent sequence program relative to %s", f.Color(), ancName(anc))
-		}
+		learn = func(ctx context.Context) []core.Program { return lang.SynthesizeSeqRegion(ctx, exs) }
+		kind = "sequence"
 	} else {
 		exs, err := regExamplesFor(f, anc, inputs, pos)
 		if err != nil {
 			return nil, err
 		}
-		lctx, lsp := trace.Start(ctx, "learn")
-		lsp.SetBool("sequence", false)
-		regProgs = lang.SynthesizeRegion(lctx, exs)
-		lsp.SetInt("programs", int64(len(regProgs)))
-		lsp.End()
-		sink.Observe(metrics.PhaseLearn, time.Since(learnStart).Seconds())
-		if len(regProgs) == 0 {
-			return nil, fmt.Errorf("engine: field %s: no consistent region program relative to %s", f.Color(), ancName(anc))
-		}
+		learn = func(ctx context.Context) []core.Program { return lang.SynthesizeRegion(ctx, exs) }
+	}
+	lctx, lsp := trace.Start(ctx, "learn")
+	lsp.SetBool("sequence", isSeq)
+	progs := learn(lctx)
+	lsp.SetInt("programs", int64(len(progs)))
+	lsp.End()
+	sink.Observe(metrics.PhaseLearn, time.Since(learnStart).Seconds())
+	if len(progs) == 0 {
+		return nil, fmt.Errorf("engine: field %s: no consistent %s program relative to %s", f.Color(), kind, ancName(anc))
 	}
 
 	// Select the first program, in rank order, passing validatesCandidate.
-	var fps []*FieldProgram
-	if isSeq {
-		fps = make([]*FieldProgram, len(seqProgs))
-		for i, p := range seqProgs {
-			fps[i] = &FieldProgram{Field: f, Ancestor: anc, Seq: p}
-		}
-	} else {
-		fps = make([]*FieldProgram, len(regProgs))
-		for i, p := range regProgs {
-			fps[i] = &FieldProgram{Field: f, Ancestor: anc, Reg: p}
-		}
-	}
+	fieldProgram := func(i int) *FieldProgram { return &FieldProgram{Field: f, Ancestor: anc, P: progs[i]} }
 	validateStart := time.Now()
-	core.BudgetFrom(ctx).AddCandidates(int64(len(fps)))
+	core.BudgetFrom(ctx).AddCandidates(int64(len(progs)))
 	vctx, vsp := trace.Start(ctx, "validate")
-	vsp.SetInt("candidates", int64(len(fps)))
-	i, complete := firstPassing(vctx, len(fps), func(i int) bool {
-		return validatesCandidate(doc, m, cr, f, neg, fps[i])
+	vsp.SetInt("candidates", int64(len(progs)))
+	i, complete := firstPassing(vctx, len(progs), func(i int) bool {
+		return validatesCandidate(doc, m, cr, f, neg, fieldProgram(i))
 	})
 	vsp.SetInt("selected", int64(i))
 	vsp.SetBool("complete", complete)
 	vsp.End()
 	sink.Observe(metrics.PhaseValidate, time.Since(validateStart).Seconds())
 	if i >= 0 {
-		return fps[i], nil
+		return fieldProgram(i), nil
 	}
 	if !complete {
-		return nil, fmt.Errorf("engine: field %s: synthesis budget exhausted while validating %d candidates", f.Color(), len(fps))
+		return nil, fmt.Errorf("engine: field %s: synthesis budget exhausted while validating %d candidates", f.Color(), len(progs))
 	}
 	return nil, fmt.Errorf("engine: field %s: every consistent program violates the schema when executed", f.Color())
 }

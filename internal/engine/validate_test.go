@@ -106,7 +106,7 @@ func TestSynthesizeFieldProgramParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fp.Reg.String()
+		return fp.P.String()
 	}
 
 	prev := runtime.GOMAXPROCS(1)
@@ -126,7 +126,7 @@ func TestSynthesizeFieldProgramParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fp.Seq.String()
+		return fp.P.String()
 	}
 	runtime.GOMAXPROCS(1)
 	serialRow := synthRow()

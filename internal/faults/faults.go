@@ -12,15 +12,14 @@
 // Injection sites are compiled into the serving path (batch, engine,
 // admin) behind nil-safe Injector methods, so the fault layer costs one
 // nil check per site when chaos is off. Arm it via Options/context in
-// code, the `flashextract batch -chaos` flag, or the FLASHEXTRACT_CHAOS
-// environment variable.
+// code, or with the -chaos flag of `flashextract batch` and
+// `flashextract serve`.
 package faults
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -216,23 +215,6 @@ func ParseSpec(spec string) (*Injector, error) {
 			}
 			inj.sites[s] = true
 		}
-	}
-	return inj, nil
-}
-
-// EnvVar is the environment variable FromEnv reads a chaos spec from.
-const EnvVar = "FLASHEXTRACT_CHAOS"
-
-// FromEnv builds an injector from the FLASHEXTRACT_CHAOS environment
-// variable. An unset or empty variable yields (nil, nil): chaos off.
-func FromEnv() (*Injector, error) {
-	spec := os.Getenv(EnvVar)
-	if spec == "" {
-		return nil, nil
-	}
-	inj, err := ParseSpec(spec)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", EnvVar, err)
 	}
 	return inj, nil
 }

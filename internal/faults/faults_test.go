@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 )
@@ -160,24 +159,6 @@ func TestParseSpec(t *testing.T) {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
-	}
-}
-
-// TestFromEnv asserts the environment arming path: empty means off,
-// valid specs arm, bad specs error with the variable named.
-func TestFromEnv(t *testing.T) {
-	t.Setenv(EnvVar, "")
-	if inj, err := FromEnv(); inj != nil || err != nil {
-		t.Fatalf("empty env: %v, %v", inj, err)
-	}
-	t.Setenv(EnvVar, "seed=11")
-	inj, err := FromEnv()
-	if err != nil || inj.Seed() != 11 {
-		t.Fatalf("env arm: %v, %v", inj, err)
-	}
-	t.Setenv(EnvVar, "nonsense")
-	if _, err := FromEnv(); err == nil || !strings.Contains(err.Error(), EnvVar) {
-		t.Fatalf("bad env spec error = %v", err)
 	}
 }
 

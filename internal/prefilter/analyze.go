@@ -95,11 +95,8 @@ func FromSchemaProgram(q *engine.SchemaProgram, docType string) (*Filter, error)
 		if fp.Ancestor != nil {
 			continue // rides on its ancestor's regions; see above
 		}
-		cond := True()
-		if p := fp.CoreProgram(); p != nil {
-			cond = CondOf(p)
-			cond.normalize()
-		}
+		cond := CondOf(fp.P)
+		cond.normalize()
 		f.fields = append(f.fields, fieldCond{color: fi.Color(), cond: cond})
 	}
 	return f, nil

@@ -17,7 +17,7 @@ type lang struct{}
 
 // SynthesizeSeqRegion learns N1 programs (Fig. 9): a Merge of cell
 // sequences (CS) or of cell-pair sequences (PS).
-func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionExample) []engine.SeqRegionProgram {
+func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionExample) []core.Program {
 	if len(exs) == 0 {
 		return nil
 	}
@@ -43,12 +43,12 @@ func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionEx
 		core.MergeOp{A: inner, Less: engine.RegionLess}.Learn,
 		engine.RegionConflict,
 	)
-	return engine.CoreSeqs(core.SynthesizeSeqRegionProg(ctx, n1, specs, engine.RegionConflict))
+	return core.SynthesizeSeqRegionProg(ctx, n1, specs, engine.RegionConflict)
 }
 
 // SynthesizeRegion learns N2 programs: Cell(R0, c) for single cells and
 // Pair(Cell(R0,c1), Cell(R0,c2)) for rectangles.
-func (l *lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample) []engine.RegionProgram {
+func (l *lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample) []core.Program {
 	if len(exs) == 0 {
 		return nil
 	}
@@ -95,8 +95,7 @@ func (l *lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample)
 			}
 		}
 	}
-	progs := core.SynthesizeRegionProg(ctx, func(context.Context, []core.Example) []core.Program { return cands }, coreExs)
-	return engine.CoreRegions(progs)
+	return core.SynthesizeRegionProg(ctx, func(context.Context, []core.Example) []core.Program { return cands }, coreExs)
 }
 
 func capCellAttrs(as []cellAttr, n int) []cellAttr {

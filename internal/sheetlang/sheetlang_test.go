@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"flashextract/internal/core"
 	"flashextract/internal/engine"
 	"flashextract/internal/region"
 )
@@ -30,9 +31,9 @@ Subtotal,,4700,
 
 func fundedDoc() *Document { return MustFromCSV(fundedCSV) }
 
-func extractSeq(t *testing.T, p engine.SeqRegionProgram, in region.Region) []region.Region {
+func extractSeq(t *testing.T, p core.Program, in region.Region) []region.Region {
 	t.Helper()
-	out, err := p.ExtractSeq(in)
+	out, err := engine.ExtractSeq(p, in)
 	if err != nil {
 		t.Fatalf("ExtractSeq(%s): %v", p, err)
 	}
@@ -187,7 +188,7 @@ func TestLearnAmountsExcludingSubtotals(t *testing.T) {
 // simulator): start from the first golden region, re-learn after adding
 // the first mismatch as a positive or negative example, and report how
 // many examples were needed.
-func learnByRefinement(t *testing.T, d *Document, golden []region.Region, maxExamples int) (engine.SeqRegionProgram, int) {
+func learnByRefinement(t *testing.T, d *Document, golden []region.Region, maxExamples int) (core.Program, int) {
 	t.Helper()
 	lang := d.Language()
 	ex := engine.SeqRegionExample{Input: d.WholeRegion(), Positive: golden[:1]}
@@ -295,7 +296,7 @@ func TestLearnCellWithinRecord(t *testing.T) {
 	if len(progs) == 0 {
 		t.Fatal("no programs")
 	}
-	r, err := progs[0].Extract(d.Rect(10, 0, 10, 3))
+	r, err := engine.Extract(progs[0], d.Rect(10, 0, 10, 3))
 	if err != nil || r == nil {
 		t.Fatalf("Extract: %v, %v", r, err)
 	}
@@ -315,7 +316,7 @@ func TestLearnRectRegionProgram(t *testing.T) {
 	if len(progs) == 0 {
 		t.Fatal("no programs")
 	}
-	r, err := progs[0].Extract(d.WholeRegion())
+	r, err := engine.Extract(progs[0], d.WholeRegion())
 	if err != nil || r == nil {
 		t.Fatalf("Extract: %v, %v", r, err)
 	}
@@ -338,7 +339,7 @@ func TestRegionProgramNullOnMissing(t *testing.T) {
 	}
 	var nullCapable bool
 	for _, p := range progs {
-		r, err := p.Extract(d.Rect(1, 0, 1, 3))
+		r, err := engine.Extract(p, d.Rect(1, 0, 1, 3))
 		if err == nil && r == nil {
 			nullCapable = true
 			break
@@ -361,7 +362,7 @@ func TestProgramTransfersToSimilarSheet(t *testing.T) {
 	d := fundedDoc()
 	golden := []region.Region{d.CellAt(2, 1), d.CellAt(6, 1), d.CellAt(9, 1)}
 	prog, _ := learnByRefinement(t, d, golden, 6)
-	progs := []engine.SeqRegionProgram{prog}
+	progs := []core.Program{prog}
 	other := MustFromCSV(`Funded Proposals March,,,
 ,,,
 Department:,Geology,,

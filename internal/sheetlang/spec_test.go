@@ -36,11 +36,10 @@ func TestSeqProgramSerializationRoundTrip(t *testing.T) {
 	if len(progs) == 0 {
 		t.Fatal("no programs")
 	}
-	_, p, err := roundTrip(progs[0].(engine.CoreSeq).P)
+	_, back, err := roundTrip(progs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := engine.CoreSeq{P: p}
 	orig := regionValues(extractSeq(t, progs[0], d.WholeRegion()))
 	again := regionValues(extractSeq(t, back, d.WholeRegion()))
 	if strings.Join(orig, "|") != strings.Join(again, "|") {
@@ -59,11 +58,10 @@ func TestRecordProgramSerializationRoundTrip(t *testing.T) {
 	if len(progs) == 0 {
 		t.Fatal("no programs")
 	}
-	_, p, err := roundTrip(progs[0].(engine.CoreSeq).P)
+	_, back, err := roundTrip(progs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := engine.CoreSeq{P: p}
 	if got, want := len(extractSeq(t, back, d.WholeRegion())), len(extractSeq(t, progs[0], d.WholeRegion())); got != want {
 		t.Fatalf("round trip changed record count: %d vs %d", got, want)
 	}
@@ -80,13 +78,12 @@ func TestRegionProgramSerializationRoundTrip(t *testing.T) {
 		if len(progs) == 0 {
 			t.Fatalf("%s: no programs", name)
 		}
-		_, p, err := roundTrip(progs[0].(engine.CoreRegion).P)
+		_, back, err := roundTrip(progs[0])
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		back := engine.CoreRegion{P: p}
-		r1, _ := progs[0].Extract(ex.Input)
-		r2, _ := back.Extract(ex.Input)
+		r1, _ := engine.Extract(progs[0], ex.Input)
+		r2, _ := engine.Extract(back, ex.Input)
 		if r1 == nil || r2 == nil || r1.Value() != r2.Value() {
 			t.Fatalf("%s: behaviour changed: %v vs %v", name, r1, r2)
 		}

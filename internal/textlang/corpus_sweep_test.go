@@ -70,8 +70,7 @@ func TestSweepMatchesPerElementOnCorpus(t *testing.T) {
 			pos := append([]region.Region(nil), golden[:min(2, len(golden))]...)
 			progs := doc.Language().SynthesizeSeqRegion(context.Background(),
 				[]engine.SeqRegionExample{{Input: whole, Positive: pos}})
-			for _, sp := range progs {
-				p := sp.(engine.CoreSeq).P
+			for _, p := range progs {
 				checkProgram(t, st, p)
 				forBodies(p, func(body core.Program, v string, name string) {
 					if seen[name+body.String()] {

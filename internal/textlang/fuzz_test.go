@@ -55,7 +55,7 @@ func FuzzTextLearn(f *testing.F) {
 				if i >= 3 { // verifying the top of the ranked list is enough
 					break
 				}
-				out, err := p.ExtractSeq(whole)
+				out, err := engine.ExtractSeq(p, whole)
 				if err != nil {
 					t.Fatalf("learned program %s fails on its own document: %v", p, err)
 				}
@@ -69,7 +69,7 @@ func FuzzTextLearn(f *testing.F) {
 				if i >= 3 {
 					break
 				}
-				got, err := p.Extract(whole)
+				got, err := engine.Extract(p, whole)
 				if err != nil {
 					t.Fatalf("learned program %s fails on its own document: %v", p, err)
 				}

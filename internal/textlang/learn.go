@@ -81,7 +81,7 @@ func newLearnCtx(doc *Document, boundary []Region) *learnCtx {
 
 // SynthesizeSeqRegion learns N1 programs (Fig. 7): a Merge of pair
 // sequence expressions.
-func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionExample) []engine.SeqRegionProgram {
+func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionExample) []core.Program {
 	if len(exs) == 0 {
 		return nil
 	}
@@ -115,11 +115,11 @@ func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionEx
 	lc := newLearnCtx(doc, boundary)
 	ss := core.PreferNonOverlapping(lc.learnSS(), engine.RegionConflict)
 	n1 := core.PreferNonOverlapping(core.MergeOp{A: ss, Less: engine.RegionLess}.Learn, engine.RegionConflict)
-	return engine.CoreSeqs(core.SynthesizeSeqRegionProg(ctx, n1, specs, engine.RegionConflict))
+	return core.SynthesizeSeqRegionProg(ctx, n1, specs, engine.RegionConflict)
 }
 
 // SynthesizeRegion learns N2 programs: Pair(Pos(R0, p1), Pos(R0, p2)).
-func (l *lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample) []engine.RegionProgram {
+func (l *lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample) []core.Program {
 	if len(exs) == 0 {
 		return nil
 	}
@@ -164,7 +164,7 @@ func (l *lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample)
 		}
 		return out
 	}
-	return engine.CoreRegions(core.SynthesizeRegionProg(ctx, n2, coreExs))
+	return core.SynthesizeRegionProg(ctx, n2, coreExs)
 }
 
 func capAttrs(as []tokens.Attr, n int) []tokens.Attr {

@@ -38,11 +38,10 @@ func TestSeqProgramSerializationRoundTrip(t *testing.T) {
 	if len(progs) == 0 {
 		t.Fatal("no programs")
 	}
-	data, p, err := roundTrip(progs[0].(engine.CoreSeq).P)
+	data, back, err := roundTrip(progs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := engine.CoreSeq{P: p}
 	orig := values(extractAll(t, progs[0], d.WholeRegion()))
 	again := values(extractAll(t, back, d.WholeRegion()))
 	if strings.Join(orig, "|") != strings.Join(again, "|") {
@@ -66,13 +65,12 @@ func TestRegionProgramSerializationRoundTrip(t *testing.T) {
 	if len(progs) == 0 {
 		t.Fatal("no programs")
 	}
-	_, p, err := roundTrip(progs[0].(engine.CoreRegion).P)
+	_, back, err := roundTrip(progs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := engine.CoreRegion{P: p}
-	r1, _ := progs[0].Extract(l1)
-	r2, _ := back.Extract(l1)
+	r1, _ := engine.Extract(progs[0], l1)
+	r2, _ := engine.Extract(back, l1)
 	if r1 == nil || r2 == nil || r1.Value() != r2.Value() {
 		t.Fatalf("round trip changed behaviour: %v vs %v", r1, r2)
 	}

@@ -57,9 +57,9 @@ func lineRegion(t *testing.T, d *Document, sub string, n int) Region {
 	return l
 }
 
-func extractAll(t *testing.T, p engine.SeqRegionProgram, in region.Region) []region.Region {
+func extractAll(t *testing.T, p core.Program, in region.Region) []region.Region {
 	t.Helper()
-	out, err := p.ExtractSeq(in)
+	out, err := engine.ExtractSeq(p, in)
 	if err != nil {
 		t.Fatalf("ExtractSeq(%s): %v", p, err)
 	}
@@ -308,7 +308,7 @@ func TestLearnRegionWithinLine(t *testing.T) {
 		t.Fatal("no programs")
 	}
 	// The top program must find the mass in the second analyte line too.
-	r, err := progs[0].Extract(l1)
+	r, err := engine.Extract(progs[0], l1)
 	if err != nil || r == nil {
 		t.Fatalf("Extract on line 2: %v, %v", r, err)
 	}
@@ -328,7 +328,7 @@ func TestRegionProgramNullOnNoMatch(t *testing.T) {
 	}
 	// Run on a line with no decimal number: expect null, not an error.
 	headerLine := lineRegion(t, d, "DLZ", 0)
-	r, err := progs[0].Extract(headerLine)
+	r, err := engine.Extract(progs[0], headerLine)
 	if err != nil {
 		t.Fatalf("Extract error: %v", err)
 	}

@@ -53,7 +53,7 @@ func newWebCtx(doc *Document, boundary []region.Region) *webCtx {
 
 // SynthesizeSeqRegion learns N1 programs (Fig. 8): a Merge of node
 // sequences (XPaths) or of position-pair sequences.
-func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionExample) []engine.SeqRegionProgram {
+func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionExample) []core.Program {
 	if len(exs) == 0 {
 		return nil
 	}
@@ -85,13 +85,13 @@ func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionEx
 		core.MergeOp{A: inner, Less: engine.RegionLess}.Learn,
 		engine.RegionConflict,
 	)
-	return engine.CoreSeqs(core.SynthesizeSeqRegionProg(ctx, n1, specs, engine.RegionConflict))
+	return core.SynthesizeSeqRegionProg(ctx, n1, specs, engine.RegionConflict)
 }
 
 // SynthesizeRegion learns N2 programs: an XPath when the output is a node,
 // or a position pair within the input's text content when the output is a
 // span.
-func (l *lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample) []engine.RegionProgram {
+func (l *lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample) []core.Program {
 	if len(exs) == 0 {
 		return nil
 	}
@@ -101,7 +101,7 @@ func (l *lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample)
 	return synthesizeSpanRegion(ctx, exs)
 }
 
-func synthesizeNodeRegion(ctx context.Context, exs []engine.RegionExample) []engine.RegionProgram {
+func synthesizeNodeRegion(ctx context.Context, exs []engine.RegionExample) []core.Program {
 	var coreExs []core.Example
 	var paths []*xpath.Path
 	for i, ex := range exs {
@@ -119,11 +119,10 @@ func synthesizeNodeRegion(ctx context.Context, exs []engine.RegionExample) []eng
 	for _, p := range paths {
 		cands = append(cands, xpathRegionProg{path: p})
 	}
-	progs := core.SynthesizeRegionProg(ctx, func(context.Context, []core.Example) []core.Program { return cands }, coreExs)
-	return engine.CoreRegions(progs)
+	return core.SynthesizeRegionProg(ctx, func(context.Context, []core.Example) []core.Program { return cands }, coreExs)
 }
 
-func synthesizeSpanRegion(ctx context.Context, exs []engine.RegionExample) []engine.RegionProgram {
+func synthesizeSpanRegion(ctx context.Context, exs []engine.RegionExample) []core.Program {
 	var doc *Document
 	var boundary []region.Region
 	var coreExs []core.Example
@@ -166,7 +165,7 @@ func synthesizeSpanRegion(ctx context.Context, exs []engine.RegionExample) []eng
 		}
 		return out
 	}
-	return engine.CoreRegions(core.SynthesizeRegionProg(ctx, n2, coreExs))
+	return core.SynthesizeRegionProg(ctx, n2, coreExs)
 }
 
 func capAttrs(as []tokens.Attr, n int) []tokens.Attr {

@@ -55,9 +55,9 @@ func nodeByClassText(t *testing.T, d *Document, class, text string) NodeRegion {
 	return n
 }
 
-func extractSeq(t *testing.T, p engine.SeqRegionProgram, in region.Region) []region.Region {
+func extractSeq(t *testing.T, p core.Program, in region.Region) []region.Region {
 	t.Helper()
-	out, err := p.ExtractSeq(in)
+	out, err := engine.ExtractSeq(p, in)
 	if err != nil {
 		t.Fatalf("ExtractSeq(%s): %v", p, err)
 	}
@@ -241,7 +241,7 @@ func TestLearnTitleWithinPublication(t *testing.T) {
 	if len(progs) == 0 {
 		t.Fatal("no programs")
 	}
-	r, err := progs[0].Extract(pub2)
+	r, err := engine.Extract(progs[0], pub2)
 	if err != nil || r == nil {
 		t.Fatalf("Extract: %v, %v", r, err)
 	}
@@ -263,7 +263,7 @@ func TestLearnPriceNumberSpan(t *testing.T) {
 	if len(progs) == 0 {
 		t.Fatal("no programs")
 	}
-	r, err := progs[0].Extract(price2)
+	r, err := engine.Extract(progs[0], price2)
 	if err != nil || r == nil {
 		t.Fatalf("Extract: %v, %v", r, err)
 	}
@@ -283,7 +283,7 @@ func TestRegionProgramNullWhenAbsent(t *testing.T) {
 	}
 	// Run against a node with no venue span at all.
 	title := nodeByClassText(t, d, "title", "Program Synthesis A")
-	r, err := progs[0].Extract(title)
+	r, err := engine.Extract(progs[0], title)
 	if err != nil {
 		t.Fatalf("Extract error: %v", err)
 	}
@@ -424,7 +424,7 @@ func TestSeqProgramsRejectSpanInput(t *testing.T) {
 	}
 	span := mustSpan(t, d, "GadgetSale: $19.50 USD")
 	for _, p := range progs {
-		if out, err := p.ExtractSeq(span); err == nil {
+		if out, err := engine.ExtractSeq(p, span); err == nil {
 			t.Fatalf("program %s ran on span %s: %v", p, span, regionValues(out))
 		}
 	}
@@ -461,11 +461,10 @@ func TestSeqProgramSerializationRoundTrip(t *testing.T) {
 		if len(progs) == 0 {
 			t.Fatalf("%s: no programs", name)
 		}
-		_, p, err := roundTrip(progs[0].(engine.CoreSeq).P)
+		_, back, err := roundTrip(progs[0])
 		if err != nil {
 			t.Fatalf("%s: round trip: %v", name, err)
 		}
-		back := engine.CoreSeq{P: p}
 		origOut := regionValues(extractSeq(t, progs[0], d.WholeRegion()))
 		backOut := regionValues(extractSeq(t, back, d.WholeRegion()))
 		if strings.Join(origOut, "|") != strings.Join(backOut, "|") {
@@ -487,17 +486,16 @@ func TestRegionProgramSerializationRoundTrip(t *testing.T) {
 		if len(progs) == 0 {
 			t.Fatalf("%s: no programs", name)
 		}
-		_, p, err := roundTrip(progs[0].(engine.CoreRegion).P)
+		_, back, err := roundTrip(progs[0])
 		if err != nil {
 			t.Fatalf("%s: round trip: %v", name, err)
 		}
-		back := engine.CoreRegion{P: p}
 		var in region.Region = item2
 		if name == "span" {
 			in = nodeByClassText(t, d, "price", "19.50")
 		}
-		r1, err1 := progs[0].Extract(in)
-		r2, err2 := back.Extract(in)
+		r1, err1 := engine.Extract(progs[0], in)
+		r2, err2 := engine.Extract(back, in)
 		if (err1 == nil) != (err2 == nil) || (r1 != nil) != (r2 != nil) {
 			t.Fatalf("%s: round trip changed behaviour", name)
 		}
