@@ -45,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzHighlighting -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run NONE -fuzz FuzzCacheEval -fuzztime $(FUZZTIME) ./internal/tokens
 	$(GO) test -run NONE -fuzz FuzzLearnPositions -fuzztime $(FUZZTIME) ./internal/tokens
+	$(GO) test -run NONE -fuzz FuzzCleanUp -fuzztime $(FUZZTIME) ./internal/core
 
 # bench-module vets the benchmark module and runs its tiny-size smoke test.
 # benchmark/ is a module of its own, so `go test ./...` never compiles it,

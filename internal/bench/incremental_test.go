@@ -1,6 +1,9 @@
 package bench_test
 
 import (
+	"encoding/json"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -66,6 +69,70 @@ func TestDifferentialIncrementalForcedK(t *testing.T) {
 			t.Error("hadoop-xl recorded no incremental hits")
 		}
 	}
+}
+
+// TestCommittedInteractiveCounters checks the deterministic half of
+// BENCH_interactive.json: a fresh MeasureInteractive run over the file's
+// tasks must record the same incremental hits and fallbacks, divergences
+// and stability violations, per task and in total, and the same hit flag
+// on every sample. A change to when an incremental session reuses its
+// candidates fails here until the file is regenerated. A race build
+// checks the tasks of the digest tests' subset only (digestTasks).
+func TestCommittedInteractiveCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays every corpus task and hadoop-xl in two sessions")
+	}
+	raw, err := os.ReadFile("../../BENCH_interactive.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bench.InteractiveResult
+	if err := json.Unmarshal(raw, &file); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bench.InteractiveTask{}
+	for _, tr := range file.Tasks {
+		want[tr.Task] = tr
+	}
+	got := bench.MeasureInteractive(digestTasks(corpus.AllWithLarge()), file.MaxK)
+	for _, g := range got.Tasks {
+		w, ok := want[g.Task]
+		switch {
+		case !ok:
+			t.Errorf("%s: not in BENCH_interactive.json", g.Task)
+		case g.Hits != w.Hits || g.Fallbacks != w.Fallbacks ||
+			g.Divergences != w.Divergences || g.StabilityViolations != w.StabilityViolations:
+			t.Errorf("%s: %d hits, %d fallbacks, %d divergences, %d stability violations; BENCH_interactive.json has %d, %d, %d, %d",
+				g.Task, g.Hits, g.Fallbacks, g.Divergences, g.StabilityViolations,
+				w.Hits, w.Fallbacks, w.Divergences, w.StabilityViolations)
+		case hitFlags(g) != hitFlags(w):
+			t.Errorf("%s: hit flags %s; BENCH_interactive.json has %s", g.Task, hitFlags(g), hitFlags(w))
+		}
+	}
+	if len(got.Tasks) == len(file.Tasks) && (got.Hits != file.Hits || got.Fallbacks != file.Fallbacks ||
+		got.Divergences != file.Divergences || got.StabilityViolations != file.StabilityViolations) {
+		t.Errorf("totals: %d hits, %d fallbacks, %d divergences, %d stability violations; BENCH_interactive.json has %d, %d, %d, %d",
+			got.Hits, got.Fallbacks, got.Divergences, got.StabilityViolations,
+			file.Hits, file.Fallbacks, file.Divergences, file.StabilityViolations)
+	}
+}
+
+// hitFlags renders the hit flag of every sample of a task, field by field:
+// H for a hit, . for a cold or fallen-back step.
+func hitFlags(tr bench.InteractiveTask) string {
+	var b strings.Builder
+	for _, f := range tr.Fields {
+		b.WriteString(f.Color + ":")
+		for _, s := range f.Samples {
+			if s.Hit {
+				b.WriteByte('H')
+			} else {
+				b.WriteByte('.')
+			}
+		}
+		b.WriteByte(' ')
+	}
+	return b.String()
 }
 
 // TestDifferentialIncrementalTopDown replays the mismatch-driven top-down

@@ -52,21 +52,9 @@ func execMemoized(p Program, st State) (Value, error) {
 	}
 	switch p.(type) {
 	case *MapProgram, *FilterBoolProgram, *FilterIntProgram, *MergeProgram:
-	default:
-		return p.Exec(st)
+		return Memo(st, execMemoKey{p: p, frame: st.frame}, func() (Value, error) { return p.Exec(st) })
 	}
-	key := execMemoKey{p: p, frame: st.frame}
-	st.memo.mu.Lock()
-	val, hit := st.memo.m[key]
-	st.memo.mu.Unlock()
-	if hit {
-		return val.v, val.err
-	}
-	v, err := p.Exec(st)
-	st.memo.mu.Lock()
-	st.memo.m[key] = execMemoVal{v: v, err: err}
-	st.memo.mu.Unlock()
-	return v, err
+	return p.Exec(st)
 }
 
 // SeqBody is implemented by a λ-body (the F of a Map, the B of a

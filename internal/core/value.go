@@ -29,9 +29,12 @@ type Equaler interface {
 // Interval may be implemented by sequence-output values that behave as
 // half-open intervals [start, end) of a shared coordinate space, letting
 // PreferNonOverlapping check a program's n outputs for pairwise overlap in
-// O(n log n) instead of O(n²), and the engine run Algorithm 1's
-// bookkeeping (Def. 3 consistency, Fill's subregion lookups, duplicate
-// removal) on regions in O(n log n) instead of O(n²).
+// O(n log n) instead of O(n²), the engine run Algorithm 1's bookkeeping
+// (Def. 3 consistency, Fill's subregion lookups, duplicate removal) on
+// regions in O(n log n) instead of O(n²), and CleanUp compare candidate
+// outputs as integer pairs. CleanUp relies on the equality clause below:
+// it takes two outputs of one space with equal endpoints to be Eq, and
+// two with different endpoints not to be.
 //
 // Implementing it is a semantic contract relative to the overlaps relation
 // the domain passes to PreferNonOverlapping: for any two output values a
@@ -44,7 +47,7 @@ type Equaler interface {
 // a.start <= b.start && b.end <= a.end. Values whose overlap relation is
 // richer — e.g. DOM nodes, where distinct nested nodes can share one text
 // range, or 2-D spreadsheet rects — must NOT implement it; they keep the
-// exact pairwise check.
+// exact pairwise check. A space must be comparable with ==.
 type Interval interface {
 	Interval() (space any, start, end int)
 }
@@ -136,12 +139,15 @@ type binding struct {
 // filtering, ranking, clean-up, and negative-instance checking — every
 // re-execution of the same operator program is a repeat. The memo is
 // carried by the state and shared across Bind, so a Filter or Merge
-// wrapper re-running a memoized inner sequence hits the cache.
+// wrapper re-running a memoized inner sequence hits the cache. Domain
+// programs store their own shared values in it too, under keys of their
+// own types (see Memo).
 type execMemo struct {
 	mu sync.Mutex
-	m  map[execMemoKey]execMemoVal
+	m  map[any]execMemoVal
 }
 
+// execMemoKey is the memo key of a sequence operator's execution.
 type execMemoKey struct {
 	p     Program
 	frame *binding
@@ -158,16 +164,46 @@ func NewState(input Value) State {
 }
 
 // WithExecMemo equips the state with an execution memo for the sequence
-// operators (Map, FilterBool, FilterInt, Merge). Memoized results are
-// shared slices and must be treated as read-only by program consumers —
-// which the operator algebra already guarantees. Synthesis drivers enable
-// it on the states of their specs; execution of final programs on fresh
-// states is unaffected.
+// operators (Map, FilterBool, FilterInt, Merge) and for the values domain
+// programs share through Memo. Memoized results are shared slices and
+// must be treated as read-only by program consumers — which the operator
+// algebra already guarantees. The DSL synthesizers enable it on the states
+// of their specs, so it lives for one synthesis call; execution of final
+// programs on fresh states is unaffected.
 func (s State) WithExecMemo() State {
 	if s.memo == nil {
-		s.memo = &execMemo{m: map[execMemoKey]execMemoVal{}}
+		s.memo = &execMemo{m: map[any]execMemoVal{}}
 	}
 	return s
+}
+
+// Memo returns what st's execution memo holds under key, and on a miss
+// runs f and stores its result (value and error) under key; a state
+// without a memo just runs f. Concurrent misses may each run f, and all
+// get the result stored first. A package should key its entries with
+// types of its own so that they cannot collide with another's. What Memo
+// returns is shared with every later caller and must be treated as
+// read-only. Memo is generic in the key so that a hit does not box it.
+func Memo[K comparable](st State, key K, f func() (Value, error)) (Value, error) {
+	m := st.memo
+	if m == nil {
+		return f()
+	}
+	m.mu.Lock()
+	val, hit := m.m[key]
+	m.mu.Unlock()
+	if hit {
+		return val.v, val.err
+	}
+	v, err := f()
+	m.mu.Lock()
+	if first, raced := m.m[key]; raced {
+		v, err = first.v, first.err
+	} else {
+		m.m[key] = execMemoVal{v: v, err: err}
+	}
+	m.mu.Unlock()
+	return v, err
 }
 
 // WithCapture equips the state with an execution capture: every sequence

@@ -38,7 +38,11 @@ func hideSweeps(p core.Program) core.Program {
 // FilterBool body must also give the same values or the same first error
 // either way when run over every line of the document (LinesMap and
 // FilterBool bodies) or every line start and end (StartSeqMap and
-// EndSeqMap bodies), where most of them fail somewhere.
+// EndSeqMap bodies), where most of them fail somewhere. Last, the whole
+// line-pair list of the field's LinesMap learn runs over every line and
+// over the golden instances' lines through one state with an exec memo,
+// so that later pairs read the columns earlier pairs stored, and must
+// give what each pair's Exec gives line by line.
 func TestSweepMatchesPerElementOnCorpus(t *testing.T) {
 	tasks := corpus.Text()
 	if !testing.Short() {
@@ -68,6 +72,7 @@ func TestSweepMatchesPerElementOnCorpus(t *testing.T) {
 				continue
 			}
 			pos := append([]region.Region(nil), golden[:min(2, len(golden))]...)
+			checkLinePairs(t, doc, lines, golden, pos)
 			progs := doc.Language().SynthesizeSeqRegion(context.Background(),
 				[]engine.SeqRegionExample{{Input: whole, Positive: pos}})
 			for _, p := range progs {
@@ -87,6 +92,39 @@ func TestSweepMatchesPerElementOnCorpus(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// checkLinePairs learns the line pairs of the regions pos, as the LinesMap
+// rule does, and runs each of them over every line of doc and over the
+// lines that hold golden instances, all through one state with an exec
+// memo, against the pair's Exec on each line.
+func checkLinePairs(t *testing.T, doc *textlang.Document, lines []core.Value, golden, pos []region.Region) {
+	t.Helper()
+	whole := doc.WholeRegion().(textlang.Region)
+	var ys []textlang.Region
+	for _, r := range pos {
+		ys = append(ys, r.(textlang.Region))
+	}
+	pairs := textlang.LearnLinePairs(whole, ys)
+	if len(pairs) == 0 {
+		return
+	}
+	var held []core.Value
+	for _, line := range lines {
+		l := line.(textlang.Region)
+		for _, g := range golden {
+			if l.Contains(g) {
+				held = append(held, line)
+				break
+			}
+		}
+	}
+	st := core.NewState(whole).WithExecMemo()
+	for _, xs := range [][]core.Value{lines, held} {
+		for _, p := range pairs {
+			textlang.CheckSweep(t, st, p, "x", xs, false)
 		}
 	}
 }

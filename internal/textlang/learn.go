@@ -417,7 +417,7 @@ func (c *learnCtx) learnPosSeq(ctx context.Context, exs []core.SeqExample) []cor
 	pairs := tokens.LearnRegexPairsStop(spexs, c.toks, core.StopFunc(ctx))
 	out := make([]core.Program, len(pairs))
 	for i, rr := range pairs {
-		out[i] = posSeqProg{rr: rr}
+		out[i] = &posSeqProg{rr: rr}
 	}
 	return out
 }

@@ -7,7 +7,7 @@ import "flashextract/internal/prefilter"
 // translates to exact substring/byte-class requirements on the document.
 
 // AdmissionCond: a PosSeq position requires its regex pair to match.
-func (p posSeqProg) AdmissionCond() prefilter.Cond {
+func (p *posSeqProg) AdmissionCond() prefilter.Cond {
 	return prefilter.CondRegexPair(p.rr)
 }
 

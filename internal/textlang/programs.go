@@ -120,18 +120,25 @@ type splitLinesProg struct{}
 // splitLines is the canonical instance of the fixed expression.
 var splitLines = splitLinesProg{}
 
-// Exec splits the input region into its lines.
+// splitKey keys the boxed lines of R0 in a spec state's exec memo.
+type splitKey struct{ r0 Region }
+
+// Exec splits the input region into its lines. Every FilterBool candidate
+// of a synthesis call runs it on the same R0, so the boxed list is kept in
+// the state's exec memo and shared read-only.
 func (splitLinesProg) Exec(st core.State) (core.Value, error) {
 	r0, err := inputRegion(st)
 	if err != nil {
 		return nil, err
 	}
-	lines := linesIn(r0)
-	out := make([]core.Value, len(lines))
-	for i, l := range lines {
-		out[i] = l
-	}
-	return out, nil
+	return core.Memo(st, splitKey{r0}, func() (core.Value, error) {
+		lines := linesIn(r0)
+		out := make([]core.Value, len(lines))
+		for i, l := range lines {
+			out[i] = l
+		}
+		return out, nil
+	})
 }
 
 func (splitLinesProg) String() string { return "split(R0, '\\n')" }
@@ -146,25 +153,38 @@ func positionsIn(d *Document, lo, hi int, rr tokens.RegexPair) []int {
 }
 
 // posSeqProg is PosSeq(R0, rr): the sequence of absolute positions in R0
-// identified by the regex pair rr.
+// identified by the regex pair rr. It is used by pointer, so that a
+// program is a key of the exec memo.
 type posSeqProg struct {
 	rr tokens.RegexPair
 }
 
-func (p posSeqProg) Exec(st core.State) (core.Value, error) {
+// posSeqKey keys a PosSeq's boxed positions in a spec state's exec memo.
+type posSeqKey struct {
+	p  *posSeqProg
+	r0 Region
+}
+
+// Exec boxes the cached positions of rr in R0, once per spec state: the
+// FilterInt learner runs the same PosSeq to derive, check and clean up
+// its filters, and the boxed list is shared read-only through the exec
+// memo.
+func (p *posSeqProg) Exec(st core.State) (core.Value, error) {
 	r0, err := inputRegion(st)
 	if err != nil {
 		return nil, err
 	}
-	ps := positionsIn(r0.Doc, r0.Start, r0.End, p.rr)
-	out := make([]core.Value, len(ps))
-	for i, k := range ps {
-		out[i] = r0.Start + k
-	}
-	return out, nil
+	return core.Memo(st, posSeqKey{p, r0}, func() (core.Value, error) {
+		ps := positionsIn(r0.Doc, r0.Start, r0.End, p.rr)
+		out := make([]core.Value, len(ps))
+		for i, k := range ps {
+			out[i] = r0.Start + k
+		}
+		return out, nil
+	})
 }
 
-func (p posSeqProg) String() string { return fmt.Sprintf("PosSeq(R0, %s)", p.rr) }
+func (p *posSeqProg) String() string { return fmt.Sprintf("PosSeq(R0, %s)", p.rr) }
 
 // linePairProg is λx: Pair(Pos(x, p1), Pos(x, p2)) — the map function of
 // the LinesMap rule of SS, producing a region within the line x.
@@ -177,10 +197,30 @@ func (p linePairProg) Exec(st core.State) (core.Value, error) {
 	return execOne(st, func(x core.Value) (core.Value, error) { return p.at(&e1, &e2, x) })
 }
 
-// ExecSeq binds p1 and p2 once for all the lines.
+// ExecSeq zips the columns of p1 and p2 over the lines: the region of
+// line i spans the two columns' positions there. The first line where a
+// column fails, or where p1's position is past p2's, ends the sequence
+// with its error, p1's first on a line where both fail, as evaluating
+// the body line by line would.
 func (p linePairProg) ExecSeq(st core.State, v string, xs []core.Value) ([]core.Value, error) {
-	e1, e2 := tokens.NewAttrEval(p.p1), tokens.NewAttrEval(p.p2)
-	return sweep(p, st, v, xs, func(x core.Value) (core.Value, error) { return p.at(&e1, &e2, x) })
+	if v != lambdaVar {
+		return core.ExecEach(p, st, v, xs)
+	}
+	c1, c2 := columnOf(st, p.p1, xs), columnOf(st, p.p2, xs)
+	n := min(len(c1.pos), len(c2.pos))
+	out := make([]core.Value, n)
+	for i := range out {
+		a, b := c1.pos[i], c2.pos[i]
+		if a > b {
+			return out[:i], core.ErrNoMatch
+		}
+		x := xs[i].(Region) // both columns hold line i
+		out[i] = Region{Doc: x.Doc, Start: x.Start + a, End: x.Start + b}
+	}
+	if n == len(c1.pos) && c1.err != nil {
+		return out, c1.err
+	}
+	return out, c2.err
 }
 
 // at evaluates the body on the line xv, with p1 and p2 bound in e1, e2.
@@ -201,6 +241,61 @@ func (p linePairProg) at(e1, e2 *tokens.AttrEval, xv core.Value) (core.Value, er
 		return nil, core.ErrNoMatch
 	}
 	return Region{Doc: x.Doc, Start: x.Start + a, End: x.Start + b}, nil
+}
+
+// column is one position attribute evaluated on every line of a line
+// sequence, up to the first line where it fails: pos[i] is its position
+// in line i, relative to the line's start, and err is its failure on line
+// len(pos), or nil when it holds on every line.
+type column struct {
+	attr tokens.Attr
+	pos  []int
+	err  error
+}
+
+// columnKey keys a column in a spec state's exec memo: its attribute by
+// fingerprint, which the column's attr confirms, and its line sequence by
+// identity. A Map gets the same read-only slice from a memoized S on every
+// run, so all the line pairs crossed with one S share the columns of their
+// attributes.
+type columnKey struct {
+	attr  uint64
+	lines *core.Value
+	n     int
+}
+
+// columnOf returns the column of a over the lines xs, through st's exec
+// memo.
+func columnOf(st core.State, a tokens.Attr, xs []core.Value) *column {
+	h, ok := tokens.AttrFingerprint(a)
+	if !ok || len(xs) == 0 {
+		return evalColumn(a, xs)
+	}
+	v, _ := core.Memo(st, columnKey{h, &xs[0], len(xs)}, func() (core.Value, error) { return evalColumn(a, xs), nil })
+	if c := v.(*column); tokens.SameAttr(c.attr, a) {
+		return c
+	}
+	return evalColumn(a, xs) // a fingerprint collision
+}
+
+// evalColumn evaluates a on the lines xs in order, binding it once.
+func evalColumn(a tokens.Attr, xs []core.Value) *column {
+	c := &column{attr: a, pos: make([]int, 0, len(xs))}
+	e := tokens.NewAttrEval(a)
+	for _, xv := range xs {
+		x, err := asRegion(xv)
+		if err != nil {
+			c.err = err
+			break
+		}
+		k, err := e.Eval(x.Doc.cache, x.Start, x.End)
+		if err != nil {
+			c.err = err
+			break
+		}
+		c.pos = append(c.pos, k)
+	}
+	return c
 }
 
 func (p linePairProg) String() string {
@@ -483,7 +578,7 @@ func (p linePred) String() string {
 // ---- ranking costs (see core.Coster) ----
 
 // Cost of a position sequence is the cost of its regex pair.
-func (p posSeqProg) Cost() int { return p.rr.Cost() }
+func (p *posSeqProg) Cost() int { return p.rr.Cost() }
 
 // Cost of a line pair is the cost of its two position attributes.
 func (p linePairProg) Cost() int { return p.p1.Cost() + p.p2.Cost() }

@@ -18,7 +18,7 @@ func (splitLinesProg) EncodeProgram() (core.ProgramSpec, error) {
 }
 
 // EncodeProgram serializes PosSeq(R0, rr).
-func (p posSeqProg) EncodeProgram() (core.ProgramSpec, error) {
+func (p *posSeqProg) EncodeProgram() (core.ProgramSpec, error) {
 	rr, err := tokens.MarshalRegexPair(p.rr)
 	if err != nil {
 		return core.ProgramSpec{}, err
@@ -99,7 +99,7 @@ func (*lang) DecodeLeaf(spec core.ProgramSpec) (core.Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		return posSeqProg{rr: rr}, nil
+		return &posSeqProg{rr: rr}, nil
 	case "text.linePair", "text.regionPair":
 		p1, err := tokens.UnmarshalAttr(spec.Attrs["p1"])
 		if err != nil {

@@ -1,6 +1,7 @@
 package textlang
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -61,31 +62,74 @@ func orders(rng *rand.Rand, xs []core.Value) [][]core.Value {
 
 // TestLinePairSweepReportsFirstFailure pins the error a LinesMap body
 // reports: that of its first failing line, and on that line p1's before
-// p2's, even when p2 fails on an earlier line than p1.
+// p2's, or ErrNoMatch on a line where p1's position is past p2's. Each
+// case runs with and without an exec memo; with one, the body reads the
+// columns a first run over the same lines stored, with p1 and p2 swapped.
 func TestLinePairSweepReportsFirstFailure(t *testing.T) {
 	d := NewDocument("x 1 2\nx 3\nx\n")
 	whole := d.WholeRegion().(Region)
+	var l []core.Value
+	for _, line := range linesIn(whole) {
+		l = append(l, line)
+	}
+	firstStart := tokens.RegPos{RR: tokens.RegexPair{Right: tokens.Regex{tokens.Number}}, K: 1}
+	firstEnd := tokens.RegPos{RR: tokens.RegexPair{Left: tokens.Regex{tokens.Number}}, K: 1}
+	lastStart := tokens.RegPos{RR: tokens.RegexPair{Right: tokens.Regex{tokens.Number}}, K: -1}
+	secondEnd := tokens.RegPos{RR: tokens.RegexPair{Left: tokens.Regex{tokens.Number}}, K: 2}
+	_, secondEndErr := secondEnd.Eval("x 3")
+	_, firstStartErr := firstStart.Eval("x")
+	cases := []struct {
+		name   string
+		p1, p2 tokens.Attr
+		lines  []core.Value
+		values int
+		err    error
+	}{
+		// p2 fails on "x 3", p1 only on "x".
+		{"p2 fails first", firstStart, secondEnd, l, 1, secondEndErr},
+		// Both fail on "x", after "x 3" holds.
+		{"both fail on one line", firstStart, secondEnd, []core.Value{l[2], l[1]}, 0, firstStartErr},
+		{"both fail after a line", firstStart, firstEnd, []core.Value{l[1], l[2], l[0]}, 1, firstStartErr},
+		// On "x 1 2" the last number starts past the first one's end;
+		// both fail on "x" later.
+		{"p1 past p2 first", lastStart, firstEnd, []core.Value{l[1], l[0], l[2]}, 1, core.ErrNoMatch},
+	}
+	for _, tc := range cases {
+		for _, memo := range []bool{false, true} {
+			st := core.NewState(whole)
+			if memo {
+				st = st.WithExecMemo()
+			}
+			lines := core.Func{Name: "lines", F: func(core.State) (core.Value, error) { return tc.lines, nil }}
+			if memo {
+				swapped := linePairProg{p1: tc.p2, p2: tc.p1}
+				(&core.MapProgram{Name: "LinesMap", Var: lambdaVar, F: swapped, S: lines}).Exec(st)
+			}
+			body := linePairProg{p1: tc.p1, p2: tc.p2}
+			got, err := body.ExecSeq(st, lambdaVar, tc.lines)
+			if err == nil || err.Error() != tc.err.Error() || len(got) != tc.values {
+				t.Errorf("%s (memo %v): %d values and error %v, want %d and %v", tc.name, memo, len(got), err, tc.values, tc.err)
+			}
+			checkSweep(t, st, body, lambdaVar, tc.lines, false)
+		}
+	}
+}
+
+// LearnLinePairs returns the line pairs learnLinePair learns from the
+// regions ys of whole, each with x bound to the line that holds it, as
+// LinesMap's decomposition gives them; nil when a region spans lines.
+func LearnLinePairs(whole Region, ys []Region) []core.Program {
+	lines := linesIn(whole)
 	st := core.NewState(whole)
-	p1 := tokens.RegPos{RR: tokens.RegexPair{Right: tokens.Regex{tokens.Number}}, K: 1}
-	p2 := tokens.RegPos{RR: tokens.RegexPair{Left: tokens.Regex{tokens.Number}}, K: 2}
-	body := linePairProg{p1: p1, p2: p2}
-	var lines []core.Value
-	for _, l := range linesIn(whole) {
-		lines = append(lines, l)
+	var exs []core.Example
+	for _, y := range ys {
+		line, ok := lineContaining(lines, y.Start, y.End)
+		if !ok {
+			return nil
+		}
+		exs = append(exs, core.Example{State: st.Bind(lambdaVar, line), Output: y})
 	}
-	_, err := (&core.MapProgram{Name: "LinesMap", Var: lambdaVar, F: body, S: splitLines}).Exec(st)
-	_, want := p2.Eval("x 3") // p2 fails on line 1, p1 only on line 2
-	if err == nil || want == nil || err.Error() != want.Error() {
-		t.Fatalf("error = %v, want p2's %v", err, want)
-	}
-	checkSweep(t, st, body, lambdaVar, lines, false)
-	reversed := []core.Value{lines[2], lines[1], lines[0]}
-	_, err = (&core.MapProgram{Name: "LinesMap", Var: lambdaVar, F: body, S: core.Func{Name: "rev", F: func(core.State) (core.Value, error) { return reversed, nil }}}).Exec(st)
-	_, want = p1.Eval("x") // line 2 comes first, where both fail
-	if err == nil || want == nil || err.Error() != want.Error() {
-		t.Fatalf("reversed error = %v, want p1's %v", err, want)
-	}
-	checkSweep(t, st, body, lambdaVar, reversed, false)
+	return newLearnCtx(whole.Doc, ys).learnLinePair(context.Background(), exs)
 }
 
 // TestSweepsAnyOrder runs every λ-body form over lines or positions in

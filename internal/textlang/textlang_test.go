@@ -505,7 +505,7 @@ func TestPosSeqProgExec(t *testing.T) {
 	// Evaluate on a sub-region to check the absolute-offset conversion.
 	sub := d.Region(3, 8) // "b2 c3"
 	st := core.NewState(sub)
-	p := posSeqProg{rr: tokens.RegexPair{Left: tokens.Regex{tokens.Number}}}
+	p := &posSeqProg{rr: tokens.RegexPair{Left: tokens.Regex{tokens.Number}}}
 	v, err := p.Exec(st)
 	if err != nil {
 		t.Fatal(err)

@@ -109,6 +109,34 @@ func (a RegPos) Cost() int {
 	return a.RR.Cost() + 2*(k-1)
 }
 
+// AttrFingerprint hashes a position attribute by its index and its
+// tokens' names, which identify tokens (the cache keys a regex pair the
+// same way); SameAttr confirms a match. ok is false for an Attr that is
+// neither an AbsPos nor a RegPos.
+func AttrFingerprint(a Attr) (h uint64, ok bool) {
+	switch v := a.(type) {
+	case AbsPos:
+		return (fnvOffset ^ uint64(v.K)) * fnvPrime, true
+	case RegPos:
+		return (pairFingerprint(v.RR) ^ uint64(v.K) ^ 0x3f) * fnvPrime, true
+	}
+	return 0, false
+}
+
+// SameAttr reports whether two attributes are the same by the identity
+// AttrFingerprint hashes.
+func SameAttr(a, b Attr) bool {
+	switch v := a.(type) {
+	case AbsPos:
+		w, ok := b.(AbsPos)
+		return ok && v == w
+	case RegPos:
+		w, ok := b.(RegPos)
+		return ok && v.K == w.K && pairEqual(v.RR, w.RR)
+	}
+	return false
+}
+
 // maxSeqsPerSide bounds the token-sequence enumeration per side of a
 // position during learning.
 const maxSeqsPerSide = 48

@@ -315,3 +315,39 @@ func TestEvalAttrAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestAttrFingerprint checks that attributes built apart from the same
+// tokens and index share a fingerprint and are SameAttr, and that changing
+// the kind, the index, a token or the side of a regex makes them differ.
+func TestAttrFingerprint(t *testing.T) {
+	pair := func(l, r Regex) RegexPair { return RegexPair{Left: l, Right: r} }
+	attrs := []Attr{
+		AbsPos{K: 0},
+		AbsPos{K: -1},
+		RegPos{RR: pair(Regex{Number}, nil), K: 1},
+		RegPos{RR: pair(Regex{Number}, nil), K: -1},
+		RegPos{RR: pair(nil, Regex{Number}), K: 1},
+		RegPos{RR: pair(Regex{Word}, nil), K: 1},
+		RegPos{RR: pair(Regex{Number, Space}, Regex{Literal("ab")}), K: 2},
+		RegPos{RR: pair(Regex{Number}, Regex{Space, Literal("ab")}), K: 2},
+	}
+	for i, a := range attrs {
+		// Rebuild a from fresh slices, as a second learn call would.
+		b := a
+		if v, ok := a.(RegPos); ok {
+			v.RR = pair(slices.Clone(v.RR.Left), slices.Clone(v.RR.Right))
+			b = v
+		}
+		ha, oka := AttrFingerprint(a)
+		hb, okb := AttrFingerprint(b)
+		if !oka || !okb || ha != hb || !SameAttr(a, b) {
+			t.Errorf("%s: rebuilt copy has fingerprint %x (ok %v) against %x (ok %v), SameAttr %v", a, hb, okb, ha, oka, SameAttr(a, b))
+		}
+		for _, c := range attrs[i+1:] {
+			hc, _ := AttrFingerprint(c)
+			if hc == ha || SameAttr(a, c) || SameAttr(c, a) {
+				t.Errorf("%s and %s: fingerprints %x and %x, SameAttr %v", a, c, ha, hc, SameAttr(a, c))
+			}
+		}
+	}
+}

@@ -309,7 +309,7 @@ func (c *webCtx) learnPosSeq(ctx context.Context, exs []core.SeqExample) []core.
 	pairs := tokens.LearnRegexPairsStop(spexs, c.toks, core.StopFunc(ctx))
 	out := make([]core.Program, len(pairs))
 	for i, rr := range pairs {
-		out[i] = posSeqProg{rr: rr}
+		out[i] = &posSeqProg{rr: rr}
 	}
 	return out
 }

@@ -25,7 +25,7 @@ func (p nodeSpanPairProg) AdmissionCond() prefilter.Cond {
 
 // AdmissionCond: a PosSeq position requires its regex pair to match the
 // text content.
-func (p posSeqProg) AdmissionCond() prefilter.Cond {
+func (p *posSeqProg) AdmissionCond() prefilter.Cond {
 	return prefilter.CondRegexPairHTML(p.rr)
 }
 

@@ -129,29 +129,41 @@ func (p nodeSpanPairProg) Cost() int { return p.p1.Cost() + p.p2.Cost() }
 
 // posSeqProg is PosSeq(R0, rr) over the input node's text content. Like
 // every other sequence leaf it reads R0 as a node, so a sequence program
-// fails on a span input.
+// fails on a span input. It is used by pointer, so that a program is a key
+// of the exec memo.
 type posSeqProg struct {
 	rr tokens.RegexPair
 }
 
-func (p posSeqProg) Exec(st core.State) (core.Value, error) {
+// posSeqKey keys a PosSeq's boxed positions in a spec state's exec memo.
+type posSeqKey struct {
+	p  *posSeqProg
+	r0 NodeRegion
+}
+
+// Exec boxes the cached positions of rr in R0's text once per spec state,
+// sharing the list read-only through the exec memo (see textlang's
+// PosSeq).
+func (p *posSeqProg) Exec(st core.State) (core.Value, error) {
 	r0, err := inputNode(st)
 	if err != nil {
 		return nil, err
 	}
-	lo := r0.Node.TextStart
-	ps := positionsIn(r0.Doc, lo, r0.Node.TextEnd, p.rr)
-	out := make([]core.Value, len(ps))
-	for i, k := range ps {
-		out[i] = lo + k
-	}
-	return out, nil
+	return core.Memo(st, posSeqKey{p, r0}, func() (core.Value, error) {
+		lo := r0.Node.TextStart
+		ps := positionsIn(r0.Doc, lo, r0.Node.TextEnd, p.rr)
+		out := make([]core.Value, len(ps))
+		for i, k := range ps {
+			out[i] = lo + k
+		}
+		return out, nil
+	})
 }
 
-func (p posSeqProg) String() string { return fmt.Sprintf("PosSeq(R0, %s)", p.rr) }
+func (p *posSeqProg) String() string { return fmt.Sprintf("PosSeq(R0, %s)", p.rr) }
 
 // Cost defers to the regex pair.
-func (p posSeqProg) Cost() int { return p.rr.Cost() }
+func (p *posSeqProg) Cost() int { return p.rr.Cost() }
 
 // startPairProg is λx: Pair(x, Pos(R0[x:], p)).
 type startPairProg struct {

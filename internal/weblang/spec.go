@@ -26,7 +26,7 @@ func (p nodeSpanPairProg) EncodeProgram() (core.ProgramSpec, error) {
 }
 
 // EncodeProgram serializes PosSeq(R0, rr).
-func (p posSeqProg) EncodeProgram() (core.ProgramSpec, error) {
+func (p *posSeqProg) EncodeProgram() (core.ProgramSpec, error) {
 	rr, err := tokens.MarshalRegexPair(p.rr)
 	if err != nil {
 		return core.ProgramSpec{}, err
@@ -87,7 +87,7 @@ func (*lang) DecodeLeaf(spec core.ProgramSpec) (core.Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		return posSeqProg{rr: rr}, nil
+		return &posSeqProg{rr: rr}, nil
 	case "web.startPair", "web.endPair":
 		p, err := tokens.UnmarshalAttr(spec.Attrs["p"])
 		if err != nil {
