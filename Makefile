@@ -80,13 +80,18 @@ bench-interactive:
 # program-digests regenerates internal/bench/testdata/program_digests.txt:
 # the SHA-256 of the schema program every corpus task and hadoop-xl saves
 # when learned from 1, 2, 3, 5 and all golden instances per field, which
-# TestSavedProgramDigests checks. It also regenerates record_digests.txt
-# beside it: the SHA-256 of the batch records and provenance sidecar of
-# every corpus task's all-golden program over its domain's corpus, which
-# TestBatchRecordDigests checks. Regenerate them only with a change that
-# means to alter what synthesis learns or what a program extracts.
+# TestSavedProgramDigests checks. It also regenerates the other pins
+# beside it: record_digests.txt, the SHA-256 of the batch records and
+# provenance sidecar of every corpus task's all-golden program over its
+# domain's corpus (TestBatchRecordDigests); replay_program_digests.txt and
+# replay_cond_digests.txt, the SHA-256 of each field's final program of
+# the ⊥-relative §6 replay and of its prefilter condition
+# (TestReplayDigests); and web_explored_counts.txt, the candidates a cold
+# synthesis explores on each web task (TestWebExploredCounts). Regenerate
+# them only with a change that means to alter what synthesis learns or
+# what a program extracts.
 program-digests:
-	$(GO) test ./internal/bench -run '^(TestSavedProgramDigests|TestBatchRecordDigests)$$' -count 1 -update
+	$(GO) test ./internal/bench -run '^(TestSavedProgramDigests|TestBatchRecordDigests|TestReplayDigests|TestWebExploredCounts)$$' -count 1 -update
 
 # trace-smoke stands up `flashextract batch -admin`, curls /healthz,
 # /metrics, /trace/last, and /debug/pprof, regex-asserts the Prometheus

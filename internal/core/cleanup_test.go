@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 )
@@ -213,4 +214,80 @@ func FuzzCleanUp(f *testing.F) {
 			}
 		}
 	})
+}
+
+// pairwiseOverlaps is the overlap check PreferNonOverlapping ran on every
+// row before it swept rows of Intervals: some two values of row overlap
+// and are not Eq.
+func pairwiseOverlaps(row []Value, overlaps func(a, b Value) bool) bool {
+	for i := range row {
+		for j := i + 1; j < len(row); j++ {
+			if !Eq(row[i], row[j]) && overlaps(row[i], row[j]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestRowOverlapsMatchesPairwise checks PreferNonOverlapping's overlap
+// check, rowOverlaps, against pairwiseOverlaps on random rows of nested,
+// equal, empty, adjacent and duplicated spans, in region order or not, of
+// spans of two spaces, of spans with a value that is no Interval, and of
+// ints, with one buffer reused across the rows. The overlap relation keeps
+// the Interval contract on spans and holds for ints one apart, which no
+// interval sweep would find, so int rows must take the pairwise loop.
+func TestRowOverlapsMatchesPairwise(t *testing.T) {
+	overlaps := func(a, b Value) bool {
+		switch x := a.(type) {
+		case fuzzSpan:
+			y, ok := b.(fuzzSpan)
+			return ok && x.space == y.space && x.start < y.end && y.start < x.end
+		case int:
+			y, ok := b.(int)
+			return ok && (x-y == 1 || y-x == 1)
+		}
+		return false
+	}
+	rng := rand.New(rand.NewSource(7))
+	var buf []span
+	found := map[string]int{}
+	for i := 0; i < 50000; i++ {
+		kind := []string{"spans", "sorted", "two spaces", "with a tag", "ints"}[rng.Intn(5)]
+		row := make([]Value, rng.Intn(8))
+		for j := range row {
+			start := rng.Intn(8)
+			space := "a"
+			switch {
+			case kind == "ints":
+				row[j] = start
+				continue
+			case kind == "two spaces" && rng.Intn(2) == 0:
+				space = "b"
+			case kind == "with a tag" && j == 0:
+				row[j] = fuzzTag{start}
+				continue
+			}
+			row[j] = fuzzSpan{space: space, start: start, end: start + rng.Intn(4)}
+		}
+		if len(row) > 2 && rng.Intn(3) == 0 {
+			row[len(row)-1] = row[rng.Intn(len(row)-1)]
+		}
+		if kind == "sorted" {
+			sort.Slice(row, func(i, j int) bool {
+				a, b := row[i].(fuzzSpan), row[j].(fuzzSpan)
+				return before(span{a.start, a.end}, span{b.start, b.end})
+			})
+		}
+		want := pairwiseOverlaps(row, overlaps)
+		if got := rowOverlaps(row, overlaps, &buf); got != want {
+			t.Fatalf("%s row %v: rowOverlaps %v, pairwise %v", kind, row, got, want)
+		}
+		if want {
+			found[kind]++
+		}
+	}
+	if len(found) != 5 {
+		t.Fatalf("overlapping rows by kind %v, want some of each", found)
+	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -365,6 +367,88 @@ func TestMergeProgramOrdersAndDedupes(t *testing.T) {
 	got := mustExecSeq(t, p, NewState(nil))
 	if !Eq(got, seqOf(1, 3, 5)) {
 		t.Fatalf("Merge output = %v", got)
+	}
+}
+
+// referenceMerge is MergeProgram.Exec without its one-argument shortcut:
+// it copies the concatenated sequences, sorts the copy stably by less and
+// drops adjacent Eq duplicates.
+func referenceMerge(seqs [][]Value, less func(a, b Value) bool) []Value {
+	var all []Value
+	for _, seq := range seqs {
+		all = append(all, seq...)
+	}
+	if less != nil {
+		sort.SliceStable(all, func(i, j int) bool { return less(all[i], all[j]) })
+	}
+	out := []Value{}
+	for _, v := range all {
+		if len(out) == 0 || !Eq(out[len(out)-1], v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// TestMergeProgramMatchesReference runs Merges of one and of two argument
+// sequences, random, sorted, deduplicated or both, of ints and of spans in
+// region order, with and without an order, against referenceMerge. A
+// one-argument Merge must return its argument's sequence itself exactly
+// when it is non-empty, sorted and free of adjacent duplicates.
+func TestMergeProgramMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	intLess := func(a, b Value) bool { return a.(int) < b.(int) }
+	spanLess := func(a, b Value) bool {
+		x, y := a.(fuzzSpan), b.(fuzzSpan)
+		return before(span{x.start, x.end}, span{y.start, y.end})
+	}
+	random := func(spans bool) []Value {
+		seq := make([]Value, rng.Intn(6))
+		for i := range seq {
+			if spans {
+				s := rng.Intn(4)
+				seq[i] = fuzzSpan{space: "a", start: s, end: s + rng.Intn(3)}
+			} else {
+				seq[i] = rng.Intn(5)
+			}
+		}
+		return seq
+	}
+	shortcuts := 0
+	for i := 0; i < 20000; i++ {
+		spans := rng.Intn(2) == 0
+		less := intLess
+		if spans {
+			less = spanLess
+		}
+		if rng.Intn(4) == 0 {
+			less = nil
+		}
+		seqs := [][]Value{random(spans)}
+		if rng.Intn(3) == 0 {
+			seqs = append(seqs, random(spans))
+		} else if rng.Intn(2) == 0 {
+			seqs[0] = referenceMerge(seqs, less)
+		}
+		args := make([]Program, len(seqs))
+		for j, seq := range seqs {
+			args[j] = Func{Name: "seq", F: func(State) (Value, error) { return seq, nil }}
+		}
+		want := referenceMerge(seqs, less)
+		got := mustExecSeq(t, &MergeProgram{Args: args, Less: less}, NewState(nil))
+		if !Eq(got, want) || got == nil {
+			t.Fatalf("Merge of %v = %v, reference %v", seqs, got, want)
+		}
+		same := len(got) > 0 && len(seqs[0]) > 0 && &got[0] == &seqs[0][0]
+		if want := len(seqs) == 1 && len(seqs[0]) > 0 && Eq(seqs[0], referenceMerge(seqs, less)); same != want {
+			t.Fatalf("Merge of %v returned its argument: %v, want %v", seqs, same, want)
+		}
+		if same {
+			shortcuts++
+		}
+	}
+	if shortcuts == 0 {
+		t.Fatal("no Merge returned its argument")
 	}
 }
 

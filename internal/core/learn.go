@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -180,8 +182,9 @@ func PreferNonOverlapping(l SeqLearner, overlaps func(a, b Value) bool) SeqLearn
 			return ps
 		}
 		var good, bad []Program
+		var buf []span // reused by every candidate's rows
 		for _, p := range ps {
-			if hasOverlappingOutput(p, exs, overlaps) {
+			if hasOverlappingOutput(p, exs, overlaps, &buf) {
 				bad = append(bad, p)
 			} else {
 				good = append(good, p)
@@ -218,99 +221,70 @@ func sortByCostStable(ps []Program) {
 	}
 }
 
-func hasOverlappingOutput(p Program, exs []SeqExample, overlaps func(a, b Value) bool) bool {
+func hasOverlappingOutput(p Program, exs []SeqExample, overlaps func(a, b Value) bool, buf *[]span) bool {
 	for _, ex := range exs {
-		out, ok := execSeq(p, ex.State)
-		if !ok {
-			continue
+		if out, ok := execSeq(p, ex.State); ok && rowOverlaps(out, overlaps, buf) {
+			return true
 		}
-		if hit, ok := intervalOverlap(out); ok {
-			if hit {
+	}
+	return false
+}
+
+// rowOverlaps reports whether two values of out overlap but are not Eq. A
+// row of Intervals of one space is projected into buf, which it reuses,
+// and swept in O(n log n): by the Interval contract, two of its values
+// overlap exactly when their spans strictly intersect, and are Eq exactly
+// when their spans are equal. Any other row, ints included, since
+// overlaps makes no promise on them, takes the pairwise loop.
+func rowOverlaps(out []Value, overlaps func(a, b Value) bool, buf *[]span) bool {
+	if len(out) < 2 {
+		return false
+	}
+	var row spanRow
+	row, *buf, _ = projectRow((*buf)[:0], out)
+	if row.ok && row.space != (intSpace{}) {
+		return spansOverlap(row.spans, row.sorted)
+	}
+	for i := 0; i < len(out); i++ {
+		for j := i + 1; j < len(out); j++ {
+			if !Eq(out[i], out[j]) && overlaps(out[i], out[j]) {
 				return true
-			}
-			continue
-		}
-		for i := 0; i < len(out); i++ {
-			for j := i + 1; j < len(out); j++ {
-				if !Eq(out[i], out[j]) && overlaps(out[i], out[j]) {
-					return true
-				}
 			}
 		}
 	}
 	return false
 }
 
-// intervalOverlap is the O(n log n) pairwise-overlap check over outputs
-// that all implement Interval (see that type's contract). It reports
-// (overlapping, applicable); applicable is false when any output lacks the
-// interface, in which case the caller falls back to the exact pairwise
-// loop. A pair of outputs overlaps exactly when their spaces match, their
-// intervals strictly intersect, and they are not Eq — which by the
-// contract means not span-identical.
-func intervalOverlap(out []Value) (overlapping, applicable bool) {
-	if len(out) < 2 {
-		_, ok := firstNonInterval(out)
-		return false, !ok
-	}
-	type span struct{ start, end int }
-	groups := map[any][]span{}
-	for _, v := range out {
-		iv, ok := v.(Interval)
-		if !ok {
-			return false, false
-		}
-		space, s, e := iv.Interval()
-		groups[space] = append(groups[space], span{s, e})
+// spansOverlap reports whether two distinct spans strictly intersect. It
+// sorts spans in region order in place, unless they already are.
+func spansOverlap(spans []span, sorted bool) bool {
+	if !sorted {
+		slices.SortFunc(spans, func(a, b span) int {
+			if c := cmp.Compare(a.start, b.start); c != 0 {
+				return c
+			}
+			return cmp.Compare(b.end, a.end)
+		})
 	}
 	const minInt = -int(^uint(0)>>1) - 1
-	for _, g := range groups {
-		if len(g) < 2 {
-			continue
+	// strictMax: max end among spans starting strictly before the current
+	// start run; runMax: max end within the run. A span overlaps an
+	// earlier-starting span iff that span ends past its start, and a
+	// same-start span iff both are non-empty.
+	strictMax, runMax, runStart := minInt, minInt, spans[0].start
+	for i, v := range spans {
+		if i > 0 && v == spans[i-1] {
+			continue // an Eq duplicate
 		}
-		sort.Slice(g, func(i, j int) bool {
-			if g[i].start != g[j].start {
-				return g[i].start < g[j].start
-			}
-			return g[i].end < g[j].end
-		})
-		// strictMax: max end among spans starting strictly before the
-		// current start run; runMax: max end within the run. A span
-		// overlaps an earlier-starting span iff that span ends past its
-		// start, and a same-start span iff both are non-empty.
-		strictMax, runMax, runStart := minInt, minInt, g[0].start
-		for i, v := range g {
-			if i > 0 && v == g[i-1] {
-				continue // Eq duplicate by the Interval contract
-			}
-			if v.start != runStart {
-				if runMax > strictMax {
-					strictMax = runMax
-				}
-				runMax = minInt
-				runStart = v.start
-			}
-			if strictMax > v.start {
-				return true, true
-			}
-			if runMax > v.start && v.end > v.start {
-				return true, true
-			}
-			if v.end > runMax {
-				runMax = v.end
-			}
+		if v.start != runStart {
+			strictMax = max(strictMax, runMax)
+			runMax = minInt
+			runStart = v.start
 		}
+		if strictMax > v.start || runMax > v.start && v.end > v.start {
+			return true
+		}
+		runMax = max(runMax, v.end)
 	}
-	return false, true
-}
-
-// firstNonInterval reports whether out contains a value that does not
-// implement Interval (and returns the first such value).
-func firstNonInterval(out []Value) (Value, bool) {
-	for _, v := range out {
-		if _, ok := v.(Interval); !ok {
-			return v, true
-		}
-	}
-	return nil, false
+	return false
 }

@@ -226,6 +226,12 @@ func (p *MergeProgram) Exec(st State) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
+		if len(p.Args) == 1 && len(seq) > 0 && sortedUnique(seq, p.Less) {
+			// The sort and dedupe below would leave seq as it is, and the
+			// sequence is read-only to its consumers anyway. An empty one
+			// takes the loop, which returns a non-nil empty sequence.
+			return seq, nil
+		}
 		all = append(all, seq...)
 	}
 	if p.Less != nil {
@@ -245,6 +251,18 @@ func (p *MergeProgram) Exec(st State) (Value, error) {
 		}
 	}
 	return out, nil
+}
+
+// sortedUnique reports whether seq has no adjacent pair out of less's
+// order and no adjacent Eq pair, so that a stable sort by less and an
+// adjacent dedupe leave it unchanged.
+func sortedUnique(seq []Value, less func(a, b Value) bool) bool {
+	for i := 1; i < len(seq); i++ {
+		if less != nil && less(seq[i], seq[i-1]) || Eq(seq[i-1], seq[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func (p *MergeProgram) String() string {

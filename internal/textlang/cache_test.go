@@ -40,13 +40,13 @@ func TestCachedExecMatchesDirect(t *testing.T) {
 		}
 		for _, rr := range pairs {
 			want := rr.Positions(text[lo:hi])
-			got := positionsIn(d, lo, hi, rr)
+			got := d.cache.Positions(lo, hi, rr)
 			if len(got) != len(want) {
-				t.Fatalf("positionsIn(%d,%d,%s) = %v, direct %v", lo, hi, rr, got, want)
+				t.Fatalf("Positions(%d,%d,%s) = %v, direct %v", lo, hi, rr, got, want)
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("positionsIn(%d,%d,%s) = %v, direct %v", lo, hi, rr, got, want)
+					t.Fatalf("Positions(%d,%d,%s) = %v, direct %v", lo, hi, rr, got, want)
 				}
 			}
 		}

@@ -3,7 +3,9 @@
 // region is a pair of character positions in the file; sequence programs
 // combine line-level maps (LinesMap), position-sequence maps (StartSeqMap,
 // EndSeqMap), line and position filters, and a top-level Merge; region
-// programs pair two learned position attributes.
+// programs pair two learned position attributes. The position sequences,
+// their maps and the region pair are the sublanguage Ltext shares with
+// Lweb, package poslang; this package holds the line-level rest.
 package textlang
 
 import (
@@ -11,7 +13,9 @@ import (
 	"strings"
 	"sync"
 
+	"flashextract/internal/core"
 	"flashextract/internal/engine"
+	"flashextract/internal/poslang"
 	"flashextract/internal/region"
 	"flashextract/internal/tokens"
 )
@@ -100,7 +104,10 @@ type Region struct {
 	Start, End int
 }
 
-var _ region.Region = Region{}
+var (
+	_ region.Region  = Region{}
+	_ poslang.Region = Region{}
+)
 
 // Contains reports nesting (including equality) within the same document.
 func (r Region) Contains(other region.Region) bool {
@@ -142,6 +149,16 @@ func (r Region) SourceSpan() region.SourceSpan {
 }
 
 func (r Region) String() string { return fmt.Sprintf("[%d,%d)", r.Start, r.End) }
+
+// Cache returns the document's evaluation cache. With TextRange and Sub,
+// it is how the position sublanguage reads a region (poslang.Region).
+func (r Region) Cache() *tokens.Cache { return r.Doc.cache }
+
+// TextRange returns [Start, End).
+func (r Region) TextRange() (lo, hi int) { return r.Start, r.End }
+
+// Sub returns the region [lo, hi) of r's document.
+func (r Region) Sub(lo, hi int) core.Value { return Region{Doc: r.Doc, Start: lo, End: hi} }
 
 // linesIn splits a region into its lines (split(R0, '\n')): the segments
 // between newline characters, clipped to the region. Interior empty lines

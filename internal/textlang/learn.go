@@ -9,41 +9,19 @@ import (
 
 	"flashextract/internal/core"
 	"flashextract/internal/engine"
+	"flashextract/internal/poslang"
+	"flashextract/internal/region"
 	"flashextract/internal/tokens"
 	"flashextract/internal/trace"
-)
-
-// endPairSpan closes a pair-learner span with its example and program
-// counts (nil-safe, matching the other learner spans).
-func endPairSpan(sp *trace.Span, examples, programs int) {
-	if sp == nil {
-		return
-	}
-	sp.SetInt("examples", int64(examples))
-	sp.SetInt("programs", int64(programs))
-	sp.End()
-}
-
-// attrCap bounds how many position attributes are used per side when
-// crossing start and end attribute lists.
-const attrCap = 12
-
-// dynMaxLen, dynMinOccur, and dynCap parameterize dynamic-token discovery.
-const (
-	dynMaxLen   = 6
-	dynMinOccur = 2
-	dynCap      = 24
 )
 
 // lang implements engine.Language for text documents.
 type lang struct{}
 
-// learnCtx carries the per-synthesis-call token pool: standard tokens plus
-// dynamic tokens promoted from the neighborhood of the examples. The
-// learners name each example string as a range of its document's
-// evaluation cache, whose token boundaries they share.
+// learnCtx carries the per-synthesis-call learner of the position
+// sublanguage, whose token pool the line learners share.
 type learnCtx struct {
-	toks []tokens.Token
+	pos *poslang.Learner
 
 	// lsFlight single-flights the LS sub-learn per example fingerprint: all
 	// three SS rules re-learn LS, and their witness sequences coincide
@@ -65,18 +43,8 @@ type lsEntry struct {
 	ok   bool
 }
 
-func newLearnCtx(doc *Document, boundary []Region) *learnCtx {
-	var pexs []tokens.PosExample
-	for _, r := range boundary {
-		pexs = append(pexs,
-			tokens.PosExample{S: doc.Text, K: r.Start},
-			tokens.PosExample{S: doc.Text, K: r.End})
-	}
-	dyn := tokens.DiscoverDynamicTokens(doc.Text, pexs, dynMaxLen, dynMinOccur, dynCap)
-	pool := make([]tokens.Token, 0, len(tokens.Standard)+len(dyn))
-	pool = append(pool, tokens.Standard...)
-	pool = append(pool, dyn...)
-	return &learnCtx{toks: pool}
+func newLearnCtx(doc *Document, boundary []region.Region) *learnCtx {
+	return &learnCtx{pos: poslang.Text.NewLearner(doc.cache, boundary)}
 }
 
 // SynthesizeSeqRegion learns N1 programs (Fig. 7): a Merge of pair
@@ -86,7 +54,7 @@ func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionEx
 		return nil
 	}
 	var doc *Document
-	var boundary []Region
+	var boundary []region.Region
 	specs := make([]core.SeqSpec, 0, len(exs))
 	for _, ex := range exs {
 		in, ok := ex.Input.(Region)
@@ -120,58 +88,7 @@ func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionEx
 
 // SynthesizeRegion learns N2 programs: Pair(Pos(R0, p1), Pos(R0, p2)).
 func (l *lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample) []core.Program {
-	if len(exs) == 0 {
-		return nil
-	}
-	var doc *Document
-	var boundary []Region
-	var coreExs []core.Example
-	var ins, outs []Region
-	for _, ex := range exs {
-		in, ok1 := ex.Input.(Region)
-		out, ok2 := ex.Output.(Region)
-		if !ok1 || !ok2 || !in.Contains(out) {
-			return nil
-		}
-		doc = in.Doc
-		boundary = append(boundary, out)
-		coreExs = append(coreExs, core.Example{State: core.NewState(in), Output: out})
-		ins = append(ins, in)
-		outs = append(outs, out)
-	}
-	lc := newLearnCtx(doc, boundary)
-	var sExs, eExs []tokens.PosExample
-	for i, in := range ins {
-		sExs = append(sExs, tokens.PosExample{S: in.Value(), K: outs[i].Start - in.Start, C: in.Doc.cache, Lo: in.Start})
-		eExs = append(eExs, tokens.PosExample{S: in.Value(), K: outs[i].End - in.Start, C: in.Doc.cache, Lo: in.Start})
-	}
-	n2 := func(ctx context.Context, _ []core.Example) (out []core.Program) {
-		ctx, sp := trace.Start(ctx, "pair")
-		if sp != nil {
-			sp.SetString("form", "region")
-			defer func() { endPairSpan(sp, len(coreExs), len(out)) }()
-		}
-		p1s := capAttrs(tokens.LearnAttrsStop(sExs, lc.toks, core.StopFunc(ctx)), attrCap)
-		p2s := capAttrs(tokens.LearnAttrsStop(eExs, lc.toks, core.StopFunc(ctx)), attrCap)
-		bud := core.BudgetFrom(ctx)
-		for _, p1 := range p1s {
-			if bud.ExhaustedNow() {
-				break
-			}
-			for _, p2 := range p2s {
-				out = append(out, regionPairProg{p1: p1, p2: p2})
-			}
-		}
-		return out
-	}
-	return core.SynthesizeRegionProg(ctx, n2, coreExs)
-}
-
-func capAttrs(as []tokens.Attr, n int) []tokens.Attr {
-	if len(as) > n {
-		return as[:n]
-	}
-	return as
+	return poslang.Text.SynthesizeRegion(ctx, exs)
 }
 
 // ---- sequence non-terminal SS and its three rules ----
@@ -180,8 +97,8 @@ func capAttrs(as []tokens.Attr, n int) []tokens.Attr {
 func (c *learnCtx) learnSS() core.SeqLearner {
 	return core.UnionLearners(
 		c.linesMapOp().Learn,
-		c.startSeqMapOp().Learn,
-		c.endSeqMapOp().Learn,
+		c.pos.StartSeqMap(c.learnPS()).Learn,
+		c.pos.EndSeqMap(c.learnPS()).Learn,
 	)
 }
 
@@ -190,7 +107,7 @@ func (c *learnCtx) linesMapOp() core.MapOp {
 	return core.MapOp{
 		Name: "LinesMap",
 		Var:  lambdaVar,
-		F:    c.learnLinePair,
+		F:    poslang.TracePair("line", c.learnLinePair),
 		S:    c.learnLS(),
 		Decompose: func(st core.State, y []core.Value) ([]core.Value, error) {
 			r0, err := inputRegion(st)
@@ -209,48 +126,6 @@ func (c *learnCtx) linesMapOp() core.MapOp {
 					return nil, core.ErrNoMatch
 				}
 				out[i] = line
-			}
-			return out, nil
-		},
-	}
-}
-
-// startSeqMapOp is SS ::= StartSeqMap(λx: Pair(x, Pos(R0[x:], p)), PS).
-func (c *learnCtx) startSeqMapOp() core.MapOp {
-	return core.MapOp{
-		Name: "StartSeqMap",
-		Var:  lambdaVar,
-		F:    c.learnStartPair,
-		S:    c.learnPS(),
-		Decompose: func(st core.State, y []core.Value) ([]core.Value, error) {
-			out := make([]core.Value, len(y))
-			for i, v := range y {
-				yr, ok := v.(Region)
-				if !ok {
-					return nil, fmt.Errorf("textlang: StartSeqMap output is %T, want region", v)
-				}
-				out[i] = yr.Start
-			}
-			return out, nil
-		},
-	}
-}
-
-// endSeqMapOp is SS ::= EndSeqMap(λx: Pair(Pos(R0[:x], p), x), PS).
-func (c *learnCtx) endSeqMapOp() core.MapOp {
-	return core.MapOp{
-		Name: "EndSeqMap",
-		Var:  lambdaVar,
-		F:    c.learnEndPair,
-		S:    c.learnPS(),
-		Decompose: func(st core.State, y []core.Value) ([]core.Value, error) {
-			out := make([]core.Value, len(y))
-			for i, v := range y {
-				yr, ok := v.(Region)
-				if !ok {
-					return nil, fmt.Errorf("textlang: EndSeqMap output is %T, want region", v)
-				}
-				out[i] = yr.End
 			}
 			return out, nil
 		},
@@ -390,36 +265,7 @@ func (c *learnCtx) learnPS() core.SeqLearner {
 			return out, nil
 		},
 	}
-	filtered := core.FilterIntOp{S: c.learnPosSeq}
-	return core.UnionLearners(filtered.Learn, linesMap.Learn)
-}
-
-// learnPosSeq learns PosSeq(R0, rr) programs from positive position
-// instances.
-func (c *learnCtx) learnPosSeq(ctx context.Context, exs []core.SeqExample) []core.Program {
-	var spexs []tokens.SeqPosExample
-	for _, ex := range exs {
-		r0, err := inputRegion(ex.State)
-		if err != nil {
-			return nil
-		}
-		sp := tokens.SeqPosExample{S: r0.Value(), C: r0.Doc.cache, Lo: r0.Start}
-		for _, v := range ex.Positive {
-			k, ok := v.(int)
-			if !ok || k < r0.Start || k > r0.End {
-				return nil
-			}
-			sp.Ks = append(sp.Ks, k-r0.Start)
-		}
-		sort.Ints(sp.Ks)
-		spexs = append(spexs, sp)
-	}
-	pairs := tokens.LearnRegexPairsStop(spexs, c.toks, core.StopFunc(ctx))
-	out := make([]core.Program, len(pairs))
-	for i, rr := range pairs {
-		out[i] = &posSeqProg{rr: rr}
-	}
-	return out
+	return core.UnionLearners(c.pos.PS(), linesMap.Learn)
 }
 
 // ---- scalar learners for the map functions ----
@@ -427,11 +273,6 @@ func (c *learnCtx) learnPosSeq(ctx context.Context, exs []core.SeqExample) []cor
 // learnLinePair learns λx: Pair(Pos(x,p1), Pos(x,p2)) from examples that
 // bind x to a line and output a region within that line.
 func (c *learnCtx) learnLinePair(ctx context.Context, exs []core.Example) (out []core.Program) {
-	ctx, sp := trace.Start(ctx, "pair")
-	if sp != nil {
-		sp.SetString("form", "line")
-		defer func() { endPairSpan(sp, len(exs), len(out)) }()
-	}
 	var sExs, eExs []tokens.PosExample
 	for _, ex := range exs {
 		x, err := lambdaRegion(ex.State)
@@ -445,8 +286,7 @@ func (c *learnCtx) learnLinePair(ctx context.Context, exs []core.Example) (out [
 		sExs = append(sExs, tokens.PosExample{S: x.Value(), K: y.Start - x.Start, C: x.Doc.cache, Lo: x.Start})
 		eExs = append(eExs, tokens.PosExample{S: x.Value(), K: y.End - x.Start, C: x.Doc.cache, Lo: x.Start})
 	}
-	p1s := capAttrs(tokens.LearnAttrsStop(sExs, c.toks, core.StopFunc(ctx)), attrCap)
-	p2s := capAttrs(tokens.LearnAttrsStop(eExs, c.toks, core.StopFunc(ctx)), attrCap)
+	p1s, p2s := c.pos.Attrs(ctx, sExs), c.pos.Attrs(ctx, eExs)
 	for _, p1 := range p1s {
 		for _, p2 := range p2s {
 			out = append(out, linePairProg{p1: p1, p2: p2})
@@ -470,74 +310,10 @@ func (c *learnCtx) learnLinePos(ctx context.Context, exs []core.Example) []core.
 		}
 		pexs = append(pexs, tokens.PosExample{S: x.Value(), K: k - x.Start, C: x.Doc.cache, Lo: x.Start})
 	}
-	attrs := capAttrs(tokens.LearnAttrsStop(pexs, c.toks, core.StopFunc(ctx)), attrCap)
+	attrs := c.pos.Attrs(ctx, pexs)
 	out := make([]core.Program, len(attrs))
 	for i, p := range attrs {
 		out[i] = linePosProg{p: p}
-	}
-	return out
-}
-
-// learnStartPair learns λx: Pair(x, Pos(R0[x:], p)) from examples that
-// bind x to a start position and output the region starting there.
-func (c *learnCtx) learnStartPair(ctx context.Context, exs []core.Example) (out []core.Program) {
-	ctx, sp := trace.Start(ctx, "pair")
-	if sp != nil {
-		sp.SetString("form", "start")
-		defer func() { endPairSpan(sp, len(exs), len(out)) }()
-	}
-	var pexs []tokens.PosExample
-	for _, ex := range exs {
-		x, err := lambdaPos(ex.State)
-		if err != nil {
-			return nil
-		}
-		r0, err := inputRegion(ex.State)
-		if err != nil {
-			return nil
-		}
-		y, ok := ex.Output.(Region)
-		if !ok || y.Start != x || y.End > r0.End {
-			return nil
-		}
-		pexs = append(pexs, tokens.PosExample{S: r0.Doc.Text[x:r0.End], K: y.End - x, C: r0.Doc.cache, Lo: x})
-	}
-	attrs := capAttrs(tokens.LearnAttrsStop(pexs, c.toks, core.StopFunc(ctx)), attrCap)
-	out = make([]core.Program, len(attrs))
-	for i, p := range attrs {
-		out[i] = startPairProg{p: p}
-	}
-	return out
-}
-
-// learnEndPair learns λx: Pair(Pos(R0[:x], p), x) from examples that bind
-// x to an end position and output the region ending there.
-func (c *learnCtx) learnEndPair(ctx context.Context, exs []core.Example) (out []core.Program) {
-	ctx, sp := trace.Start(ctx, "pair")
-	if sp != nil {
-		sp.SetString("form", "end")
-		defer func() { endPairSpan(sp, len(exs), len(out)) }()
-	}
-	var pexs []tokens.PosExample
-	for _, ex := range exs {
-		x, err := lambdaPos(ex.State)
-		if err != nil {
-			return nil
-		}
-		r0, err := inputRegion(ex.State)
-		if err != nil {
-			return nil
-		}
-		y, ok := ex.Output.(Region)
-		if !ok || y.End != x || y.Start < r0.Start {
-			return nil
-		}
-		pexs = append(pexs, tokens.PosExample{S: r0.Doc.Text[r0.Start:x], K: y.Start - r0.Start, C: r0.Doc.cache, Lo: r0.Start})
-	}
-	attrs := capAttrs(tokens.LearnAttrsStop(pexs, c.toks, core.StopFunc(ctx)), attrCap)
-	out = make([]core.Program, len(attrs))
-	for i, p := range attrs {
-		out[i] = endPairProg{p: p}
 	}
 	return out
 }
@@ -556,7 +332,7 @@ func (c *learnCtx) learnPred(ctx context.Context, exs []core.Example) []core.Pro
 		return nil
 	}
 	cands := []linePred{{kind: predTrue}}
-	cands = append(cands, candidatesForLine(first.Value(), predStartsWith, predEndsWith, predContains, c.toks)...)
+	cands = append(cands, candidatesForLine(first.Value(), predStartsWith, predEndsWith, predContains, c.pos.Toks)...)
 	if r0, err := inputRegion(exs[0].State); err == nil {
 		lines := linesIn(r0)
 		for i, l := range lines {
@@ -564,10 +340,10 @@ func (c *learnCtx) learnPred(ctx context.Context, exs []core.Example) []core.Pro
 				continue
 			}
 			if i > 0 {
-				cands = append(cands, candidatesForLine(lines[i-1].Value(), predPredStartsWith, predPredEndsWith, predPredContains, c.toks)...)
+				cands = append(cands, candidatesForLine(lines[i-1].Value(), predPredStartsWith, predPredEndsWith, predPredContains, c.pos.Toks)...)
 			}
 			if i+1 < len(lines) {
-				cands = append(cands, candidatesForLine(lines[i+1].Value(), predSuccStartsWith, predSuccEndsWith, predSuccContains, c.toks)...)
+				cands = append(cands, candidatesForLine(lines[i+1].Value(), predSuccStartsWith, predSuccEndsWith, predSuccContains, c.pos.Toks)...)
 			}
 			break
 		}

@@ -6,11 +6,6 @@ import "flashextract/internal/prefilter"
 // are raw bytes and lines are byte subranges of them, so token evidence
 // translates to exact substring/byte-class requirements on the document.
 
-// AdmissionCond: a PosSeq position requires its regex pair to match.
-func (p *posSeqProg) AdmissionCond() prefilter.Cond {
-	return prefilter.CondRegexPair(p.rr)
-}
-
 // AdmissionCond: both position attributes must evaluate on the line.
 func (p linePairProg) AdmissionCond() prefilter.Cond {
 	return prefilter.And(prefilter.CondAttr(p.p1), prefilter.CondAttr(p.p2))
@@ -19,21 +14,6 @@ func (p linePairProg) AdmissionCond() prefilter.Cond {
 // AdmissionCond: the position attribute must evaluate on the line.
 func (p linePosProg) AdmissionCond() prefilter.Cond {
 	return prefilter.CondAttr(p.p)
-}
-
-// AdmissionCond: the end attribute must evaluate on the suffix.
-func (p startPairProg) AdmissionCond() prefilter.Cond {
-	return prefilter.CondAttr(p.p)
-}
-
-// AdmissionCond: the start attribute must evaluate on the prefix.
-func (p endPairProg) AdmissionCond() prefilter.Cond {
-	return prefilter.CondAttr(p.p)
-}
-
-// AdmissionCond: both position attributes must evaluate on the region.
-func (p regionPairProg) AdmissionCond() prefilter.Cond {
-	return prefilter.And(prefilter.CondAttr(p.p1), prefilter.CondAttr(p.p2))
 }
 
 // AdmissionCond derives what a line must contain for the predicate to

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"flashextract/internal/core"
+	"flashextract/internal/poslang"
 	"flashextract/internal/tokens"
 )
 
@@ -17,31 +18,13 @@ func inputRegion(st core.State) (Region, error) {
 	return r, nil
 }
 
-// lambdaValue extracts the λ-bound variable x from a state.
-func lambdaValue(st core.State) (core.Value, error) {
-	v, ok := st.Lookup(lambdaVar)
-	if !ok {
-		return nil, fmt.Errorf("textlang: free variable %s is unbound", lambdaVar)
-	}
-	return v, nil
-}
-
 // lambdaRegion extracts the λ-bound line variable x from a state.
 func lambdaRegion(st core.State) (Region, error) {
-	v, err := lambdaValue(st)
-	if err != nil {
-		return Region{}, err
+	v, ok := st.Lookup(lambdaVar)
+	if !ok {
+		return Region{}, fmt.Errorf("textlang: free variable %s is unbound", lambdaVar)
 	}
 	return asRegion(v)
-}
-
-// lambdaPos extracts the λ-bound position variable x from a state.
-func lambdaPos(st core.State) (int, error) {
-	v, err := lambdaValue(st)
-	if err != nil {
-		return 0, err
-	}
-	return asPos(v)
 }
 
 // asRegion asserts that a value of x is a text region.
@@ -53,66 +36,9 @@ func asRegion(v core.Value) (Region, error) {
 	return r, nil
 }
 
-// asPos asserts that a value of x is a position.
-func asPos(v core.Value) (int, error) {
-	k, ok := v.(int)
-	if !ok {
-		return 0, fmt.Errorf("textlang: %s is %T, want a position", lambdaVar, v)
-	}
-	return k, nil
-}
-
-// execOne is the Exec of a λ-body: at, the body's evaluation for one
-// value of x, on the value st binds to x.
-func execOne(st core.State, at func(x core.Value) (core.Value, error)) (core.Value, error) {
-	x, err := lambdaValue(st)
-	if err != nil {
-		return nil, err
-	}
-	return at(x)
-}
-
-// sweep is the ExecSeq of a λ-body: at, the body's evaluation for one
-// value of x, runs on each element of xs in order, stopping at the first
-// error. Each body binds its attributes, regex and R0 once, before the
-// sweep, and at carries them from one element to the next. A Map or
-// Filter that binds another variable than x gets the per-element loop,
-// which is what Exec sees there.
-func sweep(body core.Program, st core.State, v string, xs []core.Value, at func(x core.Value) (core.Value, error)) ([]core.Value, error) {
-	if v != lambdaVar {
-		return core.ExecEach(body, st, v, xs)
-	}
-	out := make([]core.Value, len(xs))
-	for i, x := range xs {
-		r, err := at(x)
-		if err != nil {
-			return out[:i], err
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-// input reads R0 from a state on first use, so a sweep reads it once and
-// reports its error on the first element that needs it, as Exec would.
-type input struct {
-	st   core.State
-	read bool
-	r0   Region
-	err  error
-}
-
-func (in *input) region() (Region, error) {
-	if !in.read {
-		in.r0, in.err = inputRegion(in.st)
-		in.read = true
-	}
-	return in.r0, in.err
-}
-
-// lambdaVar is the λ-bound variable name used by all Ltext map and filter
-// operators.
-const lambdaVar = "x"
+// lambdaVar is the λ-bound variable of all Ltext map and filter operators,
+// the one the position sublanguage's bodies read.
+const lambdaVar = poslang.X
 
 // splitLinesProg is the fixed expression split(R0, '\n').
 type splitLinesProg struct{}
@@ -146,46 +72,6 @@ func (splitLinesProg) String() string { return "split(R0, '\\n')" }
 // Cost makes the fixed expression free for ranking purposes.
 func (splitLinesProg) Cost() int { return 0 }
 
-// positionsIn returns the position sequence of rr within Text[lo:hi]
-// through the document's evaluation cache.
-func positionsIn(d *Document, lo, hi int, rr tokens.RegexPair) []int {
-	return d.cache.Positions(lo, hi, rr)
-}
-
-// posSeqProg is PosSeq(R0, rr): the sequence of absolute positions in R0
-// identified by the regex pair rr. It is used by pointer, so that a
-// program is a key of the exec memo.
-type posSeqProg struct {
-	rr tokens.RegexPair
-}
-
-// posSeqKey keys a PosSeq's boxed positions in a spec state's exec memo.
-type posSeqKey struct {
-	p  *posSeqProg
-	r0 Region
-}
-
-// Exec boxes the cached positions of rr in R0, once per spec state: the
-// FilterInt learner runs the same PosSeq to derive, check and clean up
-// its filters, and the boxed list is shared read-only through the exec
-// memo.
-func (p *posSeqProg) Exec(st core.State) (core.Value, error) {
-	r0, err := inputRegion(st)
-	if err != nil {
-		return nil, err
-	}
-	return core.Memo(st, posSeqKey{p, r0}, func() (core.Value, error) {
-		ps := positionsIn(r0.Doc, r0.Start, r0.End, p.rr)
-		out := make([]core.Value, len(ps))
-		for i, k := range ps {
-			out[i] = r0.Start + k
-		}
-		return out, nil
-	})
-}
-
-func (p *posSeqProg) String() string { return fmt.Sprintf("PosSeq(R0, %s)", p.rr) }
-
 // linePairProg is λx: Pair(Pos(x, p1), Pos(x, p2)) — the map function of
 // the LinesMap rule of SS, producing a region within the line x.
 type linePairProg struct {
@@ -194,7 +80,7 @@ type linePairProg struct {
 
 func (p linePairProg) Exec(st core.State) (core.Value, error) {
 	e1, e2 := tokens.NewAttrEval(p.p1), tokens.NewAttrEval(p.p2)
-	return execOne(st, func(x core.Value) (core.Value, error) { return p.at(&e1, &e2, x) })
+	return poslang.ExecOne(st, func(x core.Value) (core.Value, error) { return p.at(&e1, &e2, x) })
 }
 
 // ExecSeq zips the columns of p1 and p2 over the lines: the region of
@@ -310,13 +196,13 @@ type linePosProg struct {
 
 func (p linePosProg) Exec(st core.State) (core.Value, error) {
 	e := tokens.NewAttrEval(p.p)
-	return execOne(st, func(x core.Value) (core.Value, error) { return p.at(&e, x) })
+	return poslang.ExecOne(st, func(x core.Value) (core.Value, error) { return p.at(&e, x) })
 }
 
 // ExecSeq binds p once for all the lines.
 func (p linePosProg) ExecSeq(st core.State, v string, xs []core.Value) ([]core.Value, error) {
 	e := tokens.NewAttrEval(p.p)
-	return sweep(p, st, v, xs, func(x core.Value) (core.Value, error) { return p.at(&e, x) })
+	return poslang.Sweep(p, st, v, xs, func(x core.Value) (core.Value, error) { return p.at(&e, x) })
 }
 
 // at evaluates the body on the line xv, with p bound in e.
@@ -333,118 +219,6 @@ func (p linePosProg) at(e *tokens.AttrEval, xv core.Value) (core.Value, error) {
 }
 
 func (p linePosProg) String() string { return fmt.Sprintf("Pos(x, %s)", p.p) }
-
-// startPairProg is λx: Pair(x, Pos(R0[x:], p)) — the map function of
-// StartSeqMap: x is a start position, and the end position is found by
-// evaluating p on the suffix of R0 starting at x.
-type startPairProg struct {
-	p tokens.Attr
-}
-
-func (p startPairProg) Exec(st core.State) (core.Value, error) {
-	in, e := input{st: st}, tokens.NewAttrEval(p.p)
-	return execOne(st, func(x core.Value) (core.Value, error) { return p.at(&in, &e, x) })
-}
-
-// ExecSeq reads R0 and binds p once for all the suffixes.
-func (p startPairProg) ExecSeq(st core.State, v string, xs []core.Value) ([]core.Value, error) {
-	in, e := input{st: st}, tokens.NewAttrEval(p.p)
-	return sweep(p, st, v, xs, func(x core.Value) (core.Value, error) { return p.at(&in, &e, x) })
-}
-
-// at evaluates the body on the start position xv, with p bound in e.
-func (p startPairProg) at(in *input, e *tokens.AttrEval, xv core.Value) (core.Value, error) {
-	x, err := asPos(xv)
-	if err != nil {
-		return nil, err
-	}
-	r0, err := in.region()
-	if err != nil {
-		return nil, err
-	}
-	if x < r0.Start || x > r0.End {
-		return nil, core.ErrNoMatch
-	}
-	k, err := e.Eval(r0.Doc.cache, x, r0.End)
-	if err != nil {
-		return nil, err
-	}
-	return Region{Doc: r0.Doc, Start: x, End: x + k}, nil
-}
-
-func (p startPairProg) String() string {
-	return fmt.Sprintf("Pair(x, Pos(R0[x:], %s))", p.p)
-}
-
-// endPairProg is λx: Pair(Pos(R0[:x], p), x) — the map function of
-// EndSeqMap: x is an end position, and the start position is found by
-// evaluating p on the prefix of R0 ending at x.
-type endPairProg struct {
-	p tokens.Attr
-}
-
-func (p endPairProg) Exec(st core.State) (core.Value, error) {
-	in, e := input{st: st}, tokens.NewAttrEval(p.p)
-	return execOne(st, func(x core.Value) (core.Value, error) { return p.at(&in, &e, x) })
-}
-
-// ExecSeq reads R0 and binds p once for all the prefixes.
-func (p endPairProg) ExecSeq(st core.State, v string, xs []core.Value) ([]core.Value, error) {
-	in, e := input{st: st}, tokens.NewAttrEval(p.p)
-	return sweep(p, st, v, xs, func(x core.Value) (core.Value, error) { return p.at(&in, &e, x) })
-}
-
-// at evaluates the body on the end position xv, with p bound in e.
-func (p endPairProg) at(in *input, e *tokens.AttrEval, xv core.Value) (core.Value, error) {
-	x, err := asPos(xv)
-	if err != nil {
-		return nil, err
-	}
-	r0, err := in.region()
-	if err != nil {
-		return nil, err
-	}
-	if x < r0.Start || x > r0.End {
-		return nil, core.ErrNoMatch
-	}
-	k, err := e.Eval(r0.Doc.cache, r0.Start, x)
-	if err != nil {
-		return nil, err
-	}
-	return Region{Doc: r0.Doc, Start: r0.Start + k, End: x}, nil
-}
-
-func (p endPairProg) String() string {
-	return fmt.Sprintf("Pair(Pos(R0[:x], %s), x)", p.p)
-}
-
-// regionPairProg is the N2 region program Pair(Pos(R0, p1), Pos(R0, p2)).
-type regionPairProg struct {
-	p1, p2 tokens.Attr
-}
-
-func (p regionPairProg) Exec(st core.State) (core.Value, error) {
-	r0, err := inputRegion(st)
-	if err != nil {
-		return nil, err
-	}
-	a, err := r0.Doc.cache.EvalAttr(r0.Start, r0.End, p.p1)
-	if err != nil {
-		return nil, err
-	}
-	b, err := r0.Doc.cache.EvalAttr(r0.Start, r0.End, p.p2)
-	if err != nil {
-		return nil, err
-	}
-	if a > b {
-		return nil, core.ErrNoMatch
-	}
-	return Region{Doc: r0.Doc, Start: r0.Start + a, End: r0.Start + b}, nil
-}
-
-func (p regionPairProg) String() string {
-	return fmt.Sprintf("Pair(Pos(R0, %s), Pos(R0, %s))", p.p1, p.p2)
-}
 
 // predKind enumerates the line predicate forms of Fig. 7.
 type predKind int
@@ -488,15 +262,15 @@ func (p linePred) Exec(st core.State) (core.Value, error) {
 	if p.kind == predTrue {
 		return true, nil
 	}
-	nb, count := neighbours{in: input{st: st}}, tokens.NewCountEval(p.r)
-	return execOne(st, func(x core.Value) (core.Value, error) { return p.at(&nb, &count, x) })
+	nb, count := neighbours{st: st}, tokens.NewCountEval(p.r)
+	return poslang.ExecOne(st, func(x core.Value) (core.Value, error) { return p.at(&nb, &count, x) })
 }
 
 // ExecSeq binds the Contains regex once, and the neighbour forms read R0's
 // lines once and walk a cursor down them.
 func (p linePred) ExecSeq(st core.State, v string, xs []core.Value) ([]core.Value, error) {
-	nb, count := neighbours{in: input{st: st}}, tokens.NewCountEval(p.r)
-	return sweep(p, st, v, xs, func(x core.Value) (core.Value, error) { return p.at(&nb, &count, x) })
+	nb, count := neighbours{st: st}, tokens.NewCountEval(p.r)
+	return poslang.Sweep(p, st, v, xs, func(x core.Value) (core.Value, error) { return p.at(&nb, &count, x) })
 }
 
 // at evaluates the predicate on the line xv, with R0's lines in nb and the
@@ -534,7 +308,8 @@ func (p linePred) at(nb *neighbours, count *tokens.CountEval, xv core.Value) (co
 // first use. It looks for each line just after the last one found, so
 // lines taken in order cost O(1) each; any other is binary-searched.
 type neighbours struct {
-	in    input
+	st    core.State
+	read  bool
 	lines []Region
 	next  int
 }
@@ -542,8 +317,9 @@ type neighbours struct {
 // of returns the line d lines away from x within R0 (d is -1 or 1), and
 // false when x is not a line of R0 or has no such neighbour.
 func (nb *neighbours) of(x Region, d int) (Region, bool) {
-	if !nb.in.read {
-		if r0, err := nb.in.region(); err == nil {
+	if !nb.read {
+		nb.read = true
+		if r0, err := inputRegion(nb.st); err == nil {
 			nb.lines = linesIn(r0)
 		}
 	}
@@ -577,24 +353,11 @@ func (p linePred) String() string {
 
 // ---- ranking costs (see core.Coster) ----
 
-// Cost of a position sequence is the cost of its regex pair.
-func (p *posSeqProg) Cost() int { return p.rr.Cost() }
-
 // Cost of a line pair is the cost of its two position attributes.
 func (p linePairProg) Cost() int { return p.p1.Cost() + p.p2.Cost() }
 
 // Cost of a line position is the cost of its attribute.
 func (p linePosProg) Cost() int { return p.p.Cost() }
-
-// Cost carries a small bias so that line-structured extraction is
-// preferred over raw position pairing when both fit.
-func (p startPairProg) Cost() int { return p.p.Cost() + 1 }
-
-// Cost carries the same bias as startPairProg.
-func (p endPairProg) Cost() int { return p.p.Cost() + 1 }
-
-// Cost of a region pair is the cost of its two position attributes.
-func (p regionPairProg) Cost() int { return p.p1.Cost() + p.p2.Cost() }
 
 // Cost ranks self-inspecting predicates before neighbor-based ones,
 // penalizes dynamic tokens (which overfit easily in predicates) and large

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"flashextract/internal/core"
+	"flashextract/internal/poslang"
 	"flashextract/internal/tokens"
 )
 
@@ -17,58 +18,14 @@ func (splitLinesProg) EncodeProgram() (core.ProgramSpec, error) {
 	return core.ProgramSpec{Op: "text.split"}, nil
 }
 
-// EncodeProgram serializes PosSeq(R0, rr).
-func (p *posSeqProg) EncodeProgram() (core.ProgramSpec, error) {
-	rr, err := tokens.MarshalRegexPair(p.rr)
-	if err != nil {
-		return core.ProgramSpec{}, err
-	}
-	return core.ProgramSpec{Op: "text.posSeq", Attrs: map[string]string{"rr": rr}}, nil
-}
-
-func attrPairSpec(op string, p1, p2 tokens.Attr) (core.ProgramSpec, error) {
-	a1, err := tokens.MarshalAttr(p1)
-	if err != nil {
-		return core.ProgramSpec{}, err
-	}
-	a2, err := tokens.MarshalAttr(p2)
-	if err != nil {
-		return core.ProgramSpec{}, err
-	}
-	return core.ProgramSpec{Op: op, Attrs: map[string]string{"p1": a1, "p2": a2}}, nil
-}
-
-func attrSpec(op string, p tokens.Attr) (core.ProgramSpec, error) {
-	a, err := tokens.MarshalAttr(p)
-	if err != nil {
-		return core.ProgramSpec{}, err
-	}
-	return core.ProgramSpec{Op: op, Attrs: map[string]string{"p": a}}, nil
-}
-
 // EncodeProgram serializes the LinesMap pair function.
 func (p linePairProg) EncodeProgram() (core.ProgramSpec, error) {
-	return attrPairSpec("text.linePair", p.p1, p.p2)
+	return poslang.AttrPairSpec("text.linePair", p.p1, p.p2)
 }
 
 // EncodeProgram serializes the LinesMap position function.
 func (p linePosProg) EncodeProgram() (core.ProgramSpec, error) {
-	return attrSpec("text.linePos", p.p)
-}
-
-// EncodeProgram serializes the StartSeqMap pair function.
-func (p startPairProg) EncodeProgram() (core.ProgramSpec, error) {
-	return attrSpec("text.startPair", p.p)
-}
-
-// EncodeProgram serializes the EndSeqMap pair function.
-func (p endPairProg) EncodeProgram() (core.ProgramSpec, error) {
-	return attrSpec("text.endPair", p.p)
-}
-
-// EncodeProgram serializes the N2 region pair.
-func (p regionPairProg) EncodeProgram() (core.ProgramSpec, error) {
-	return attrPairSpec("text.regionPair", p.p1, p.p2)
+	return poslang.AttrSpec("text.linePos", p.p)
 }
 
 // EncodeProgram serializes a line predicate.
@@ -91,41 +48,24 @@ func (p linePred) EncodeProgram() (core.ProgramSpec, error) {
 // DecodeLeaf implements engine.ProgramCodec: it reconstructs Ltext leaf
 // programs.
 func (*lang) DecodeLeaf(spec core.ProgramSpec) (core.Program, error) {
+	if p, ok, err := poslang.Text.Decode(spec); ok {
+		return p, err
+	}
 	switch spec.Op {
 	case "text.split":
 		return splitLines, nil
-	case "text.posSeq":
-		rr, err := tokens.UnmarshalRegexPair(spec.Attrs["rr"])
+	case "text.linePair":
+		as, err := poslang.SpecAttrs(spec, "p1", "p2")
 		if err != nil {
 			return nil, err
 		}
-		return &posSeqProg{rr: rr}, nil
-	case "text.linePair", "text.regionPair":
-		p1, err := tokens.UnmarshalAttr(spec.Attrs["p1"])
+		return linePairProg{p1: as[0], p2: as[1]}, nil
+	case "text.linePos":
+		as, err := poslang.SpecAttrs(spec, "p")
 		if err != nil {
 			return nil, err
 		}
-		p2, err := tokens.UnmarshalAttr(spec.Attrs["p2"])
-		if err != nil {
-			return nil, err
-		}
-		if spec.Op == "text.linePair" {
-			return linePairProg{p1: p1, p2: p2}, nil
-		}
-		return regionPairProg{p1: p1, p2: p2}, nil
-	case "text.linePos", "text.startPair", "text.endPair":
-		p, err := tokens.UnmarshalAttr(spec.Attrs["p"])
-		if err != nil {
-			return nil, err
-		}
-		switch spec.Op {
-		case "text.linePos":
-			return linePosProg{p: p}, nil
-		case "text.startPair":
-			return startPairProg{p: p}, nil
-		default:
-			return endPairProg{p: p}, nil
-		}
+		return linePosProg{p: as[0]}, nil
 	case "text.pred":
 		kind, err := strconv.Atoi(spec.Attrs["kind"])
 		if err != nil {

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"flashextract/internal/core"
+	"flashextract/internal/poslang"
+	"flashextract/internal/region"
 	"flashextract/internal/tokens"
 )
 
@@ -122,14 +124,16 @@ func LearnLinePairs(whole Region, ys []Region) []core.Program {
 	lines := linesIn(whole)
 	st := core.NewState(whole)
 	var exs []core.Example
+	var boundary []region.Region
 	for _, y := range ys {
 		line, ok := lineContaining(lines, y.Start, y.End)
 		if !ok {
 			return nil
 		}
 		exs = append(exs, core.Example{State: st.Bind(lambdaVar, line), Output: y})
+		boundary = append(boundary, y)
 	}
-	return newLearnCtx(whole.Doc, ys).learnLinePair(context.Background(), exs)
+	return newLearnCtx(whole.Doc, boundary).learnLinePair(context.Background(), exs)
 }
 
 // TestSweepsAnyOrder runs every λ-body form over lines or positions in
@@ -158,10 +162,10 @@ func TestSweepsAnyOrder(t *testing.T) {
 		linePosProg{p: tokens.AbsPos{K: 3}},
 	}
 	posBodies := []core.Program{
-		startPairProg{p: num},
-		startPairProg{p: lineEnd},
-		endPairProg{p: lastComma},
-		endPairProg{p: tokens.RegPos{RR: tokens.RegexPair{Right: tokens.Regex{tokens.Lower}}, K: 2}},
+		poslang.Text.StartPair(num),
+		poslang.Text.StartPair(lineEnd),
+		poslang.Text.EndPair(lastComma),
+		poslang.Text.EndPair(tokens.RegPos{RR: tokens.RegexPair{Right: tokens.Regex{tokens.Lower}}, K: 2}),
 	}
 	var preds []core.Program
 	for _, kind := range []predKind{predTrue, predStartsWith, predEndsWith, predContains,

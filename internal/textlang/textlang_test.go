@@ -9,6 +9,7 @@ import (
 
 	"flashextract/internal/core"
 	"flashextract/internal/engine"
+	"flashextract/internal/poslang"
 	"flashextract/internal/region"
 	"flashextract/internal/tokens"
 )
@@ -505,7 +506,7 @@ func TestPosSeqProgExec(t *testing.T) {
 	// Evaluate on a sub-region to check the absolute-offset conversion.
 	sub := d.Region(3, 8) // "b2 c3"
 	st := core.NewState(sub)
-	p := &posSeqProg{rr: tokens.RegexPair{Left: tokens.Regex{tokens.Number}}}
+	p := poslang.Text.PosSeq(tokens.RegexPair{Left: tokens.Regex{tokens.Number}})
 	v, err := p.Exec(st)
 	if err != nil {
 		t.Fatal(err)
@@ -540,7 +541,7 @@ func TestLinePredSubjectMissingNeighbor(t *testing.T) {
 func TestRegionPairProgRejectsInvertedPositions(t *testing.T) {
 	d := NewDocument("abc")
 	st := core.NewState(d.WholeRegion().(Region))
-	p := regionPairProg{p1: tokens.AbsPos{K: 2}, p2: tokens.AbsPos{K: 1}}
+	p := poslang.Text.RegionPair(tokens.AbsPos{K: 2}, tokens.AbsPos{K: 1})
 	if _, err := p.Exec(st); err == nil {
 		t.Fatal("inverted positions should fail")
 	}

@@ -2,16 +2,19 @@
 // for webpages (Fig. 8 of the paper), together with its learners. A leaf
 // region is either an HTML node or a pair of character positions within
 // the document's text content; node sequences are selected by learned
-// XPath expressions (wrapper induction), and intra-node substrings reuse
-// the token/regex position machinery of the text instantiation.
+// XPath expressions (wrapper induction), and spans come from position
+// programs: the node-span pair of SeqPairMap here, and the position
+// sublanguage Lweb shares with Ltext, package poslang.
 package weblang
 
 import (
 	"fmt"
 	"strings"
 
+	"flashextract/internal/core"
 	"flashextract/internal/engine"
 	"flashextract/internal/htmldom"
+	"flashextract/internal/poslang"
 	"flashextract/internal/region"
 	"flashextract/internal/tokens"
 )
@@ -107,7 +110,10 @@ type NodeRegion struct {
 	Node *htmldom.Node
 }
 
-var _ region.Region = NodeRegion{}
+var (
+	_ region.Region  = NodeRegion{}
+	_ poslang.Region = NodeRegion{}
+)
 
 // textRange returns the global text range of any weblang region.
 func textRange(r region.Region) (doc *Document, lo, hi int, ok bool) {
@@ -177,6 +183,16 @@ func (r NodeRegion) String() string {
 	return fmt.Sprintf("<%s #%d>", r.Node.Tag, r.Node.Index)
 }
 
+// Cache returns the document's evaluation cache. With TextRange and Sub,
+// it is how the position sublanguage reads a node (poslang.Region).
+func (r NodeRegion) Cache() *tokens.Cache { return r.Doc.cache }
+
+// TextRange returns the range of the node's text content.
+func (r NodeRegion) TextRange() (lo, hi int) { return r.Node.TextStart, r.Node.TextEnd }
+
+// Sub returns the span [lo, hi) of the document's text.
+func (r NodeRegion) Sub(lo, hi int) core.Value { return SpanRegion{Doc: r.Doc, Start: lo, End: hi} }
+
 // SpanRegion is a region denoting a pair of character positions within the
 // document's global text content.
 type SpanRegion struct {
@@ -184,7 +200,10 @@ type SpanRegion struct {
 	Start, End int
 }
 
-var _ region.Region = SpanRegion{}
+var (
+	_ region.Region  = SpanRegion{}
+	_ poslang.Region = SpanRegion{}
+)
 
 // Contains reports range nesting.
 func (r SpanRegion) Contains(other region.Region) bool {
@@ -234,6 +253,16 @@ func (r SpanRegion) SourceSpan() region.SourceSpan {
 }
 
 func (r SpanRegion) String() string { return fmt.Sprintf("txt[%d,%d)", r.Start, r.End) }
+
+// Cache returns the document's evaluation cache. With TextRange and Sub,
+// it is how the position sublanguage reads a span (poslang.Region).
+func (r SpanRegion) Cache() *tokens.Cache { return r.Doc.cache }
+
+// TextRange returns [Start, End).
+func (r SpanRegion) TextRange() (lo, hi int) { return r.Start, r.End }
+
+// Sub returns the span [lo, hi) of the document's text.
+func (r SpanRegion) Sub(lo, hi int) core.Value { return SpanRegion{Doc: r.Doc, Start: lo, End: hi} }
 
 // deepestNodeContaining returns the deepest element node whose text range
 // contains [lo, hi).

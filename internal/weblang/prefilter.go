@@ -22,24 +22,3 @@ func (p xpathRegionProg) AdmissionCond() prefilter.Cond {
 func (p nodeSpanPairProg) AdmissionCond() prefilter.Cond {
 	return prefilter.And(prefilter.CondAttrHTML(p.p1), prefilter.CondAttrHTML(p.p2))
 }
-
-// AdmissionCond: a PosSeq position requires its regex pair to match the
-// text content.
-func (p *posSeqProg) AdmissionCond() prefilter.Cond {
-	return prefilter.CondRegexPairHTML(p.rr)
-}
-
-// AdmissionCond: the end attribute must evaluate on the text suffix.
-func (p startPairProg) AdmissionCond() prefilter.Cond {
-	return prefilter.CondAttrHTML(p.p)
-}
-
-// AdmissionCond: the start attribute must evaluate on the text prefix.
-func (p endPairProg) AdmissionCond() prefilter.Cond {
-	return prefilter.CondAttrHTML(p.p)
-}
-
-// AdmissionCond: both span attributes must evaluate on the text.
-func (p spanPairProg) AdmissionCond() prefilter.Cond {
-	return prefilter.And(prefilter.CondAttrHTML(p.p1), prefilter.CondAttrHTML(p.p2))
-}

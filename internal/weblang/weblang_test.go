@@ -9,7 +9,9 @@ import (
 	"flashextract/internal/core"
 	"flashextract/internal/engine"
 	"flashextract/internal/htmldom"
+	"flashextract/internal/poslang"
 	"flashextract/internal/region"
+	"flashextract/internal/tokens"
 )
 
 // scholarPage mirrors the paper's Ex. 2: a publication list where each
@@ -427,6 +429,34 @@ func TestSeqProgramsRejectSpanInput(t *testing.T) {
 		if out, err := engine.ExtractSeq(p, span); err == nil {
 			t.Fatalf("program %s ran on span %s: %v", p, span, regionValues(out))
 		}
+	}
+}
+
+// TestPosSeqRefusesSpanInput pins how Lweb's PosSeq reads R0: over a
+// node's text content, never over a span. Run on a span R0 it fails, as
+// XPaths does, and learned from one it learns nothing, so that a web
+// sequence program runs and is learned under nodes only.
+func TestPosSeqRefusesSpanInput(t *testing.T) {
+	d := MustNewDocument(shopPage)
+	node := d.WholeRegion()
+	span := mustSpan(t, d, "GadgetSale: $19.50 USD")
+	price := mustSpan(t, d, "19.50").Start
+	p := poslang.Web.PosSeq(tokens.RegexPair{Right: tokens.Regex{tokens.Number}})
+	if v, err := p.Exec(core.NewState(node)); err != nil || len(v.([]core.Value)) == 0 {
+		t.Fatalf("%s on the page: %v, %v", p, v, err)
+	}
+	if v, err := p.Exec(core.NewState(span)); err == nil {
+		t.Fatalf("%s ran on span %s: %v", p, span, v)
+	}
+	ps := poslang.Web.NewLearner(d.cache, nil).PS()
+	learn := func(r0 region.Region) []core.Program {
+		return ps(context.Background(), []core.SeqExample{{State: core.NewState(r0), Positive: []core.Value{price}}})
+	}
+	if got := learn(node); len(got) == 0 {
+		t.Fatal("no PS program learned on the page")
+	}
+	if got := learn(span); len(got) != 0 {
+		t.Fatalf("learned %d PS programs on span %s, first %s", len(got), span, got[0])
 	}
 }
 
