@@ -33,6 +33,7 @@ race:
 # so a broken learner or parser invariant fails fast in `make test`.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzTextLearn -fuzztime $(FUZZTIME) ./internal/textlang
+	$(GO) test -run NONE -fuzz FuzzPosBodies -fuzztime $(FUZZTIME) ./internal/poslang
 	$(GO) test -run NONE -fuzz FuzzXPathLearn -fuzztime $(FUZZTIME) ./internal/xpath
 	$(GO) test -run NONE -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/schema
 	$(GO) test -run NONE -fuzz FuzzSchemaParse -fuzztime $(FUZZTIME) ./internal/schema
@@ -86,12 +87,15 @@ bench-interactive:
 # domain's corpus (TestBatchRecordDigests); replay_program_digests.txt and
 # replay_cond_digests.txt, the SHA-256 of each field's final program of
 # the ⊥-relative §6 replay and of its prefilter condition
-# (TestReplayDigests); and web_explored_counts.txt, the candidates a cold
-# synthesis explores on each web task (TestWebExploredCounts). Regenerate
-# them only with a change that means to alter what synthesis learns or
-# what a program extracts.
+# (TestReplayDigests); web_explored_counts.txt, the candidates a cold
+# synthesis explores on each web task (TestWebExploredCounts); and
+# ranked_digests.txt, the length and SHA-256 of the whole ranked list
+# ⊥-relative synthesis returns for every text and web field from its
+# first 1, 2 and 3 golden instances (TestRankedDigests). Regenerate them
+# only with a change that means to alter what synthesis learns or what a
+# program extracts.
 program-digests:
-	$(GO) test ./internal/bench -run '^(TestSavedProgramDigests|TestBatchRecordDigests|TestReplayDigests|TestWebExploredCounts)$$' -count 1 -update
+	$(GO) test ./internal/bench -run '^(TestSavedProgramDigests|TestBatchRecordDigests|TestReplayDigests|TestWebExploredCounts|TestRankedDigests)$$' -count 1 -update
 
 # trace-smoke stands up `flashextract batch -admin`, curls /healthz,
 # /metrics, /trace/last, and /debug/pprof, regex-asserts the Prometheus

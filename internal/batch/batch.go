@@ -42,7 +42,6 @@ import (
 	"flashextract/internal/prefilter"
 	"flashextract/internal/provenance"
 	"flashextract/internal/reqid"
-	"flashextract/internal/sheet"
 	"flashextract/internal/sheetlang"
 	"flashextract/internal/textlang"
 	"flashextract/internal/trace"
@@ -900,15 +899,11 @@ func writeRecord(out io.Writer, rec Record) error {
 func LanguageFor(docType string) (engine.Language, error) {
 	switch docType {
 	case "text":
-		return textlang.NewDocument("").Language(), nil
+		return textlang.Language(), nil
 	case "web":
-		d, err := weblang.NewDocument("<html></html>")
-		if err != nil {
-			return nil, err
-		}
-		return d.Language(), nil
+		return weblang.Language(), nil
 	case "sheet":
-		return sheetlang.NewDocument(sheet.New(0, 0)).Language(), nil
+		return sheetlang.Language(), nil
 	default:
 		return nil, fmt.Errorf("batch: unknown document type %q (want text, web, or sheet)", docType)
 	}

@@ -22,6 +22,7 @@ import (
 	"flashextract/internal/schema"
 	"flashextract/internal/sheetlang"
 	"flashextract/internal/textlang"
+	"flashextract/internal/weblang"
 )
 
 // learnTextProgram learns the chair-inventory program of the CLI tests and
@@ -440,6 +441,26 @@ func TestProgramSourceOncePerRun(t *testing.T) {
 		if got != want {
 			t.Errorf("%d workers: records differ from the deserialized program's:\n%s\nwant:\n%s", workers, got, want)
 		}
+	}
+}
+
+// TestLanguageForIsTheDocumentsLanguage: LanguageFor returns, without
+// opening a document, the language every document of its type returns,
+// and refuses an unknown type.
+func TestLanguageForIsTheDocumentsLanguage(t *testing.T) {
+	docs := map[string]engine.Document{
+		"text":  textlang.NewDocument("a\n"),
+		"web":   weblang.MustNewDocument("<p>a</p>"),
+		"sheet": sheetlang.MustFromCSV("a,1\n"),
+	}
+	for docType, doc := range docs {
+		lang, err := batch.LanguageFor(docType)
+		if err != nil || lang != doc.Language() {
+			t.Errorf("LanguageFor(%q) = %v, %v; the document's language is %v", docType, lang, err, doc.Language())
+		}
+	}
+	if lang, err := batch.LanguageFor("pdf"); err == nil {
+		t.Errorf("LanguageFor(\"pdf\") = %v", lang)
 	}
 }
 

@@ -63,10 +63,10 @@ func (l *Learner) Attrs(ctx context.Context, exs []tokens.PosExample) []tokens.A
 	return as
 }
 
-// TracePair runs a pair learner in a "pair" trace span of the given form,
+// tracePair runs a pair learner in a "pair" trace span of the given form,
 // which records how many examples it learned from and how many programs
 // it returned.
-func TracePair(form string, learn core.ScalarLearner) core.ScalarLearner {
+func tracePair(form string, learn core.ScalarLearner) core.ScalarLearner {
 	return func(ctx context.Context, exs []core.Example) (out []core.Program) {
 		ctx, sp := trace.Start(ctx, "pair")
 		if sp != nil {
@@ -90,23 +90,45 @@ func (d Dialect) SynthesizeRegion(ctx context.Context, exs []engine.RegionExampl
 	}
 	var c *tokens.Cache
 	var boundary []region.Region
-	var coreExs []core.Example
-	var sExs, eExs []tokens.PosExample
-	for _, ex := range exs {
+	coreExs := make([]core.Example, len(exs))
+	for i, ex := range exs {
 		in, ok := ex.Input.(Region)
-		_, ylo, yhi, span := spanOf(ex.Output)
-		if !ok || !span || !ex.Input.Contains(ex.Output) {
+		if _, _, _, span := spanOf(ex.Output); !ok || !span || !ex.Input.Contains(ex.Output) {
 			return nil
 		}
 		c = in.Cache()
-		lo, hi := in.TextRange()
 		boundary = append(boundary, ex.Output)
-		coreExs = append(coreExs, core.Example{State: core.NewState(ex.Input), Output: ex.Output})
-		sExs = append(sExs, tokens.PosExample{S: c.Text()[lo:hi], K: ylo - lo, C: c, Lo: lo})
-		eExs = append(eExs, tokens.PosExample{S: c.Text()[lo:hi], K: yhi - lo, C: c, Lo: lo})
+		coreExs[i] = core.Example{State: core.NewState(ex.Input), Output: ex.Output}
 	}
 	l := d.NewLearner(c, boundary)
-	n2 := TracePair("region", func(ctx context.Context, _ []core.Example) (out []core.Program) {
+	return core.SynthesizeRegionProg(ctx, tracePair("region", l.learnPair(false)), coreExs)
+}
+
+// XPair learns λx: Pair(Pos(x, p1), Pos(x, p2)), the body of Ltext's
+// LinesMap and Lweb's SeqPairMap, from examples that bind x to a line or
+// a node and output a span within it, in a "pair" trace span of form
+// "line" or "node".
+func (l *Learner) XPair(ctx context.Context, exs []core.Example) []core.Program {
+	_, form := l.d.x()
+	return tracePair(form, l.learnPair(true))(ctx, exs)
+}
+
+// learnPair learns Pair(Pos(r, p1), Pos(r, p2)) from examples that
+// output a span within r: R0, or with x the region each example binds to
+// x. It crosses the start attributes with the end attributes, polling the
+// budget before each start attribute.
+func (l *Learner) learnPair(x bool) core.ScalarLearner {
+	return func(ctx context.Context, exs []core.Example) (out []core.Program) {
+		var sExs, eExs []tokens.PosExample
+		for _, ex := range exs {
+			r, err := l.d.region(ex.State, x)
+			y, ylo, yhi, span := spanOf(ex.Output)
+			if err != nil || !span || !within(r, y, ylo, yhi) {
+				return nil
+			}
+			sExs = append(sExs, posExample(r, ylo))
+			eExs = append(eExs, posExample(r, yhi))
+		}
 		p1s, p2s := l.Attrs(ctx, sExs), l.Attrs(ctx, eExs)
 		bud := core.BudgetFrom(ctx)
 		for _, p1 := range p1s {
@@ -114,12 +136,45 @@ func (d Dialect) SynthesizeRegion(ctx context.Context, exs []engine.RegionExampl
 				break
 			}
 			for _, p2 := range p2s {
-				out = append(out, regionPairProg{d: d, p1: p1, p2: p2})
+				out = append(out, pairProg{d: l.d, p1: p1, p2: p2, x: x})
 			}
 		}
 		return out
-	})
-	return core.SynthesizeRegionProg(ctx, n2, coreExs)
+	}
+}
+
+// XPos learns λx: Pos(x, p), the body of the LinesMap rule of Ltext's PS,
+// from examples that bind x to a line and output a position within it.
+func (l *Learner) XPos(ctx context.Context, exs []core.Example) []core.Program {
+	var pexs []tokens.PosExample
+	for _, ex := range exs {
+		x, err := l.d.region(ex.State, true)
+		k, ok := ex.Output.(int)
+		if err != nil || !ok || !within(x, x, k, k) {
+			return nil
+		}
+		pexs = append(pexs, posExample(x, k))
+	}
+	attrs := l.Attrs(ctx, pexs)
+	out := make([]core.Program, len(attrs))
+	for i, p := range attrs {
+		out[i] = posProg{d: l.d, p: p}
+	}
+	return out
+}
+
+// within reports whether [lo, hi) in y's document lies in r.
+func within(r, y Region, lo, hi int) bool {
+	rlo, rhi := r.TextRange()
+	return y.Cache() == r.Cache() && rlo <= lo && hi <= rhi
+}
+
+// posExample is the example of a position attribute that finds the
+// absolute position k in r's text.
+func posExample(r Region, k int) tokens.PosExample {
+	c := r.Cache()
+	lo, hi := r.TextRange()
+	return tokens.PosExample{S: c.Text()[lo:hi], K: k - lo, C: c, Lo: lo}
 }
 
 // PS is the learner of PS ::= FilterInt(init, iter, PosSeq(R0, rr)).
@@ -176,7 +231,7 @@ func (l *Learner) seqMap(name, form string, end bool, ps core.SeqLearner) core.M
 	return core.MapOp{
 		Name: name,
 		Var:  X,
-		F:    TracePair(form, l.learnSeqPair(end)),
+		F:    tracePair(form, l.learnSeqPair(end)),
 		S:    ps,
 		Decompose: func(_ core.State, y []core.Value) ([]core.Value, error) {
 			out := make([]core.Value, len(y))

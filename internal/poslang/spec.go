@@ -20,42 +20,42 @@ func (p *posSeqProg) EncodeProgram() (core.ProgramSpec, error) {
 // EncodeProgram serializes the StartSeqMap or EndSeqMap pair function.
 func (p seqPairProg) EncodeProgram() (core.ProgramSpec, error) {
 	if p.end {
-		return AttrSpec(p.d.op("endPair"), p.p)
+		return attrSpec(p.d.op("endPair"), []string{"p"}, p.p)
 	}
-	return AttrSpec(p.d.op("startPair"), p.p)
+	return attrSpec(p.d.op("startPair"), []string{"p"}, p.p)
 }
 
-// EncodeProgram serializes the N2 region pair.
-func (p regionPairProg) EncodeProgram() (core.ProgramSpec, error) {
-	return AttrPairSpec(p.d.op("regionPair"), p.p1, p.p2)
+// EncodeProgram serializes the N2 region pair or the pair over x.
+func (p pairProg) EncodeProgram() (core.ProgramSpec, error) {
+	op := p.d.op("regionPair")
+	if p.x {
+		op = p.d.op("linePair")
+	}
+	return attrSpec(op, []string{"p1", "p2"}, p.p1, p.p2)
 }
 
-// AttrSpec is the spec of the leaf op with the position attribute p.
-func AttrSpec(op string, p tokens.Attr) (core.ProgramSpec, error) {
-	a, err := tokens.MarshalAttr(p)
-	if err != nil {
-		return core.ProgramSpec{}, err
-	}
-	return core.ProgramSpec{Op: op, Attrs: map[string]string{"p": a}}, nil
+// EncodeProgram serializes the position over x.
+func (p posProg) EncodeProgram() (core.ProgramSpec, error) {
+	return attrSpec(p.d.op("linePos"), []string{"p"}, p.p)
 }
 
-// AttrPairSpec is the spec of the leaf op with the position attributes p1
-// and p2.
-func AttrPairSpec(op string, p1, p2 tokens.Attr) (core.ProgramSpec, error) {
-	a1, err := tokens.MarshalAttr(p1)
-	if err != nil {
-		return core.ProgramSpec{}, err
+// attrSpec is the spec of the leaf op with the position attributes as
+// under keys, in order.
+func attrSpec(op string, keys []string, as ...tokens.Attr) (core.ProgramSpec, error) {
+	spec := core.ProgramSpec{Op: op, Attrs: make(map[string]string, len(as))}
+	for i, a := range as {
+		m, err := tokens.MarshalAttr(a)
+		if err != nil {
+			return core.ProgramSpec{}, err
+		}
+		spec.Attrs[keys[i]] = m
 	}
-	a2, err := tokens.MarshalAttr(p2)
-	if err != nil {
-		return core.ProgramSpec{}, err
-	}
-	return core.ProgramSpec{Op: op, Attrs: map[string]string{"p1": a1, "p2": a2}}, nil
+	return spec, nil
 }
 
-// SpecAttrs decodes the position attributes a spec holds under keys, in
+// specAttrs decodes the position attributes a spec holds under keys, in
 // order.
-func SpecAttrs(spec core.ProgramSpec, keys ...string) ([]tokens.Attr, error) {
+func specAttrs(spec core.ProgramSpec, keys ...string) ([]tokens.Attr, error) {
 	out := make([]tokens.Attr, len(keys))
 	for i, k := range keys {
 		a, err := tokens.UnmarshalAttr(spec.Attrs[k])
@@ -78,17 +78,26 @@ func (d Dialect) Decode(spec core.ProgramSpec) (p core.Program, ok bool, err err
 		}
 		return d.PosSeq(rr), true, nil
 	case d.op("startPair"), d.op("endPair"):
-		as, err := SpecAttrs(spec, "p")
+		as, err := specAttrs(spec, "p")
 		if err != nil {
 			return nil, true, err
 		}
 		return seqPairProg{d: d, p: as[0], end: spec.Op == d.op("endPair")}, true, nil
-	case d.op("regionPair"):
-		as, err := SpecAttrs(spec, "p1", "p2")
+	case d.op("regionPair"), d.op("linePair"):
+		as, err := specAttrs(spec, "p1", "p2")
 		if err != nil {
 			return nil, true, err
 		}
-		return d.RegionPair(as[0], as[1]), true, nil
+		return pairProg{d: d, p1: as[0], p2: as[1], x: spec.Op == d.op("linePair")}, true, nil
+	case d.op("linePos"):
+		if d == Web {
+			break // Lweb has no λx: Pos(x, p)
+		}
+		as, err := specAttrs(spec, "p")
+		if err != nil {
+			return nil, true, err
+		}
+		return d.XPos(as[0]), true, nil
 	}
 	return nil, false, nil
 }

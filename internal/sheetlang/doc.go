@@ -21,7 +21,6 @@ import (
 // Document is a spreadsheet.
 type Document struct {
 	Grid *sheet.Grid
-	lang *lang
 
 	countsOnce sync.Once
 	counts     map[string]int // lazy cache of cell content frequencies
@@ -44,9 +43,7 @@ func (d *Document) contentCount(s string) int {
 
 // NewDocument wraps a grid.
 func NewDocument(g *sheet.Grid) *Document {
-	d := &Document{Grid: g}
-	d.lang = &lang{}
-	return d
+	return &Document{Grid: g}
 }
 
 // FromCSV loads a spreadsheet from CSV text.
@@ -72,8 +69,12 @@ func (d *Document) WholeRegion() region.Region {
 	return RectRegion{Doc: d, R1: 0, C1: 0, R2: d.Grid.Rows - 1, C2: d.Grid.Cols - 1}
 }
 
-// Language returns the Lsps DSL.
-func (d *Document) Language() engine.Language { return d.lang }
+// Language returns the Lsps DSL, Language().
+func (d *Document) Language() engine.Language { return Language() }
+
+// Language returns the Lsps DSL, which holds no state: every document
+// of the package shares it.
+func Language() engine.Language { return lang{} }
 
 // CellAt returns the cell region at (r, c).
 func (d *Document) CellAt(r, c int) CellRegion {

@@ -17,7 +17,7 @@ type lang struct{}
 
 // SynthesizeSeqRegion learns N1 programs (Fig. 9): a Merge of cell
 // sequences (CS) or of cell-pair sequences (PS).
-func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionExample) []core.Program {
+func (lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionExample) []core.Program {
 	if len(exs) == 0 {
 		return nil
 	}
@@ -48,7 +48,7 @@ func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionEx
 
 // SynthesizeRegion learns N2 programs: Cell(R0, c) for single cells and
 // Pair(Cell(R0,c1), Cell(R0,c2)) for rectangles.
-func (l *lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample) []core.Program {
+func (lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample) []core.Program {
 	if len(exs) == 0 {
 		return nil
 	}

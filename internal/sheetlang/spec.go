@@ -186,7 +186,7 @@ func (p cellPairProg) EncodeProgram() (core.ProgramSpec, error) {
 
 // DecodeLeaf implements engine.ProgramCodec: it reconstructs Lsps leaf
 // programs.
-func (*lang) DecodeLeaf(spec core.ProgramSpec) (core.Program, error) {
+func (lang) DecodeLeaf(spec core.ProgramSpec) (core.Program, error) {
 	switch spec.Op {
 	case "sheet.splitcells":
 		return splitCells, nil

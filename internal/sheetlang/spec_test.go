@@ -27,7 +27,7 @@ func roundTrip(p core.Program) ([]byte, core.Program, error) {
 
 func TestSeqProgramSerializationRoundTrip(t *testing.T) {
 	d := fundedDoc()
-	l := d.Language().(*lang)
+	l := d.Language().(lang)
 	progs := l.SynthesizeSeqRegion(context.Background(), []engine.SeqRegionExample{{
 		Input:    d.WholeRegion(),
 		Positive: []region.Region{d.CellAt(3, 2), d.CellAt(4, 2)},
@@ -49,7 +49,7 @@ func TestSeqProgramSerializationRoundTrip(t *testing.T) {
 
 func TestRecordProgramSerializationRoundTrip(t *testing.T) {
 	d := fundedDoc()
-	l := d.Language().(*lang)
+	l := d.Language().(lang)
 	progs := l.SynthesizeSeqRegion(context.Background(), []engine.SeqRegionExample{{
 		Input:    d.WholeRegion(),
 		Positive: []region.Region{d.Rect(3, 0, 3, 3), d.Rect(4, 0, 4, 3)},
@@ -69,7 +69,7 @@ func TestRecordProgramSerializationRoundTrip(t *testing.T) {
 
 func TestRegionProgramSerializationRoundTrip(t *testing.T) {
 	d := fundedDoc()
-	l := d.Language().(*lang)
+	l := d.Language().(lang)
 	for name, ex := range map[string]engine.RegionExample{
 		"cell": {Input: d.Rect(3, 0, 3, 3), Output: d.CellAt(3, 2)},
 		"rect": {Input: d.WholeRegion(), Output: d.Rect(2, 0, 5, 3)},

@@ -60,7 +60,7 @@ func TestCachedExecMatchesDirect(t *testing.T) {
 func TestSynthesisDeterministicWithWarmCache(t *testing.T) {
 	const text = "name: alice\nrole: admin\nname: bob\nrole: user\nname: carol\n"
 	run := func(d *Document) []string {
-		lang := d.lang
+		lang := d.Language()
 		a, _ := d.FindRegion("alice", 0)
 		b, _ := d.FindRegion("bob", 0)
 		progs := lang.SynthesizeSeqRegion(context.Background(), []engine.SeqRegionExample{{

@@ -24,7 +24,6 @@ import (
 type Document struct {
 	// Text is the full file content.
 	Text string
-	lang *lang
 
 	// lines holds the whole file's lines (linesIn), split on first use.
 	linesOnce sync.Once
@@ -38,10 +37,7 @@ type Document struct {
 
 // NewDocument creates a text document.
 func NewDocument(text string) *Document {
-	d := &Document{Text: text}
-	d.lang = &lang{}
-	d.cache = tokens.NewCache(text)
-	return d
+	return &Document{Text: text, cache: tokens.NewCache(text)}
 }
 
 // EvalCache returns the document's evaluation cache.
@@ -58,8 +54,12 @@ func (d *Document) WholeRegion() region.Region {
 	return Region{Doc: d, Start: 0, End: len(d.Text)}
 }
 
-// Language returns the Ltext DSL.
-func (d *Document) Language() engine.Language { return d.lang }
+// Language returns the Ltext DSL, Language().
+func (d *Document) Language() engine.Language { return Language() }
+
+// Language returns the Ltext DSL, which holds no state: every document
+// of the package shares it.
+func Language() engine.Language { return lang{} }
 
 // Region returns the region of d spanning [start, end). It panics on an
 // invalid range.

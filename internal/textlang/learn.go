@@ -49,7 +49,7 @@ func newLearnCtx(doc *Document, boundary []region.Region) *learnCtx {
 
 // SynthesizeSeqRegion learns N1 programs (Fig. 7): a Merge of pair
 // sequence expressions.
-func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionExample) []core.Program {
+func (lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionExample) []core.Program {
 	if len(exs) == 0 {
 		return nil
 	}
@@ -87,7 +87,7 @@ func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionEx
 }
 
 // SynthesizeRegion learns N2 programs: Pair(Pos(R0, p1), Pos(R0, p2)).
-func (l *lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample) []core.Program {
+func (lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample) []core.Program {
 	return poslang.Text.SynthesizeRegion(ctx, exs)
 }
 
@@ -96,18 +96,21 @@ func (l *lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample)
 // learnSS returns the learner for the pair-sequence non-terminal SS.
 func (c *learnCtx) learnSS() core.SeqLearner {
 	return core.UnionLearners(
-		c.linesMapOp().Learn,
+		c.linesMap(c.pos.XPair).Learn,
 		c.pos.StartSeqMap(c.learnPS()).Learn,
 		c.pos.EndSeqMap(c.learnPS()).Learn,
 	)
 }
 
-// linesMapOp is SS ::= LinesMap(λx: Pair(Pos(x,p1), Pos(x,p2)), LS).
-func (c *learnCtx) linesMapOp() core.MapOp {
+// linesMap is LinesMap(λx: F, LS), where f learns the body F: in SS the
+// pair λx: Pair(Pos(x,p1), Pos(x,p2)) and in PS the position λx: Pos(x,p).
+// Its witness of each output, a region or a position, is the line of R0
+// that holds it.
+func (c *learnCtx) linesMap(f core.ScalarLearner) core.MapOp {
 	return core.MapOp{
 		Name: "LinesMap",
-		Var:  lambdaVar,
-		F:    poslang.TracePair("line", c.learnLinePair),
+		Var:  poslang.X,
+		F:    f,
 		S:    c.learnLS(),
 		Decompose: func(st core.State, y []core.Value) ([]core.Value, error) {
 			r0, err := inputRegion(st)
@@ -117,11 +120,16 @@ func (c *learnCtx) linesMapOp() core.MapOp {
 			lines := linesIn(r0)
 			out := make([]core.Value, len(y))
 			for i, v := range y {
-				yr, ok := v.(Region)
-				if !ok {
-					return nil, fmt.Errorf("textlang: LinesMap output is %T, want region", v)
+				var lo, hi int
+				switch v := v.(type) {
+				case Region:
+					lo, hi = v.Start, v.End
+				case int:
+					lo, hi = v, v
+				default:
+					return nil, fmt.Errorf("textlang: LinesMap output is %T, want a region or a position", v)
 				}
-				line, ok := lineContaining(lines, yr.Start, yr.End)
+				line, ok := lineContaining(lines, lo, hi)
 				if !ok {
 					return nil, core.ErrNoMatch
 				}
@@ -142,7 +150,7 @@ func (c *learnCtx) linesMapOp() core.MapOp {
 // replayed.
 func (c *learnCtx) learnLS() core.SeqLearner {
 	inner := core.FilterBoolOp{
-		Var: lambdaVar,
+		Var: poslang.X,
 		B:   c.learnPred,
 		S:   learnSplit,
 	}
@@ -239,83 +247,7 @@ func learnSplit(_ context.Context, exs []core.SeqExample) []core.Program {
 //
 //	| FilterInt(init, iter, PosSeq(R0, rr)).
 func (c *learnCtx) learnPS() core.SeqLearner {
-	linesMap := core.MapOp{
-		Name: "LinesMap",
-		Var:  lambdaVar,
-		F:    c.learnLinePos,
-		S:    c.learnLS(),
-		Decompose: func(st core.State, y []core.Value) ([]core.Value, error) {
-			r0, err := inputRegion(st)
-			if err != nil {
-				return nil, err
-			}
-			lines := linesIn(r0)
-			out := make([]core.Value, len(y))
-			for i, v := range y {
-				k, ok := v.(int)
-				if !ok {
-					return nil, fmt.Errorf("textlang: position sequence output is %T, want int", v)
-				}
-				line, ok := lineContaining(lines, k, k)
-				if !ok {
-					return nil, core.ErrNoMatch
-				}
-				out[i] = line
-			}
-			return out, nil
-		},
-	}
-	return core.UnionLearners(c.pos.PS(), linesMap.Learn)
-}
-
-// ---- scalar learners for the map functions ----
-
-// learnLinePair learns λx: Pair(Pos(x,p1), Pos(x,p2)) from examples that
-// bind x to a line and output a region within that line.
-func (c *learnCtx) learnLinePair(ctx context.Context, exs []core.Example) (out []core.Program) {
-	var sExs, eExs []tokens.PosExample
-	for _, ex := range exs {
-		x, err := lambdaRegion(ex.State)
-		if err != nil {
-			return nil
-		}
-		y, ok := ex.Output.(Region)
-		if !ok || !x.Contains(y) {
-			return nil
-		}
-		sExs = append(sExs, tokens.PosExample{S: x.Value(), K: y.Start - x.Start, C: x.Doc.cache, Lo: x.Start})
-		eExs = append(eExs, tokens.PosExample{S: x.Value(), K: y.End - x.Start, C: x.Doc.cache, Lo: x.Start})
-	}
-	p1s, p2s := c.pos.Attrs(ctx, sExs), c.pos.Attrs(ctx, eExs)
-	for _, p1 := range p1s {
-		for _, p2 := range p2s {
-			out = append(out, linePairProg{p1: p1, p2: p2})
-		}
-	}
-	return out
-}
-
-// learnLinePos learns λx: Pos(x, p) from examples that bind x to a line
-// and output a position within that line.
-func (c *learnCtx) learnLinePos(ctx context.Context, exs []core.Example) []core.Program {
-	var pexs []tokens.PosExample
-	for _, ex := range exs {
-		x, err := lambdaRegion(ex.State)
-		if err != nil {
-			return nil
-		}
-		k, ok := ex.Output.(int)
-		if !ok || k < x.Start || k > x.End {
-			return nil
-		}
-		pexs = append(pexs, tokens.PosExample{S: x.Value(), K: k - x.Start, C: x.Doc.cache, Lo: x.Start})
-	}
-	attrs := c.pos.Attrs(ctx, pexs)
-	out := make([]core.Program, len(attrs))
-	for i, p := range attrs {
-		out[i] = linePosProg{p: p}
-	}
-	return out
+	return core.UnionLearners(c.pos.PS(), c.linesMap(c.pos.XPos).Learn)
 }
 
 // ---- line predicate learner ----
@@ -327,8 +259,9 @@ func (c *learnCtx) learnPred(ctx context.Context, exs []core.Example) []core.Pro
 	if len(exs) == 0 {
 		return []core.Program{linePred{kind: predTrue}}
 	}
-	first, err := lambdaRegion(exs[0].State)
-	if err != nil {
+	v, _ := exs[0].State.Lookup(poslang.X)
+	first, ok := v.(Region)
+	if !ok {
 		return nil
 	}
 	cands := []linePred{{kind: predTrue}}

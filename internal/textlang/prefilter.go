@@ -6,16 +6,6 @@ import "flashextract/internal/prefilter"
 // are raw bytes and lines are byte subranges of them, so token evidence
 // translates to exact substring/byte-class requirements on the document.
 
-// AdmissionCond: both position attributes must evaluate on the line.
-func (p linePairProg) AdmissionCond() prefilter.Cond {
-	return prefilter.And(prefilter.CondAttr(p.p1), prefilter.CondAttr(p.p2))
-}
-
-// AdmissionCond: the position attribute must evaluate on the line.
-func (p linePosProg) AdmissionCond() prefilter.Cond {
-	return prefilter.CondAttr(p.p)
-}
-
 // AdmissionCond derives what a line must contain for the predicate to
 // accept it. The Pred/Succ forms inspect a neighbouring line, which is
 // still a byte subrange of the document, so the same evidence applies.

@@ -18,28 +18,6 @@ func inputRegion(st core.State) (Region, error) {
 	return r, nil
 }
 
-// lambdaRegion extracts the λ-bound line variable x from a state.
-func lambdaRegion(st core.State) (Region, error) {
-	v, ok := st.Lookup(lambdaVar)
-	if !ok {
-		return Region{}, fmt.Errorf("textlang: free variable %s is unbound", lambdaVar)
-	}
-	return asRegion(v)
-}
-
-// asRegion asserts that a value of x is a text region.
-func asRegion(v core.Value) (Region, error) {
-	r, ok := v.(Region)
-	if !ok {
-		return Region{}, fmt.Errorf("textlang: %s is %T, want a text region", lambdaVar, v)
-	}
-	return r, nil
-}
-
-// lambdaVar is the λ-bound variable of all Ltext map and filter operators,
-// the one the position sublanguage's bodies read.
-const lambdaVar = poslang.X
-
 // splitLinesProg is the fixed expression split(R0, '\n').
 type splitLinesProg struct{}
 
@@ -71,154 +49,6 @@ func (splitLinesProg) String() string { return "split(R0, '\\n')" }
 
 // Cost makes the fixed expression free for ranking purposes.
 func (splitLinesProg) Cost() int { return 0 }
-
-// linePairProg is λx: Pair(Pos(x, p1), Pos(x, p2)) — the map function of
-// the LinesMap rule of SS, producing a region within the line x.
-type linePairProg struct {
-	p1, p2 tokens.Attr
-}
-
-func (p linePairProg) Exec(st core.State) (core.Value, error) {
-	e1, e2 := tokens.NewAttrEval(p.p1), tokens.NewAttrEval(p.p2)
-	return poslang.ExecOne(st, func(x core.Value) (core.Value, error) { return p.at(&e1, &e2, x) })
-}
-
-// ExecSeq zips the columns of p1 and p2 over the lines: the region of
-// line i spans the two columns' positions there. The first line where a
-// column fails, or where p1's position is past p2's, ends the sequence
-// with its error, p1's first on a line where both fail, as evaluating
-// the body line by line would.
-func (p linePairProg) ExecSeq(st core.State, v string, xs []core.Value) ([]core.Value, error) {
-	if v != lambdaVar {
-		return core.ExecEach(p, st, v, xs)
-	}
-	c1, c2 := columnOf(st, p.p1, xs), columnOf(st, p.p2, xs)
-	n := min(len(c1.pos), len(c2.pos))
-	out := make([]core.Value, n)
-	for i := range out {
-		a, b := c1.pos[i], c2.pos[i]
-		if a > b {
-			return out[:i], core.ErrNoMatch
-		}
-		x := xs[i].(Region) // both columns hold line i
-		out[i] = Region{Doc: x.Doc, Start: x.Start + a, End: x.Start + b}
-	}
-	if n == len(c1.pos) && c1.err != nil {
-		return out, c1.err
-	}
-	return out, c2.err
-}
-
-// at evaluates the body on the line xv, with p1 and p2 bound in e1, e2.
-func (p linePairProg) at(e1, e2 *tokens.AttrEval, xv core.Value) (core.Value, error) {
-	x, err := asRegion(xv)
-	if err != nil {
-		return nil, err
-	}
-	a, err := e1.Eval(x.Doc.cache, x.Start, x.End)
-	if err != nil {
-		return nil, err
-	}
-	b, err := e2.Eval(x.Doc.cache, x.Start, x.End)
-	if err != nil {
-		return nil, err
-	}
-	if a > b {
-		return nil, core.ErrNoMatch
-	}
-	return Region{Doc: x.Doc, Start: x.Start + a, End: x.Start + b}, nil
-}
-
-// column is one position attribute evaluated on every line of a line
-// sequence, up to the first line where it fails: pos[i] is its position
-// in line i, relative to the line's start, and err is its failure on line
-// len(pos), or nil when it holds on every line.
-type column struct {
-	attr tokens.Attr
-	pos  []int
-	err  error
-}
-
-// columnKey keys a column in a spec state's exec memo: its attribute by
-// fingerprint, which the column's attr confirms, and its line sequence by
-// identity. A Map gets the same read-only slice from a memoized S on every
-// run, so all the line pairs crossed with one S share the columns of their
-// attributes.
-type columnKey struct {
-	attr  uint64
-	lines *core.Value
-	n     int
-}
-
-// columnOf returns the column of a over the lines xs, through st's exec
-// memo.
-func columnOf(st core.State, a tokens.Attr, xs []core.Value) *column {
-	h, ok := tokens.AttrFingerprint(a)
-	if !ok || len(xs) == 0 {
-		return evalColumn(a, xs)
-	}
-	v, _ := core.Memo(st, columnKey{h, &xs[0], len(xs)}, func() (core.Value, error) { return evalColumn(a, xs), nil })
-	if c := v.(*column); tokens.SameAttr(c.attr, a) {
-		return c
-	}
-	return evalColumn(a, xs) // a fingerprint collision
-}
-
-// evalColumn evaluates a on the lines xs in order, binding it once.
-func evalColumn(a tokens.Attr, xs []core.Value) *column {
-	c := &column{attr: a, pos: make([]int, 0, len(xs))}
-	e := tokens.NewAttrEval(a)
-	for _, xv := range xs {
-		x, err := asRegion(xv)
-		if err != nil {
-			c.err = err
-			break
-		}
-		k, err := e.Eval(x.Doc.cache, x.Start, x.End)
-		if err != nil {
-			c.err = err
-			break
-		}
-		c.pos = append(c.pos, k)
-	}
-	return c
-}
-
-func (p linePairProg) String() string {
-	return fmt.Sprintf("Pair(Pos(x, %s), Pos(x, %s))", p.p1, p.p2)
-}
-
-// linePosProg is λx: Pos(x, p) — the map function of the LinesMap rule of
-// PS, producing a position within the line x.
-type linePosProg struct {
-	p tokens.Attr
-}
-
-func (p linePosProg) Exec(st core.State) (core.Value, error) {
-	e := tokens.NewAttrEval(p.p)
-	return poslang.ExecOne(st, func(x core.Value) (core.Value, error) { return p.at(&e, x) })
-}
-
-// ExecSeq binds p once for all the lines.
-func (p linePosProg) ExecSeq(st core.State, v string, xs []core.Value) ([]core.Value, error) {
-	e := tokens.NewAttrEval(p.p)
-	return poslang.Sweep(p, st, v, xs, func(x core.Value) (core.Value, error) { return p.at(&e, x) })
-}
-
-// at evaluates the body on the line xv, with p bound in e.
-func (p linePosProg) at(e *tokens.AttrEval, xv core.Value) (core.Value, error) {
-	x, err := asRegion(xv)
-	if err != nil {
-		return nil, err
-	}
-	k, err := e.Eval(x.Doc.cache, x.Start, x.End)
-	if err != nil {
-		return nil, err
-	}
-	return x.Start + k, nil
-}
-
-func (p linePosProg) String() string { return fmt.Sprintf("Pos(x, %s)", p.p) }
 
 // predKind enumerates the line predicate forms of Fig. 7.
 type predKind int
@@ -279,9 +109,9 @@ func (p linePred) at(nb *neighbours, count *tokens.CountEval, xv core.Value) (co
 	if p.kind == predTrue {
 		return true, nil
 	}
-	x, err := asRegion(xv)
-	if err != nil {
-		return nil, err
+	x, ok := xv.(Region)
+	if !ok {
+		return nil, fmt.Errorf("textlang: %s is %T, want a text region", poslang.X, xv)
 	}
 	rx, ok := x, true
 	switch p.kind {
@@ -352,12 +182,6 @@ func (p linePred) String() string {
 }
 
 // ---- ranking costs (see core.Coster) ----
-
-// Cost of a line pair is the cost of its two position attributes.
-func (p linePairProg) Cost() int { return p.p1.Cost() + p.p2.Cost() }
-
-// Cost of a line position is the cost of its attribute.
-func (p linePosProg) Cost() int { return p.p.Cost() }
 
 // Cost ranks self-inspecting predicates before neighbor-based ones,
 // penalizes dynamic tokens (which overfit easily in predicates) and large

@@ -18,16 +18,6 @@ func (splitLinesProg) EncodeProgram() (core.ProgramSpec, error) {
 	return core.ProgramSpec{Op: "text.split"}, nil
 }
 
-// EncodeProgram serializes the LinesMap pair function.
-func (p linePairProg) EncodeProgram() (core.ProgramSpec, error) {
-	return poslang.AttrPairSpec("text.linePair", p.p1, p.p2)
-}
-
-// EncodeProgram serializes the LinesMap position function.
-func (p linePosProg) EncodeProgram() (core.ProgramSpec, error) {
-	return poslang.AttrSpec("text.linePos", p.p)
-}
-
 // EncodeProgram serializes a line predicate.
 func (p linePred) EncodeProgram() (core.ProgramSpec, error) {
 	var rr string
@@ -47,25 +37,13 @@ func (p linePred) EncodeProgram() (core.ProgramSpec, error) {
 
 // DecodeLeaf implements engine.ProgramCodec: it reconstructs Ltext leaf
 // programs.
-func (*lang) DecodeLeaf(spec core.ProgramSpec) (core.Program, error) {
+func (lang) DecodeLeaf(spec core.ProgramSpec) (core.Program, error) {
 	if p, ok, err := poslang.Text.Decode(spec); ok {
 		return p, err
 	}
 	switch spec.Op {
 	case "text.split":
 		return splitLines, nil
-	case "text.linePair":
-		as, err := poslang.SpecAttrs(spec, "p1", "p2")
-		if err != nil {
-			return nil, err
-		}
-		return linePairProg{p1: as[0], p2: as[1]}, nil
-	case "text.linePos":
-		as, err := poslang.SpecAttrs(spec, "p")
-		if err != nil {
-			return nil, err
-		}
-		return linePosProg{p: as[0]}, nil
 	case "text.pred":
 		kind, err := strconv.Atoi(spec.Attrs["kind"])
 		if err != nil {

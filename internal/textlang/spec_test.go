@@ -7,6 +7,7 @@ import (
 
 	"flashextract/internal/core"
 	"flashextract/internal/engine"
+	"flashextract/internal/poslang"
 	"flashextract/internal/region"
 	"flashextract/internal/tokens"
 )
@@ -28,7 +29,7 @@ func roundTrip(p core.Program) ([]byte, core.Program, error) {
 
 func TestSeqProgramSerializationRoundTrip(t *testing.T) {
 	d := analyteDoc()
-	l := d.Language().(*lang)
+	l := d.Language().(lang)
 	be := mustFind(t, d, "Be", 0)
 	sc := mustFind(t, d, "Sc", 0)
 	progs := l.SynthesizeSeqRegion(context.Background(), []engine.SeqRegionExample{{
@@ -57,7 +58,7 @@ func TestSeqProgramSerializationRoundTrip(t *testing.T) {
 
 func TestRegionProgramSerializationRoundTrip(t *testing.T) {
 	d := analyteDoc()
-	l := d.Language().(*lang)
+	l := d.Language().(lang)
 	l0 := lineRegion(t, d, `""Be""`, 0)
 	l1 := lineRegion(t, d, `""Sc""`, 0)
 	mass0 := d.Region(l0.Start+len(`ICP,""Be"",`), l0.Start+len(`ICP,""Be"",9`))
@@ -80,7 +81,7 @@ func TestLinePredSerializationAllKinds(t *testing.T) {
 	d := NewDocument("a 1\nb 2\nc 3\n")
 	whole := d.WholeRegion().(Region)
 	lines := linesIn(whole)
-	st := core.NewState(whole).Bind(lambdaVar, lines[1])
+	st := core.NewState(whole).Bind(poslang.X, lines[1])
 	for kind := predTrue; kind <= predSuccContains; kind++ {
 		p := linePred{kind: kind}
 		if kind != predTrue {

@@ -104,22 +104,23 @@ func TestLinePairSweepReportsFirstFailure(t *testing.T) {
 			}
 			lines := core.Func{Name: "lines", F: func(core.State) (core.Value, error) { return tc.lines, nil }}
 			if memo {
-				swapped := linePairProg{p1: tc.p2, p2: tc.p1}
-				(&core.MapProgram{Name: "LinesMap", Var: lambdaVar, F: swapped, S: lines}).Exec(st)
+				swapped := poslang.Text.XPair(tc.p2, tc.p1)
+				(&core.MapProgram{Name: "LinesMap", Var: poslang.X, F: swapped, S: lines}).Exec(st)
 			}
-			body := linePairProg{p1: tc.p1, p2: tc.p2}
-			got, err := body.ExecSeq(st, lambdaVar, tc.lines)
+			body := poslang.Text.XPair(tc.p1, tc.p2)
+			got, err := body.(core.SeqBody).ExecSeq(st, poslang.X, tc.lines)
 			if err == nil || err.Error() != tc.err.Error() || len(got) != tc.values {
 				t.Errorf("%s (memo %v): %d values and error %v, want %d and %v", tc.name, memo, len(got), err, tc.values, tc.err)
 			}
-			checkSweep(t, st, body, lambdaVar, tc.lines, false)
+			checkSweep(t, st, body, poslang.X, tc.lines, false)
 		}
 	}
 }
 
-// LearnLinePairs returns the line pairs learnLinePair learns from the
-// regions ys of whole, each with x bound to the line that holds it, as
-// LinesMap's decomposition gives them; nil when a region spans lines.
+// LearnLinePairs returns the line pairs the learner of LinesMap's body
+// learns from the regions ys of whole, each with x bound to the line that
+// holds it, as LinesMap's decomposition gives them; nil when a region
+// spans lines.
 func LearnLinePairs(whole Region, ys []Region) []core.Program {
 	lines := linesIn(whole)
 	st := core.NewState(whole)
@@ -130,10 +131,10 @@ func LearnLinePairs(whole Region, ys []Region) []core.Program {
 		if !ok {
 			return nil
 		}
-		exs = append(exs, core.Example{State: st.Bind(lambdaVar, line), Output: y})
+		exs = append(exs, core.Example{State: st.Bind(poslang.X, line), Output: y})
 		boundary = append(boundary, y)
 	}
-	return newLearnCtx(whole.Doc, boundary).learnLinePair(context.Background(), exs)
+	return newLearnCtx(whole.Doc, boundary).pos.XPair(context.Background(), exs)
 }
 
 // TestSweepsAnyOrder runs every λ-body form over lines or positions in
@@ -156,10 +157,10 @@ func TestSweepsAnyOrder(t *testing.T) {
 	lastComma := tokens.RegPos{RR: tokens.RegexPair{Left: tokens.Regex{tokens.Comma, tokens.Space}}, K: -1}
 	lineEnd := tokens.RegPos{RR: tokens.RegexPair{Left: tokens.Regex{tokens.Lower}}, K: -1}
 	lineBodies := []core.Program{
-		linePairProg{p1: num, p2: tokens.AbsPos{K: -1}},
-		linePairProg{p1: lastComma, p2: num},
-		linePosProg{p: lastComma},
-		linePosProg{p: tokens.AbsPos{K: 3}},
+		poslang.Text.XPair(num, tokens.AbsPos{K: -1}),
+		poslang.Text.XPair(lastComma, num),
+		poslang.Text.XPos(lastComma),
+		poslang.Text.XPos(tokens.AbsPos{K: 3}),
 	}
 	posBodies := []core.Program{
 		poslang.Text.StartPair(num),
@@ -178,29 +179,29 @@ func TestSweepsAnyOrder(t *testing.T) {
 	st := core.NewState(whole)
 	for _, xs := range orders(rng, lines) {
 		for _, b := range lineBodies {
-			checkSweep(t, st, b, lambdaVar, xs, false)
+			checkSweep(t, st, b, poslang.X, xs, false)
 			checkSweep(t, st, b, "y", xs, false)
 		}
 		for _, b := range preds {
-			checkSweep(t, st, b, lambdaVar, xs, true)
-			checkSweep(t, st, b, lambdaVar, append(append([]core.Value(nil), subs...), xs...), true)
+			checkSweep(t, st, b, poslang.X, xs, true)
+			checkSweep(t, st, b, poslang.X, append(append([]core.Value(nil), subs...), xs...), true)
 		}
 	}
 	for _, xs := range append(orders(rng, starts), orders(rng, ends)...) {
 		for _, b := range posBodies {
-			checkSweep(t, st, b, lambdaVar, xs, false)
+			checkSweep(t, st, b, poslang.X, xs, false)
 		}
 		for _, b := range []core.Program{lineBodies[0], preds[2]} {
-			checkSweep(t, st, b, lambdaVar, xs, false) // x is not a line
+			checkSweep(t, st, b, poslang.X, xs, false) // x is not a line
 		}
 	}
 	// R0 that is not a text region fails the position bodies and makes the
 	// neighbour predicates false, on the first element that reads it.
 	bad := core.NewState(7)
 	for _, b := range posBodies {
-		checkSweep(t, bad, b, lambdaVar, starts, false)
+		checkSweep(t, bad, b, poslang.X, starts, false)
 	}
 	for _, b := range preds {
-		checkSweep(t, bad, b, lambdaVar, lines, true)
+		checkSweep(t, bad, b, poslang.X, lines, true)
 	}
 }

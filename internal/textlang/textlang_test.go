@@ -524,13 +524,13 @@ func TestLinePredSubjectMissingNeighbor(t *testing.T) {
 	d := NewDocument("only\nlines")
 	whole := d.WholeRegion().(Region)
 	lines := linesIn(whole)
-	st := core.NewState(whole).Bind(lambdaVar, lines[0])
+	st := core.NewState(whole).Bind(poslang.X, lines[0])
 	pred := linePred{kind: predPredStartsWith}
 	v, err := pred.Exec(st)
 	if err != nil || v != core.Value(false) {
 		t.Fatalf("predicate on missing predecessor = %v, %v (want false)", v, err)
 	}
-	st2 := core.NewState(whole).Bind(lambdaVar, lines[1])
+	st2 := core.NewState(whole).Bind(poslang.X, lines[1])
 	pred2 := linePred{kind: predSuccEndsWith}
 	v2, err := pred2.Exec(st2)
 	if err != nil || v2 != core.Value(false) {

@@ -1,6 +1,7 @@
 package weblang_test
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,66 +9,144 @@ import (
 	"flashextract/internal/bench"
 	"flashextract/internal/bench/corpus"
 	"flashextract/internal/core"
+	"flashextract/internal/engine"
 	"flashextract/internal/htmldom"
+	"flashextract/internal/region"
 	"flashextract/internal/weblang"
 )
 
-// TestSweepMatchesPerElementOnWebCorpus checks the sweeps of Lweb's
-// StartSeqMap and EndSeqMap bodies on the final programs the ⊥-relative
-// replay (bench.Run) learns for every field of every web corpus task.
-// Each body must implement core.SeqBody. It runs over the start and end
-// of every element's text and two positions off the page, in ascending,
-// descending and shuffled order, under the page, under the element that
-// holds the field's first instance, under that instance and under an R0
-// that is no region, once with its ExecSeq and once element by element,
-// and must give the same values or the same first error either way.
+// TestSweepMatchesPerElementOnWebCorpus checks the sweeps of Lweb's map
+// bodies, on the final programs the ⊥-relative replay (bench.Run) learns
+// for every field of every web corpus task and, for the SeqPairMap
+// bodies, also on every program of the ranked lists ⊥-relative synthesis
+// returns from each field's first 1, 2 and 3 golden instances. Each body
+// must implement core.SeqBody, and must give the same values or the same
+// first error with its ExecSeq as element by element.
+//
+// A StartSeqMap or EndSeqMap body runs over the start and end of every
+// element's text and two positions off the page, in ascending, descending
+// and shuffled order, under the page, under the element that holds the
+// field's first instance, under that instance and under an R0 that is no
+// region. A SeqPairMap body runs over every element node of the page
+// followed by a span and a value that is no region, in ascending,
+// descending and shuffled order, and over the nodes its own sequence
+// selects, each on a state without an exec memo and on one whose memo
+// already holds the columns its pair with p1 and p2 swapped stored there.
 func TestSweepMatchesPerElementOnWebCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	bodies := 0
+	seqMaps, pairs := 0, 0
 	for _, task := range corpus.Web() {
 		doc, ok := task.Doc.(*weblang.Document)
 		if !ok {
 			t.Fatalf("%s: document is %T", task.Name, task.Doc)
 		}
+		whole := doc.WholeRegion()
 		pos := []core.Value{-1, len(doc.Text) + 1}
+		var nodes []core.Value
 		var walk func(n *htmldom.Node)
 		walk = func(n *htmldom.Node) {
 			if n.Type == htmldom.ElementNode {
 				pos = append(pos, n.TextStart, n.TextEnd)
+				nodes = append(nodes, doc.NodeOf(n))
 			}
 			for _, c := range n.Children {
 				walk(c)
 			}
 		}
 		walk(doc.Root)
+		nodes = append(nodes, weblang.SpanRegion{Doc: doc, Start: 0, End: len(doc.Text) / 2}, 7)
+		seen := map[string]bool{}
+		checkPairs := func(p core.Program) {
+			forMapBodies(p, func(m *core.MapProgram) {
+				if m.Name != "SeqPairMap" || seen[m.F.String()] {
+					return
+				}
+				seen[m.F.String()] = true
+				pairs++
+				sel, err := m.S.Exec(core.NewState(whole))
+				if err != nil {
+					t.Fatalf("%s: %s fails on the page: %v", task.Name, m.S, err)
+				}
+				for _, xs := range append(nodeOrders(rng, nodes), sel.([]core.Value)) {
+					checkPairSweep(t, doc, whole, m.F, m.Var, xs)
+				}
+			})
+		}
 		for _, fr := range bench.Run(task).Fields {
 			if fr.Program == nil {
 				t.Fatalf("%s %s: %s", task.Name, fr.Color, fr.FailReason)
 			}
 			first := task.Golden[fr.Color][0]
-			inputs := []core.Value{doc.WholeRegion(), first, 7}
-			if whole, err := doc.Span(first, first); err == nil {
-				inputs = append(inputs, whole)
+			inputs := []core.Value{whole, first, 7}
+			if container, err := doc.Span(first, first); err == nil {
+				inputs = append(inputs, container)
 			}
-			forMapBodies(fr.Program, func(body core.Program, v, name string) {
-				if name != "StartSeqMap" && name != "EndSeqMap" {
+			forMapBodies(fr.Program, func(m *core.MapProgram) {
+				if m.Name != "StartSeqMap" && m.Name != "EndSeqMap" {
 					return
 				}
-				if _, ok := body.(core.SeqBody); !ok {
-					t.Fatalf("%s body %s has no ExecSeq", name, body)
+				if _, ok := m.F.(core.SeqBody); !ok {
+					t.Fatalf("%s body %s has no ExecSeq", m.Name, m.F)
 				}
-				bodies++
+				seqMaps++
 				for _, r0 := range inputs {
 					for _, xs := range orders(rng, pos) {
-						checkSweep(t, core.NewState(r0), body, v, xs)
+						checkSweep(t, core.NewState(r0), m.F, m.Var, xs)
 					}
 				}
 			})
+			checkPairs(fr.Program)
+		}
+		for _, fi := range task.Schema.Fields() {
+			golden := task.Golden[fi.Color()]
+			for k := 1; k <= 3; k++ {
+				for _, p := range doc.Language().SynthesizeSeqRegion(context.Background(),
+					[]engine.SeqRegionExample{{Input: whole, Positive: golden[:min(k, len(golden))]}}) {
+					checkPairs(p)
+				}
+			}
 		}
 	}
-	if bodies == 0 {
-		t.Fatal("the replay learned no StartSeqMap or EndSeqMap body")
+	if seqMaps == 0 || pairs == 0 {
+		t.Fatalf("checked %d StartSeqMap or EndSeqMap bodies and %d SeqPairMap bodies, want some of each", seqMaps, pairs)
 	}
+	t.Logf("checked %d StartSeqMap or EndSeqMap bodies and %d SeqPairMap bodies", seqMaps, pairs)
+}
+
+// checkPairSweep runs checkSweep for the SeqPairMap body over the nodes
+// xs under the page, once on a state without an exec memo and once on a
+// state with one, after running over xs there the body with p1 and p2
+// swapped, so that the body reads the columns it stored.
+func checkPairSweep(t *testing.T, doc *weblang.Document, whole region.Region, body core.Program, v string, xs []core.Value) {
+	t.Helper()
+	if _, ok := body.(core.SeqBody); !ok {
+		t.Fatalf("SeqPairMap body %s has no ExecSeq", body)
+	}
+	spec, err := core.Encode(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Attrs = map[string]string{"p1": spec.Attrs["p2"], "p2": spec.Attrs["p1"]}
+	swapped, err := doc.Language().(engine.ProgramCodec).DecodeLeaf(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSweep(t, core.NewState(whole), body, v, xs)
+	memo := core.NewState(whole).WithExecMemo()
+	swapped.(core.SeqBody).ExecSeq(memo, v, xs)
+	checkSweep(t, memo, body, v, xs)
+}
+
+// nodeOrders returns the nodes xs, given in document order, ascending,
+// descending and shuffled.
+func nodeOrders(rng *rand.Rand, xs []core.Value) [][]core.Value {
+	desc := make([]core.Value, len(xs))
+	for i, x := range xs {
+		desc[len(xs)-1-i] = x
+	}
+	shuffled := append([]core.Value(nil), xs...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	return [][]core.Value{xs, desc, shuffled}
 }
 
 // orders returns xs ascending, descending and shuffled.
@@ -112,16 +191,15 @@ func checkSweep(t *testing.T, st core.State, body core.Program, v string, xs []c
 	}
 }
 
-// forMapBodies calls f on the body of every Map inside p, with the
-// variable it binds and the operator's name.
-func forMapBodies(p core.Program, f func(body core.Program, v, name string)) {
+// forMapBodies calls f on every Map inside p.
+func forMapBodies(p core.Program, f func(m *core.MapProgram)) {
 	switch q := p.(type) {
 	case *core.MergeProgram:
 		for _, a := range q.Args {
 			forMapBodies(a, f)
 		}
 	case *core.MapProgram:
-		f(q.F, q.Var, q.Name)
+		f(q)
 		forMapBodies(q.S, f)
 	case *core.FilterIntProgram:
 		forMapBodies(q.S, f)

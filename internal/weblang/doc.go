@@ -25,7 +25,6 @@ type Document struct {
 	Root *htmldom.Node
 	// Text is the page's global text content; span regions index into it.
 	Text string
-	lang *lang
 
 	// cache holds the whole-document token boundaries and regex-pair
 	// position sequences of Text, from which queries over a node's text
@@ -40,10 +39,8 @@ func NewDocument(html string) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Document{Root: root, Text: root.TextContent()}
-	d.lang = &lang{}
-	d.cache = tokens.NewCache(d.Text)
-	return d, nil
+	text := root.TextContent()
+	return &Document{Root: root, Text: text, cache: tokens.NewCache(text)}, nil
 }
 
 // EvalCache returns the document's evaluation cache.
@@ -69,8 +66,12 @@ func (d *Document) WholeRegion() region.Region {
 	return NodeRegion{Doc: d, Node: d.Root}
 }
 
-// Language returns the Lweb DSL.
-func (d *Document) Language() engine.Language { return d.lang }
+// Language returns the Lweb DSL, Language().
+func (d *Document) Language() engine.Language { return Language() }
+
+// Language returns the Lweb DSL, which holds no state: every document
+// of the package shares it.
+func Language() engine.Language { return lang{} }
 
 // NodeOf returns the node region for an HTML node of this document.
 func (d *Document) NodeOf(n *htmldom.Node) NodeRegion {

@@ -9,7 +9,6 @@ import (
 	"flashextract/internal/htmldom"
 	"flashextract/internal/poslang"
 	"flashextract/internal/region"
-	"flashextract/internal/tokens"
 	"flashextract/internal/xpath"
 )
 
@@ -18,7 +17,7 @@ type lang struct{}
 
 // SynthesizeSeqRegion learns N1 programs (Fig. 8): a Merge of node
 // sequences (XPaths) or of position-pair sequences.
-func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionExample) []core.Program {
+func (lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionExample) []core.Program {
 	if len(exs) == 0 {
 		return nil
 	}
@@ -55,7 +54,7 @@ func (l *lang) SynthesizeSeqRegion(ctx context.Context, exs []engine.SeqRegionEx
 // SynthesizeRegion learns N2 programs: an XPath when the output is a node,
 // or a position pair within the input's text content when the output is a
 // span.
-func (l *lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample) []core.Program {
+func (lang) SynthesizeRegion(ctx context.Context, exs []engine.RegionExample) []core.Program {
 	if len(exs) == 0 {
 		return nil
 	}
@@ -137,8 +136,8 @@ func learnES(ctx context.Context, exs []core.SeqExample) []core.Program {
 func learnSS(l *poslang.Learner) core.SeqLearner {
 	seqPairMap := core.MapOp{
 		Name: "SeqPairMap",
-		Var:  lambdaVar,
-		F:    learnNodeSpanPair(l),
+		Var:  poslang.X,
+		F:    l.XPair,
 		S:    learnES,
 		Decompose: func(st core.State, y []core.Value) ([]core.Value, error) {
 			r0, err := inputNode(st)
@@ -161,34 +160,4 @@ func learnSS(l *poslang.Learner) core.SeqLearner {
 		},
 	}
 	return core.UnionLearners(seqPairMap.Learn, l.StartSeqMap(l.PS()).Learn, l.EndSeqMap(l.PS()).Learn)
-}
-
-// learnNodeSpanPair learns λx: Pair(Pos(x.Val, p1), Pos(x.Val, p2)) from
-// examples binding x to a node and outputting a span within its text.
-func learnNodeSpanPair(l *poslang.Learner) core.ScalarLearner {
-	return func(ctx context.Context, exs []core.Example) []core.Program {
-		var sExs, eExs []tokens.PosExample
-		for _, ex := range exs {
-			v, _ := ex.State.Lookup(lambdaVar)
-			x, ok := v.(NodeRegion)
-			if !ok {
-				return nil
-			}
-			y, ok := ex.Output.(SpanRegion)
-			if !ok || !x.Contains(y) {
-				return nil
-			}
-			lo, hi := x.Node.TextStart, x.Node.TextEnd
-			sExs = append(sExs, tokens.PosExample{S: x.Doc.Text[lo:hi], K: y.Start - lo, C: x.Doc.cache, Lo: lo})
-			eExs = append(eExs, tokens.PosExample{S: x.Doc.Text[lo:hi], K: y.End - lo, C: x.Doc.cache, Lo: lo})
-		}
-		p1s, p2s := l.Attrs(ctx, sExs), l.Attrs(ctx, eExs)
-		var out []core.Program
-		for _, p1 := range p1s {
-			for _, p2 := range p2s {
-				out = append(out, nodeSpanPairProg{p1: p1, p2: p2})
-			}
-		}
-		return out
-	}
 }

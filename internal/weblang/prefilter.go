@@ -17,8 +17,3 @@ func (p xpathsProg) AdmissionCond() prefilter.Cond {
 func (p xpathRegionProg) AdmissionCond() prefilter.Cond {
 	return prefilter.CondXPath(p.path)
 }
-
-// AdmissionCond: both span attributes must evaluate on the node's text.
-func (p nodeSpanPairProg) AdmissionCond() prefilter.Cond {
-	return prefilter.And(prefilter.CondAttrHTML(p.p1), prefilter.CondAttrHTML(p.p2))
-}

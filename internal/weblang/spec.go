@@ -20,14 +20,9 @@ func (p xpathRegionProg) EncodeProgram() (core.ProgramSpec, error) {
 	return core.ProgramSpec{Op: "web.xpath", Attrs: map[string]string{"path": p.path.String()}}, nil
 }
 
-// EncodeProgram serializes the SeqPairMap function.
-func (p nodeSpanPairProg) EncodeProgram() (core.ProgramSpec, error) {
-	return poslang.AttrPairSpec("web.nodeSpanPair", p.p1, p.p2)
-}
-
 // DecodeLeaf implements engine.ProgramCodec: it reconstructs Lweb leaf
 // programs.
-func (*lang) DecodeLeaf(spec core.ProgramSpec) (core.Program, error) {
+func (lang) DecodeLeaf(spec core.ProgramSpec) (core.Program, error) {
 	if p, ok, err := poslang.Web.Decode(spec); ok {
 		return p, err
 	}
@@ -41,12 +36,6 @@ func (*lang) DecodeLeaf(spec core.ProgramSpec) (core.Program, error) {
 			return xpathsProg{path: path}, nil
 		}
 		return xpathRegionProg{path: path}, nil
-	case "web.nodeSpanPair":
-		as, err := poslang.SpecAttrs(spec, "p1", "p2")
-		if err != nil {
-			return nil, err
-		}
-		return nodeSpanPairProg{p1: as[0], p2: as[1]}, nil
 	default:
 		return nil, fmt.Errorf("weblang: unknown leaf operator %q", spec.Op)
 	}

@@ -11,6 +11,7 @@ import (
 	"flashextract/internal/htmldom"
 	"flashextract/internal/poslang"
 	"flashextract/internal/region"
+	"flashextract/internal/textlang"
 	"flashextract/internal/tokens"
 )
 
@@ -460,6 +461,49 @@ func TestPosSeqRefusesSpanInput(t *testing.T) {
 	}
 }
 
+// TestMapBodiesReadX pins which values of the λ-bound x the pair and
+// position bodies read. Lweb's SeqPairMap body reads a node and refuses
+// anything else, a span included, as PosSeq refuses a span R0. Ltext's
+// bodies read a span: any Ltext region, and also an Lweb span, and refuse
+// a node and any value that is not a region. Exec and the sweep agree.
+func TestMapBodiesReadX(t *testing.T) {
+	d := MustNewDocument(shopPage)
+	node := nodeByClassText(t, d, "price", "19.50")
+	span := mustSpan(t, d, "Sale: $19.50 USD")
+	td := textlang.NewDocument("Sale: $19.50 USD")
+	line := td.WholeRegion()
+	num := tokens.RegPos{RR: tokens.RegexPair{Right: tokens.Regex{tokens.Number}}, K: 1}
+	end := tokens.AbsPos{K: -1}
+	cases := []struct {
+		body core.Program
+		x    core.Value
+		ok   bool
+	}{
+		{poslang.Web.XPair(num, end), node, true},
+		{poslang.Web.XPair(num, end), span, false},
+		{poslang.Web.XPair(num, end), line, false},
+		{poslang.Web.XPair(num, end), 7, false},
+		{poslang.Text.XPair(num, end), line, true},
+		{poslang.Text.XPair(num, end), span, true},
+		{poslang.Text.XPair(num, end), node, false},
+		{poslang.Text.XPair(num, end), 7, false},
+		{poslang.Text.XPos(num), line, true},
+		{poslang.Text.XPos(num), span, true},
+		{poslang.Text.XPos(num), node, false},
+		{poslang.Text.XPos(num), nil, false},
+	}
+	for _, tc := range cases {
+		v, err := tc.body.Exec(core.NewState(d.WholeRegion()).Bind("x", tc.x))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s on %v (%T): %v, %v", tc.body, tc.x, tc.x, v, err)
+		}
+		vs, err := tc.body.(core.SeqBody).ExecSeq(core.NewState(d.WholeRegion()), "x", []core.Value{tc.x})
+		if (err == nil) != tc.ok || tc.ok && vs[0] != v {
+			t.Errorf("%s swept over %v (%T): %v, %v", tc.body, tc.x, tc.x, vs, err)
+		}
+	}
+}
+
 // ---- serialization round trips ----
 
 // decodeLeaf is the language's leaf decoder (engine.ProgramCodec).
@@ -479,7 +523,7 @@ func roundTrip(p core.Program) ([]byte, core.Program, error) {
 
 func TestSeqProgramSerializationRoundTrip(t *testing.T) {
 	d := MustNewDocument(shopPage)
-	l := d.Language().(*lang)
+	l := d.Language().(lang)
 	for name, positives := range map[string][]region.Region{
 		"nodes": {nodeByClassText(t, d, "pname", "Widget"), nodeByClassText(t, d, "pname", "Gadget")},
 		"spans": {mustSpan(t, d, "9.99"), mustSpan(t, d, "19.50")},
@@ -505,7 +549,7 @@ func TestSeqProgramSerializationRoundTrip(t *testing.T) {
 
 func TestRegionProgramSerializationRoundTrip(t *testing.T) {
 	d := MustNewDocument(shopPage)
-	l := d.Language().(*lang)
+	l := d.Language().(lang)
 	item := nodeByClassText(t, d, "item", "Widget")
 	item2 := nodeByClassText(t, d, "item", "Gadget")
 	for name, ex := range map[string]engine.RegionExample{
